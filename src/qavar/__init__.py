@@ -24,17 +24,11 @@ from .core import (
     ProductProbe,
     QavarResult,
     Scenario,
-    build_rho_bar,
-    build_rho_prime,
-    cost_functional,
     dephasing_weights,
-    derivative_factors,
     mc_oracle,
     qavar,
-    solve_sld,
 )
 from .hilbert import (
-    JointDensity,
     SymmetricState,
     coherent_step_state,
     from_linear,
@@ -42,7 +36,6 @@ from .hilbert import (
     multi_index_table,
     partial_trace,
     plus_step_state,
-    product_density,
     product_pure,
     to_linear,
 )
@@ -77,14 +70,12 @@ __all__ = [
     "NoiseParams", "KernelSet", "autocorrelation", "block_kernel",
     "cross_kernel", "free_lo_avar", "kernel_set", "sample_joint", "gen_trace",
     # hilbert
-    "SymmetricState", "JointDensity", "multi_index_table", "to_linear",
-    "from_linear", "product_pure", "product_density", "plus_step_state",
-    "coherent_step_state", "ghz_step_state", "partial_trace",
+    "SymmetricState", "multi_index_table", "to_linear", "from_linear",
+    "product_pure", "plus_step_state", "coherent_step_state",
+    "ghz_step_state", "partial_trace",
     # core
     "ProductProbe", "JointProbe", "Scenario", "QavarResult", "McOracleResult",
-    "BoundWorkspace", "dephasing_weights", "derivative_factors",
-    "build_rho_bar", "build_rho_prime", "solve_sld", "qavar",
-    "cost_functional", "mc_oracle",
+    "BoundWorkspace", "dephasing_weights", "qavar", "mc_oracle",
     # optimize
     "DimensionCapError", "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",

@@ -4,21 +4,27 @@ For Gaussian LO noise the minimum achievable Allan variance at averaging
 time tau = k T, over all measurement and feedback strategies acting on K =
 2k - 1 probe steps, is
 
-    sigma2_q = sigma2_lo - Tr(rho_bar_avg L^2) / (2 omega0^2)
+    sigma2_q = sigma2_lo - Tr(rho_bar L^2) / (2 omega0^2)
 
-where rho_bar_avg is the dephasing-averaged joint probe state, L is the
-symmetric-logarithmic-derivative-like operator solving
-
-    rho_bar' = (L rho_bar + rho_bar L) / 2,
-
-and rho_bar' is the noise-probe correlation operator.  Gaussianity makes the
+where rho_bar is the dephasing-averaged joint probe state and L is the
+symmetric logarithmic derivative solving rho_bar' = (L rho_bar + rho_bar L)/2
+for the noise-probe correlation operator rho_bar'.  Gaussianity makes both
 averages exact entrywise in the excitation basis:
 
     rho_bar[a, b]  = rho_in[a, b] * exp(-1/2 (a-b)^T G (a-b))
     rho_bar'[a, b] = rho_bar[a, b] * i (b - a)^T H
 
 with multi-indices a (row) and b (column) and the kernels G, H of
-:mod:`qavar.noise`.
+:mod:`qavar.noise`.  With u_a = a^T H and U = diag(u) the second line reads
+rho_bar' = i [rho_bar, U], so the correction is the quantum Fisher
+information of rho_bar under the generator U (Braunstein & Caves, PRL 72,
+3439 (1994)):
+
+    Tr(rho_bar L^2) / (2 omega0^2) = F_Q[rho_bar; U] / (2 omega0^2)
+        = sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |<r|U|s>|^2 / omega0^2
+
+in the eigenbasis rho_bar = sum_r lam_r |r><r|, with lam >= 0 and 0/0 = 0.
+`BoundWorkspace.evaluate` is the one place this sum is computed.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
-from .hilbert import JointDensity, SymmetricState, eigh, multi_index_table, product_pure
+from .hilbert import SymmetricState, eigh, multi_index_table, product_pure
 from .noise import KernelSet, NoiseParams, kernel_set, sample_joint
 
 __all__ = [
@@ -40,16 +45,9 @@ __all__ = [
     "McOracleResult",
     "BoundWorkspace",
     "dephasing_weights",
-    "derivative_factors",
-    "build_rho_bar",
-    "build_rho_prime",
-    "solve_sld",
     "qavar",
-    "cost_functional",
     "mc_oracle",
 ]
-
-DEFAULT_SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,6 @@ class QavarResult:
     correction: float
     sigma2_q: float
     sld: Optional[np.ndarray]
-    support_cut: float
 
 
 @dataclass(frozen=True)
@@ -151,19 +148,8 @@ def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.exp(-0.5 * quad)
 
 
-def derivative_factors(H: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Entrywise factors (b - a)^T H (column minus row multi-index).
-
-    rho_bar'[a, b] = rho_bar[a, b] * 1j * derivative_factors(H, N)[a, b].
-    """
-    K = H.shape[0]
-    A = multi_index_table(n_atoms, K).astype(float)
-    u = A @ H
-    return u[None, :] - u[:, None]
-
-
-def _resolve_rho_in(scenario: Scenario) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Return (rho_in matrix, pure vector or None) for the scenario probe."""
+def _joint_input(scenario: Scenario) -> np.ndarray:
+    """The scenario's joint input: a pure vector (D,) or a density (D, D)."""
     dim = scenario.dim
     probe = scenario.probe
     if isinstance(probe, ProductProbe):
@@ -171,8 +157,7 @@ def _resolve_rho_in(scenario: Scenario) -> tuple[np.ndarray, Optional[np.ndarray
             raise ValueError(
                 f"probe has {probe.state.n_atoms} atoms, scenario {scenario.n_atoms}"
             )
-        v = product_pure(probe.state, scenario.n_steps)
-        return np.outer(v, v.conj()), v
+        return product_pure(probe.state, scenario.n_steps)
     if probe.vector is not None:
         v = np.asarray(probe.vector, dtype=complex).reshape(-1)
         if v.shape != (dim,):
@@ -180,7 +165,7 @@ def _resolve_rho_in(scenario: Scenario) -> tuple[np.ndarray, Optional[np.ndarray
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
-        return np.outer(v, v.conj()), v
+        return v
     m = np.asarray(probe.density, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"joint density shape {m.shape}, expected {(dim, dim)}")
@@ -189,80 +174,65 @@ def _resolve_rho_in(scenario: Scenario) -> tuple[np.ndarray, Optional[np.ndarray
         raise ValueError("joint density is not Hermitian")
     if abs(np.trace(m).real - 1.0) > 1e-10:
         raise ValueError(f"joint density trace {np.trace(m).real!r}, expected 1")
-    return m, None
+    return m
 
 
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
-    Precomputes the kernels and the entrywise dephasing/derivative factor
-    matrices once; each `evaluate` call then costs one assembly plus one
-    Hermitian eigensolve.  Real inputs stay on the real LAPACK path.
+    Precomputes the kernels, the (D, D) dephasing weights and the generator
+    diagonal u = A H (u_a = a^T H) once; each `evaluate` call then costs one
+    Hermitian eigensolve of rho_bar plus a few (D, D) products.
     """
 
-    def __init__(
-        self,
-        noise: NoiseParams,
-        n_atoms: int,
-        k: int,
-        T: float,
-        support_tol: float = DEFAULT_SUPPORT_TOL,
-    ) -> None:
+    def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
         self.noise = noise
         self.n_atoms = n_atoms
         self.k = k
         self.T = T
-        self.support_tol = support_tol
         self.kernels: KernelSet = kernel_set(noise, T, k)
         self.n_steps = self.kernels.K
         self.dim = (n_atoms + 1) ** self.n_steps
         self.weights = dephasing_weights(self.kernels.G, n_atoms)
-        self.factors = derivative_factors(self.kernels.H, n_atoms)
-
-    def rho_bar(self, rho_in: np.ndarray) -> np.ndarray:
-        return rho_in * self.weights
-
-    def rho_prime(self, rho_bar: np.ndarray) -> np.ndarray:
-        return rho_bar * (1j * self.factors)
+        self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
 
     def evaluate(
         self,
         rho_in: np.ndarray,
         want_sld: bool = False,
     ) -> QavarResult:
-        """Bound for a joint input matrix (D, D) or pure vector (D,)."""
+        """Bound for a joint input matrix (D, D) or pure vector (D,).
+
+        The correction is the eigenbasis quantum Fisher information
+        F_Q[rho_bar; U] / (2 omega0^2) (Braunstein & Caves, PRL 72, 3439
+        (1994)).  With rho_bar = V diag(lam) V^dag and U~ = V^dag diag(u) V,
+
+            correction = sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |U~_rs|^2 / omega0^2
+            L          = V (2i (lam_r - lam_s) / (lam_r + lam_s) U~_rs) V^dag
+
+        Eigenvalues are clamped to lam >= 0 (rho_bar is PSD; the eigensolver
+        returns kernel eigenvalues of either sign at roundoff level) and the
+        pairs with lam_r + lam_s = 0 contribute 0.  Each weight is bounded by
+        lam_r + lam_s and each SLD entry by 2 |U~_rs|, so no cut-off is needed.
+        The correction's roundoff is absolute, of order eps * sigma2_lo, so
+        sigma2_q is exact to roundoff even where the correction is tiny.
+        Real inputs stay on the real LAPACK path.
+        """
         rho_in = np.asarray(rho_in)
         if rho_in.ndim == 1:
             rho_in = np.outer(rho_in, rho_in.conj())
         if rho_in.shape != (self.dim, self.dim):
             raise ValueError(f"input shape {rho_in.shape}, expected {(self.dim, self.dim)}")
-        rb = rho_in * self.weights
-        is_real = not np.iscomplexobj(rb) or np.abs(rb.imag).max() == 0.0
-        w0sq = self.noise.omega0**2
-        if is_real:
-            rb_r = rb.real if np.iscomplexobj(rb) else rb
-            lam, V = scipy.linalg.eigh(0.5 * (rb_r + rb_r.T), driver="evd")
-            # rho_prime = i * S with S real; |<r|rho_prime|s>|^2 = (V^T S V)^2
-            P = V.T @ (rb_r * self.factors) @ V
-            P2 = P * P
-        else:
-            lam, V = eigh(rb)
-            rp = rb * (1j * self.factors)
-            Pc = V.conj().T @ rp @ V
-            P = Pc
-            P2 = Pc.real**2 + Pc.imag**2
-        denom = lam[:, None] + lam[None, :]
-        cut = self.support_tol * max(float(lam[-1]), 0.0)
-        mask = denom > cut
-        correction = float(np.sum(P2[mask] / denom[mask])) / w0sq
+        lam, V = eigh(rho_in * self.weights)
+        lam = np.maximum(lam, 0.0)
+        Ut = V.conj().T @ (self.u[:, None] * V)
+        diff = lam[:, None] - lam[None, :]
+        tot = lam[:, None] + lam[None, :]
+        ratio = np.divide(diff, tot, out=np.zeros_like(tot), where=tot > 0.0)
+        correction = float(np.sum(diff * ratio * (Ut.conj() * Ut).real)) / self.noise.omega0**2
         sld = None
         if want_sld:
-            Lt = np.zeros_like(P)
-            Lt[mask] = 2.0 * P[mask] / denom[mask]
-            if is_real:
-                sld = V @ (1j * Lt) @ V.T
-            else:
-                sld = V @ Lt @ V.conj().T
+            sld = 1j * (V @ (2.0 * ratio * Ut) @ V.conj().T)
         s2lo = self.kernels.sigma2_lo
         return QavarResult(
             tau=self.k * self.T,
@@ -270,96 +240,17 @@ class BoundWorkspace:
             correction=correction,
             sigma2_q=s2lo - correction,
             sld=sld,
-            support_cut=cut,
         )
 
 
-def build_rho_bar(scenario: Scenario) -> JointDensity:
-    """Dephasing-averaged joint state rho_bar over the K = 2k - 1 probe steps."""
-    ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    rho_in, _ = _resolve_rho_in(scenario)
-    return JointDensity(
-        n_atoms=scenario.n_atoms,
-        n_steps=scenario.n_steps,
-        matrix=ws.rho_bar(rho_in),
-    )
-
-
-def build_rho_prime(
-    scenario: Scenario,
-    rho_bar: Optional[JointDensity] = None,
-) -> np.ndarray:
-    """Noise-probe correlation operator rho_bar'.
-
-    Entrywise: rho_bar'[a, b] = rho_bar[a, b] * i (b - a)^T H.  Hermitian,
-    traceless, zero wherever rho_bar is diagonal.
-    """
-    if rho_bar is None:
-        rho_bar = build_rho_bar(scenario)
-    kernels = kernel_set(scenario.noise, scenario.T, scenario.k)
-    fac = derivative_factors(kernels.H, scenario.n_atoms)
-    return rho_bar.matrix * (1j * fac)
-
-
-def solve_sld(
-    rho_bar: np.ndarray,
-    rho_prime: np.ndarray,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> np.ndarray:
-    """Solve rho_prime = (L rho_bar + rho_bar L)/2 for Hermitian L.
-
-    In the rho_bar eigenbasis L_rs = 2 rho_prime_rs / (lam_r + lam_s);
-    entries with lam_r + lam_s <= support_tol * lam_max are set to zero
-    (rho_prime vanishes on the kernel of rho_bar analytically, so the
-    discarded entries carry no bound weight).
-    """
-    lam, V = eigh(rho_bar)
-    P = V.conj().T @ rho_prime @ V
-    denom = lam[:, None] + lam[None, :]
-    cut = support_tol * max(float(lam[-1]), 0.0)
-    Lt = np.zeros_like(P, dtype=complex)
-    mask = denom > cut
-    Lt[mask] = 2.0 * P[mask] / denom[mask]
-    return V @ Lt @ V.conj().T
-
-
-def qavar(
-    scenario: Scenario,
-    want_sld: bool = False,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> QavarResult:
+def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:
     """Quantum Allan variance bound for a scenario.
 
-    Returns sigma2_lo, the eigenbasis correction sum, their difference
-    sigma2_q, and optionally the optimal L operator.
-    """
-    ws = BoundWorkspace(
-        scenario.noise, scenario.n_atoms, scenario.k, scenario.T, support_tol
-    )
-    rho_in, v = _resolve_rho_in(scenario)
-    return ws.evaluate(rho_in if v is None else v, want_sld=want_sld)
-
-
-def cost_functional(
-    rho_in: np.ndarray,
-    L: np.ndarray,
-    scenario: Scenario,
-) -> float:
-    """sigma2_lo - Tr(L rho_bar')/omega0^2 + Tr(L^2 rho_bar)/(2 omega0^2).
-
-    Jointly convex certificate: equals sigma2_q(rho_in) at the optimal L and
-    upper-bounds it for any other Hermitian L.
+    Returns sigma2_lo, the correction F_Q[rho_bar; U] / (2 omega0^2), their
+    difference sigma2_q, and optionally the optimal L operator.
     """
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    rho_in = np.asarray(rho_in)
-    if rho_in.ndim == 1:
-        rho_in = np.outer(rho_in, rho_in.conj())
-    rb = ws.rho_bar(rho_in)
-    rp = ws.rho_prime(rb)
-    w0sq = scenario.noise.omega0**2
-    t1 = np.trace(L @ rp).real / w0sq
-    t2 = np.trace(L @ L @ rb).real / (2.0 * w0sq)
-    return float(ws.kernels.sigma2_lo - t1 + t2)
+    return ws.evaluate(_joint_input(scenario), want_sld=want_sld)
 
 
 def mc_oracle(
@@ -378,10 +269,11 @@ def mc_oracle(
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    rho_in, _ = _resolve_rho_in(scenario)
+    rho_in = _joint_input(scenario)
+    if rho_in.ndim == 1:
+        rho_in = np.outer(rho_in, rho_in.conj())
     A = multi_index_table(scenario.n_atoms, scenario.n_steps).astype(float)
-    dim = ws.dim
+    dim = scenario.dim
 
     M1 = np.zeros((dim, dim), dtype=complex)
     M1w = np.zeros((dim, dim), dtype=complex)

@@ -100,17 +100,18 @@ class PlateauFit:
 
 
 def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
-    """Hermitian A_L with Tr(rho_in A_L) = cost_functional(rho_in, L) - sigma2_lo.
+    """Hermitian A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo.
 
-    Entrywise, with W the dephasing weights and u_a = a^T H:
+    cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
+    + Tr(L^2 rho_bar)/(2 omega0^2) is jointly convex and equals sigma2_q at
+    the SLD.  With W the dephasing weights and U = diag(u), u_a = a^T H:
 
-        A_L[a, b] = W[a, b] * ( (L^2)[a, b] / (2 omega0^2)
-                                - L[a, b] * i (a - b)^T H / omega0^2 )
+        A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
     """
     w0sq = workspace.noise.omega0**2
     W = workspace.weights
-    # factors[a, b] = (b - a)^T H, so (a - b)^T H = -factors
-    A = W * (L @ L) / (2.0 * w0sq) + W * L * (1j * workspace.factors) / w0sq
+    u = workspace.u
+    A = W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
     scale = max(np.abs(A).max(), 1.0)
     herm_defect = np.abs(A - A.conj().T).max()
     if herm_defect > 1e-10 * scale:

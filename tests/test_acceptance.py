@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from bound_reference import rho_bar, rho_prime, support_projector
 from qavar import (
+    BoundWorkspace,
     JointProbe,
     NoiseParams,
     ProductProbe,
@@ -26,8 +28,6 @@ from qavar import (
     avar_series,
     block_kernel,
     bound_curve,
-    build_rho_bar,
-    build_rho_prime,
     cross_kernel,
     dephasing_weights,
     extrapolate_long_term,
@@ -37,9 +37,9 @@ from qavar import (
     mc_oracle,
     optimize_joint_state,
     plus_step_state,
+    product_pure,
     qavar,
     simulate_clock,
-    solve_sld,
 )
 
 # Reference LO model used throughout (OU + white frequency noise).
@@ -116,9 +116,13 @@ def oracle_cases():
                 scen = Scenario(noise=REF, n_atoms=N, k=k, T=0.8,
                                 probe=ProductProbe(st))
                 mc = mc_oracle(scen, n_samples=1_000_000, seed=int(rng.integers(2**32)))
-                rb = build_rho_bar(scen)
-                rp = build_rho_prime(scen, rb)
-                cases.append((f"N={N} k={k} {name}", scen, rb.matrix, rp, mc))
+                # the quantities BoundWorkspace.evaluate works from:
+                # rho_in o W and rho_bar' = i [rho_bar, diag(u)]
+                ws = BoundWorkspace(REF, N, k, 0.8)
+                v = product_pure(st, scen.n_steps)
+                rb = np.outer(v, v.conj()) * ws.weights
+                rp = 1j * (rb * ws.u[None, :] - ws.u[:, None] * rb)
+                cases.append((f"N={N} k={k} {name}", scen, rb, rp, mc))
     return cases
 
 
@@ -182,12 +186,10 @@ def test_03_sld_residual_on_support(capsys, random_suite, oracle_cases):
     worst = 0.0
     scens = [s for s, _ in random_suite] + [s for _, s, *_ in oracle_cases]
     for scen in scens:
-        rb = build_rho_bar(scen).matrix
-        rp = build_rho_prime(scen)
-        L = solve_sld(rb, rp)
-        lam, V = np.linalg.eigh(rb)
-        keep = lam > 1e-12 * lam[-1]
-        P = V[:, keep] @ V[:, keep].conj().T
+        rb = rho_bar(scen)
+        rp = rho_prime(scen, rb)
+        L = qavar(scen, want_sld=True).sld
+        P = support_projector(rb)
         R = P @ (rp - 0.5 * (rb @ L + L @ rb)) @ P
         nrm = np.linalg.norm(rp)
         if nrm > 0:

@@ -1,23 +1,22 @@
 """Bound construction: dephasing averages, correlation operator, SLD, QAVAR."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bound_reference import cost_functional, eigen_sum, rho_bar, rho_prime, support_projector
 from qavar.core import (
     BoundWorkspace,
     JointProbe,
     ProductProbe,
     Scenario,
-    build_rho_bar,
-    build_rho_prime,
-    cost_functional,
     dephasing_weights,
-    derivative_factors,
     mc_oracle,
     qavar,
-    solve_sld,
 )
 from qavar.hilbert import ghz_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, block_kernel, kernel_set
@@ -34,14 +33,14 @@ def plus_scenario(n_atoms=1, k=1, T=1.0, noise=PAR):
 class TestRhoBar:
     def test_single_step_entrywise(self):
         ks = kernel_set(PAR, 1.0, 1)
-        rb = build_rho_bar(plus_scenario()).matrix
+        rb = rho_bar(plus_scenario())
         d = 0.5 * np.exp(-0.5 * ks.G[0, 0])
         assert np.allclose(rb, [[0.5, d], [d, 0.5]], atol=1e-15)
 
     def test_excitation_difference_squared(self):
         # N=2 single step: (0,2) coherence decays 4x faster in the exponent
         ks = kernel_set(PAR, 1.0, 1)
-        rb = build_rho_bar(plus_scenario(n_atoms=2)).matrix
+        rb = rho_bar(plus_scenario(n_atoms=2))
         w01 = rb[0, 1] / (0.5 * np.sqrt(0.5))
         w02 = rb[0, 2] / 0.25
         assert w02 == pytest.approx(np.exp(-2.0 * ks.G[0, 0]), rel=1e-12)
@@ -49,23 +48,26 @@ class TestRhoBar:
 
     def test_diagonal_preserved(self):
         sc = plus_scenario(n_atoms=2, k=2, T=0.5)
-        rb = build_rho_bar(sc)
+        rb = rho_bar(sc)
         rho_in = np.outer(*[product_pure(plus_step_state(2), sc.n_steps)] * 2)
-        assert np.allclose(np.diag(rb.matrix), np.diag(rho_in))
+        assert np.allclose(np.diag(rb), np.diag(rho_in))
 
     def test_valid_density(self):
-        rb = build_rho_bar(plus_scenario(n_atoms=1, k=2, T=0.7))
-        rb.validate()  # Hermitian, trace 1, PSD
+        rb = rho_bar(plus_scenario(n_atoms=1, k=2, T=0.7))
+        scale = max(np.abs(rb).max(), 1.0)
+        assert np.abs(rb - rb.conj().T).max() <= 1e-12 * scale
+        assert abs(np.trace(rb) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rb)[0] >= -1e-10
 
     def test_stronger_noise_dephases_more(self):
         loud = NoiseParams(alpha=4.0, beta=0.8, gamma=0.5, omega0=3.25e15)
-        a = np.abs(build_rho_bar(plus_scenario(k=2, T=0.5)).matrix)
-        b = np.abs(build_rho_bar(plus_scenario(k=2, T=0.5, noise=loud)).matrix)
+        a = np.abs(rho_bar(plus_scenario(k=2, T=0.5)))
+        b = np.abs(rho_bar(plus_scenario(k=2, T=0.5, noise=loud)))
         assert np.all(b <= a + 1e-15)
 
     def test_zero_noise_identity(self):
         sc = plus_scenario(noise=QUIET, k=2)
-        rb = build_rho_bar(sc).matrix
+        rb = rho_bar(sc)
         v = product_pure(plus_step_state(1), sc.n_steps)
         assert np.allclose(rb, np.outer(v, v), atol=1e-15)
 
@@ -74,7 +76,7 @@ class TestRhoPrime:
     def test_single_step_entrywise(self):
         ks = kernel_set(PAR, 1.0, 1)
         sc = plus_scenario()
-        rp = build_rho_prime(sc)
+        rp = rho_prime(sc)
         d = 0.5 * np.exp(-0.5 * ks.G[0, 0])
         # [a, b] entry carries i (b - a) H_1
         assert rp[0, 1] == pytest.approx(1j * d * ks.H[0], rel=1e-12)
@@ -82,15 +84,15 @@ class TestRhoPrime:
         assert rp[0, 0] == rp[1, 1] == 0.0
 
     def test_hermitian_traceless(self):
-        rp = build_rho_prime(plus_scenario(n_atoms=2, k=2, T=0.4))
+        rp = rho_prime(plus_scenario(n_atoms=2, k=2, T=0.4))
         assert np.allclose(rp, rp.conj().T, atol=1e-18)
         assert abs(np.trace(rp)) < 1e-18
 
     def test_entrywise_envelope(self):
         sc = plus_scenario(n_atoms=2, k=2, T=0.8)
         ks = kernel_set(PAR, 0.8, 2)
-        rb = build_rho_bar(sc).matrix
-        rp = build_rho_prime(sc)
+        rb = rho_bar(sc)
+        rp = rho_prime(sc)
         envelope = sc.n_atoms * np.abs(ks.H).sum()
         assert np.all(np.abs(rp) <= np.abs(rb) * envelope + 1e-18)
 
@@ -102,11 +104,6 @@ class TestFactorTables:
         assert np.allclose(np.diag(W), 1.0)
         assert np.allclose(W, W.T)
         assert np.all((W > 0) & (W <= 1.0 + 1e-15))
-
-    def test_factors_antisymmetric(self):
-        ks = kernel_set(PAR, 0.5, 2)
-        F = derivative_factors(ks.H, 2)
-        assert np.allclose(F, -F.T)
 
     def test_window_merge_identity(self):
         # two adjacent length-T windows fully correlated in excitation
@@ -123,9 +120,9 @@ class TestFactorTables:
 class TestSolveSld:
     def test_residual_small(self):
         sc = plus_scenario(n_atoms=1, k=2, T=0.5)
-        rb = build_rho_bar(sc).matrix
-        rp = build_rho_prime(sc)
-        L = solve_sld(rb, rp)
+        rb = rho_bar(sc)
+        rp = rho_prime(sc)
+        L = qavar(sc, want_sld=True).sld
         resid = 0.5 * (L @ rb + rb @ L) - rp
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rp)
         assert np.allclose(L, L.conj().T, atol=1e-12 * np.abs(L).max())
@@ -137,7 +134,7 @@ class TestSolveSld:
                    Scenario(noise=PAR, n_atoms=2, k=1, T=0.9,
                             probe=ProductProbe(ghz_step_state(2)))):
             res = qavar(sc, want_sld=True)
-            rb = build_rho_bar(sc).matrix
+            rb = rho_bar(sc)
             tr_corr = np.trace(rb @ res.sld @ res.sld).real / (2 * PAR.omega0**2)
             assert tr_corr == pytest.approx(res.correction, rel=1e-8)
 
@@ -294,8 +291,8 @@ class TestMcOracle:
     def test_matches_exact_within_5_se(self):
         sc = plus_scenario(n_atoms=1, k=2, T=0.8)
         out = mc_oracle(sc, n_samples=60_000, seed=5)
-        rb = build_rho_bar(sc).matrix
-        rp = build_rho_prime(sc)
+        rb = rho_bar(sc)
+        rp = rho_prime(sc)
         for exact, mc, se in ((rb, out.rho_bar, out.rho_bar_se),
                               (rp, out.rho_prime, out.rho_prime_se)):
             dre = np.abs(mc.real - exact.real)
@@ -327,3 +324,87 @@ class TestWorkspaceReuse:
         ws = BoundWorkspace(PAR, 1, 2, 0.5)
         with pytest.raises(ValueError, match="shape"):
             ws.evaluate(np.eye(4))
+
+
+def _probe(kind, n_atoms, dim, rng):
+    """Test input of the given kind: real, complex, mixed (rank 2) or ghz."""
+    if kind == "ghz":
+        return ProductProbe(ghz_step_state(n_atoms))
+    if kind == "real":
+        v = rng.normal(size=dim)
+        return JointProbe(vector=v / np.linalg.norm(v))
+    vs = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    if kind == "complex":
+        return JointProbe(vector=vs[0])
+    return JointProbe(density=0.7 * np.outer(vs[0], vs[0].conj())
+                      + 0.3 * np.outer(vs[1], vs[1].conj()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_atoms=st.integers(1, 2),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(["real", "complex", "mixed", "ghz"]),
+    T=st.floats(0.2, 1.2),
+    seed=st.integers(0, 2**31),
+)
+def test_qfi_path_matches_reference_property(n_atoms, k, kind, T, seed):
+    """The QFI form equals the eigenbasis sum over rho_bar'; its L is the SLD.
+
+    The QFI form's roundoff is absolute, of order eps * sigma2_lo (it takes
+    lam_r - lam_s from the spectrum, where the reference takes rho_bar'_rs
+    from the entrywise definition), hence the absolute term.
+    """
+    dim = (n_atoms + 1) ** (2 * k - 1)
+    sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T,
+                  probe=_probe(kind, n_atoms, dim, np.random.default_rng(seed)))
+    res = qavar(sc, want_sld=True)
+    rb = rho_bar(sc)
+    rp = rho_prime(sc, rb)
+    assert res.correction == pytest.approx(eigen_sum(rb, rp, PAR.omega0), rel=1e-12,
+                                           abs=1e-14 * res.sigma2_lo)
+    P = support_projector(rb)
+    L = res.sld
+    resid = P @ (rp - 0.5 * (L @ rb + rb @ L)) @ P
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rp)
+
+
+class TestKernelOfRhoBar:
+    @pytest.mark.parametrize("k, rank", [(2, 8), (3, 32)])
+    def test_ghz_kernel_is_finite_and_real(self, monkeypatch, k, rank):
+        # GHZ at N=2 leaves most of rho_bar's spectrum at roundoff level,
+        # of either sign; the bound and the SLD must stay finite there
+        seen = []
+        solve = scipy.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(a.dtype)
+            out = solve(a, *args, **kwargs)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        ws = BoundWorkspace(PAR, 2, k, 0.6)
+        v = product_pure(ghz_step_state(2), ws.n_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ws.evaluate(v, want_sld=True)
+        dtype, lam = seen
+        assert dtype == np.float64
+        assert np.count_nonzero(lam > 1e-12 * lam[-1]) == rank
+        assert np.isfinite(res.correction) and 0.0 < res.correction <= res.sigma2_lo
+        assert np.all(np.isfinite(res.sld))
+
+    @pytest.mark.parametrize("T", [2.0, 3.0])
+    def test_bound_exact_under_full_dephasing(self, T):
+        # at long T the GHZ coherences are gone and the correction falls to
+        # 1e-10 .. 1e-21 of sigma2_lo; sigma2_q stays exact to roundoff
+        sc = Scenario(noise=PAR, n_atoms=2, k=3, T=T,
+                      probe=ProductProbe(ghz_step_state(2)))
+        res = qavar(sc, want_sld=True)
+        rb = rho_bar(sc)
+        ref = eigen_sum(rb, rho_prime(sc, rb), PAR.omega0)
+        assert ref < 1e-9 * res.sigma2_lo
+        assert abs(res.correction - ref) <= 1e-14 * res.sigma2_lo
+        assert np.all(np.isfinite(res.sld))

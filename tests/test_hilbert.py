@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qavar.hilbert import (
-    JointDensity,
     SymmetricState,
     coherent_step_state,
     eigh,
@@ -15,7 +14,6 @@ from qavar.hilbert import (
     multi_index_table,
     partial_trace,
     plus_step_state,
-    product_density,
     product_pure,
     to_linear,
 )
@@ -79,25 +77,11 @@ class TestIndexing:
 
 
 class TestProductStates:
-    def test_plus_product_density_uniform(self):
-        jd = product_density(plus_step_state(1), 2)
-        assert jd.matrix.shape == (4, 4)
-        assert np.allclose(jd.matrix, 0.25)
-        jd.validate()
-
     def test_product_pure_matches_density(self):
         s = coherent_step_state(2, 1.1, 0.4)
         v = product_pure(s, 3)
-        jd = product_density(s, 3)
-        assert np.allclose(np.outer(v, v.conj()), jd.matrix, atol=1e-14)
-
-    def test_product_density_raw_matrix(self):
-        mixed = np.diag([0.25, 0.75])
-        jd = product_density(mixed, 2, n_atoms=1)
-        assert np.allclose(np.diag(jd.matrix),
-                           [0.0625, 0.1875, 0.1875, 0.5625])
-        with pytest.raises(ValueError, match="n_atoms"):
-            product_density(mixed, 2)
+        rho = s.density()
+        assert np.allclose(np.outer(v, v.conj()), np.kron(np.kron(rho, rho), rho), atol=1e-14)
 
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
@@ -115,25 +99,6 @@ class TestProductStates:
     def test_ghz(self):
         s = ghz_step_state(3)
         assert np.allclose(s.amplitudes, [np.sqrt(0.5), 0, 0, np.sqrt(0.5)])
-
-
-class TestJointDensity:
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            JointDensity(n_atoms=1, n_steps=2, matrix=np.eye(3))
-
-    def test_validate_catches_defects(self):
-        good = JointDensity(1, 1, np.diag([0.5, 0.5]))
-        good.validate()
-        bad_trace = JointDensity(1, 1, np.diag([0.6, 0.6]))
-        with pytest.raises(ValueError, match="trace"):
-            bad_trace.validate()
-        bad_herm = JointDensity(1, 1, np.array([[0.5, 0.3], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="Hermitian"):
-            bad_herm.validate()
-        bad_psd = JointDensity(1, 1, np.diag([1.5, -0.5]))
-        with pytest.raises(ValueError, match="eigenvalue"):
-            bad_psd.validate()
 
 
 class TestPartialTrace:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, cost_functional, qavar
+from bound_reference import cost_functional
+from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
 from qavar.hilbert import SymmetricState, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
