@@ -19,6 +19,7 @@ from .clock import (
 )
 from .core import (
     BoundWorkspace,
+    DimensionCapError,
     JointProbe,
     McOracleResult,
     ProductProbe,
@@ -31,18 +32,14 @@ from .core import (
 from .hilbert import (
     SymmetricState,
     coherent_step_state,
-    from_linear,
     ghz_step_state,
     multi_index_table,
-    partial_trace,
     plus_step_state,
     product_pure,
-    to_linear,
 )
 from .noise import (
     KernelSet,
     NoiseParams,
-    autocorrelation,
     block_kernel,
     cross_kernel,
     free_lo_avar,
@@ -51,7 +48,6 @@ from .noise import (
     sample_joint,
 )
 from .optimize import (
-    DimensionCapError,
     InterrogationScan,
     KEvaluation,
     OptimizeReport,
@@ -67,17 +63,17 @@ from .optimize import (
 __all__ = [
     "__version__",
     # noise
-    "NoiseParams", "KernelSet", "autocorrelation", "block_kernel",
-    "cross_kernel", "free_lo_avar", "kernel_set", "sample_joint", "gen_trace",
+    "NoiseParams", "KernelSet", "block_kernel", "cross_kernel",
+    "free_lo_avar", "kernel_set", "sample_joint", "gen_trace",
     # hilbert
-    "SymmetricState", "multi_index_table", "to_linear", "from_linear",
-    "product_pure", "plus_step_state", "coherent_step_state",
-    "ghz_step_state", "partial_trace",
+    "SymmetricState", "multi_index_table", "product_pure", "plus_step_state",
+    "coherent_step_state", "ghz_step_state",
     # core
     "ProductProbe", "JointProbe", "Scenario", "QavarResult", "McOracleResult",
-    "BoundWorkspace", "dephasing_weights", "qavar", "mc_oracle",
+    "BoundWorkspace", "DimensionCapError", "dephasing_weights", "qavar",
+    "mc_oracle",
     # optimize
-    "DimensionCapError", "OptimizeReport", "KEvaluation", "InterrogationScan",
+    "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",
     "optimize_product_state", "optimize_interrogation", "bound_curve",
     "extrapolate_long_term",

@@ -3,8 +3,9 @@
     qavar <mode> --config <path> [--out <path>] [--seed <u64>] [--threads <n>]
 
 Modes: bound, optimize, simulate, lo-avar, bound-check.  The config schema is
-strict (unknown or mode-inapplicable keys are rejected, messages carry field
-paths).  Output is deterministic: the same config and seeds give a
+the FIELDS table below (path, predicate, default, modes), applied strictly:
+unknown or mode-inapplicable keys are rejected and messages carry field
+paths.  Output is deterministic: the same config and seeds give a
 byte-identical CSV, metadata lines ('# ...') carry the tool version, a hash
 of the resolved config, and the master seed.
 
@@ -20,20 +21,22 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .clock import ServoConfig, SimConfig, avar_estimate, simulate_clock
-from .core import ProductProbe, Scenario, qavar
+from .clock import ServoConfig, SimConfig, avar_estimate, bound_check, simulate_clock
+from .core import DimensionCapError, joint_dim, layout_k
 from .hilbert import SymmetricState, ghz_step_state, plus_step_state
 from .noise import NoiseParams, free_lo_avar
-from .optimize import DimensionCapError, optimize_interrogation
+from .optimize import optimize_interrogation
 
 __all__ = ["CliConfigError", "RunConfig", "validate", "run", "main"]
 
 MODES = ("bound", "optimize", "simulate", "lo-avar", "bound-check")
+PROBED = ("bound", "optimize", "bound-check")
+SIMULATED = ("simulate", "bound-check")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,7 +71,6 @@ class RunConfig:
     seed: int = 0
     out: str = ""
     dim_cap: int = 20_000
-    tol: float = 1e-8
 
     def canonical(self) -> dict:
         """Resolved config as a plain dict (hash input; excludes out path)."""
@@ -81,13 +83,12 @@ class RunConfig:
             "tau": [float(t) for t in self.taus],
             "seeds": [self.seed],
             "dim_cap": self.dim_cap,
-            "tol": self.tol,
         }
         if self.mode != "lo-avar":
             doc["atoms"] = self.atoms
         if self.mode in ("bound", "optimize"):
             doc["k_max"] = self.k_max
-        if self.mode in ("bound", "optimize", "bound-check"):
+        if self.mode in PROBED:
             doc["probe"] = {"kind": self.probe_kind}
             if self.probe_amplitudes is not None:
                 doc["probe"]["amplitudes"] = [
@@ -95,7 +96,7 @@ class RunConfig:
                 ]
             if self.probe_kind == "optimize-product":
                 doc["probe"]["family"] = self.probe_family
-        if self.mode in ("simulate", "bound-check"):
+        if self.mode in SIMULATED:
             doc["servo"] = {"gain": self.servo.gain, "estimator": self.servo.estimator}
             doc["sim"] = {"T": self.sim_T, "n_steps": self.n_steps, "n_runs": self.n_runs}
         return doc
@@ -109,20 +110,139 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_pairs(x: Any) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(_is_number(v) for v in a) for a in x
+    )
+
+
+class Field(NamedTuple):
+    """One config key: dotted path, predicate and what it asks for, default
+    (REQUIRED: none; None: optional, resolved by `validate`), accepting modes."""
+
+    path: str
+    check: Callable[[Any], bool]
+    what: str
+    default: Any
+    modes: tuple[str, ...]
+
+
+REQUIRED = object()
+FIXED_KINDS = ("plus", "ghz", "amplitudes")
+OPT_KINDS = ("optimize-product", "optimize-joint")
+
+# The config schema.  A block ("noise", "probe", ...) is required when one of
+# its keys is; `validate` applies this table, then the rules spanning fields.
+FIELDS = (
+    Field("noise.alpha", lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED, MODES),
+    Field("noise.beta", lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED, MODES),
+    Field("noise.gamma", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, MODES),
+    Field("noise.omega0", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, MODES),
+    Field("tau", lambda v: isinstance(v, (list, dict)),
+          "a list of numbers or a range object", REQUIRED, MODES),
+    Field("atoms", lambda v: _is_int(v) and v >= 1, "an integer >= 1", REQUIRED,
+          ("bound", "optimize", "simulate", "bound-check")),
+    Field("k_max", lambda v: _is_int(v) and v >= 1, "an integer >= 1", REQUIRED,
+          ("bound", "optimize")),
+    Field("probe.kind", lambda v: v in FIXED_KINDS + OPT_KINDS,
+          f"one of {', '.join(FIXED_KINDS + OPT_KINDS)}", REQUIRED, PROBED),
+    Field("probe.amplitudes", _is_pairs, "a list of atoms+1 [re, im] pairs", None, PROBED),
+    Field("probe.family", lambda v: v in ("symmetric", "coherent"),
+          "'symmetric' or 'coherent'", "symmetric", PROBED),
+    Field("servo.gain", lambda v: _is_number(v) and 0 < v <= 2, "a number in (0, 2]", 0.5,
+          SIMULATED),
+    Field("servo.estimator", lambda v: v in ("linear", "arcsine"), "'linear' or 'arcsine'",
+          "linear", SIMULATED),
+    Field("sim.T", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, SIMULATED),
+    Field("sim.n_steps", lambda v: _is_int(v) and v >= 2, "an integer >= 2", REQUIRED, SIMULATED),
+    Field("sim.n_runs", lambda v: _is_int(v) and v >= 2, "an integer >= 2", REQUIRED, SIMULATED),
+    Field("seeds", lambda v: isinstance(v, list) and len(v) == 1 and _is_int(v[0]) and v[0] >= 0,
+          "a list with exactly one unsigned integer (master seed)", [0], MODES),
+    Field("out", lambda v: isinstance(v, str) and v != "", "a non-empty string", None, MODES),
+    Field("dim_cap", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 20_000, MODES),
+)
+
+
+def _apply_fields(doc: dict, mode: str, errors: list[str]) -> tuple[dict, set]:
+    """Check doc against the FIELDS of one mode.
+
+    Returns the valid or defaulted values by path, and the paths the config
+    gave.  Every problem is appended to errors.
+    """
+    blocks: dict[str, list[Field]] = {}
+    for f in FIELDS:
+        if mode in f.modes:
+            blocks.setdefault(f.path.split(".")[0], []).append(f)
+    errors += [f"{key}: unknown or not allowed in mode {mode}"
+               for key in doc if key != "mode" and key not in blocks]
+    values: dict[str, Any] = {}
+    given: set[str] = set()
+    for head, group in blocks.items():
+        source = doc
+        if "." in group[0].path:
+            if head not in doc and any(f.default is REQUIRED for f in group):
+                errors.append(f"{head}: missing")
+                continue
+            source = doc.get(head, {})
+            if not isinstance(source, dict):
+                errors.append(f"{head}: must be an object")
+                continue
+            keys = [f.path.split(".")[1] for f in group]
+            errors += [f"{head}.{key}: unknown key" for key in source if key not in keys]
+        for f in group:
+            key = f.path.split(".")[-1]
+            if key not in source:
+                if f.default is REQUIRED:
+                    errors.append(f"{f.path}: missing")
+                else:
+                    values[f.path] = f.default
+            elif f.check(source[key]):
+                values[f.path] = source[key]
+                given.add(f.path)
+            else:
+                errors.append(f"{f.path}: must be {f.what}, got {source[key]!r}")
+    return values, given
+
+
+def _tau_grid(td: Any, errors: list[str]) -> Optional[np.ndarray]:
+    """The tau list, or the grid of a {start, stop, points, spacing} range."""
+    before = len(errors)
+    if isinstance(td, list):
+        if not td:
+            errors.append("tau: must be a non-empty list")
+        elif not all(_is_number(t) and t > 0 for t in td):
+            errors.append("tau: every entry must be a number > 0")
+        return np.asarray([float(t) for t in td]) if len(errors) == before else None
+    errors += [f"tau.{key}: unknown key" for key in td
+               if key not in ("start", "stop", "points", "spacing")]
+    start, stop, points = td.get("start"), td.get("stop"), td.get("points")
+    spacing = td.get("spacing", "log")
+    if not (_is_number(start) and start > 0):
+        errors.append("tau.start: must be a number > 0")
+    if not (_is_number(stop) and _is_number(start) and stop >= start):
+        errors.append("tau.stop: must be a number >= tau.start")
+    if not (_is_int(points) and points >= 1):
+        errors.append("tau.points: must be an integer >= 1")
+    if spacing not in ("log", "linear"):
+        errors.append(f"tau.spacing: must be 'log' or 'linear', got {spacing!r}")
+    if len(errors) > before:
+        return None
+    grid = np.geomspace if spacing == "log" else np.linspace
+    return grid(float(start), float(stop), int(points))
+
+
 def validate(
     doc: Any,
     mode_override: Optional[str] = None,
     seed_override: Optional[int] = None,
     out_override: Optional[str] = None,
 ) -> RunConfig:
-    """Check a parsed JSON document against the strict schema.
+    """Check a parsed JSON document against FIELDS and the cross-field rules.
 
     Raises CliConfigError listing every problem found (field paths included).
     """
     errors: list[str] = []
-
-    def err(msg: str) -> None:
-        errors.append(msg)
+    err = errors.append
 
     if not isinstance(doc, dict):
         raise CliConfigError(["config: top level must be a JSON object"])
@@ -137,236 +257,61 @@ def validate(
     if errors:
         raise CliConfigError(errors)
 
-    allowed = {"mode", "noise", "tau", "seeds", "out", "dim_cap", "tol"}
-    if mode != "lo-avar":
-        allowed.add("atoms")
-    if mode in ("bound", "optimize"):
-        allowed.add("k_max")
-    if mode in ("bound", "optimize", "bound-check"):
-        allowed.add("probe")
-    if mode in ("simulate", "bound-check"):
-        allowed.update(("servo", "sim"))
-    for key in doc:
-        if key not in allowed:
-            err(f"{key}: unknown or not allowed in mode {mode}")
+    values, given = _apply_fields(doc, mode, errors)
+    taus = _tau_grid(values["tau"], errors) if "tau" in values else None
 
-    # noise block
-    noise = None
-    nd = doc.get("noise")
-    if nd is None:
-        err("noise: missing")
-    elif not isinstance(nd, dict):
-        err("noise: must be an object")
-    else:
-        for key in nd:
-            if key not in ("alpha", "beta", "gamma", "omega0"):
-                err(f"noise.{key}: unknown key")
-        vals = {}
-        for key, cond, desc in (
-            ("alpha", lambda v: v >= 0, ">= 0"),
-            ("beta", lambda v: v >= 0, ">= 0"),
-            ("gamma", lambda v: v > 0, "> 0"),
-            ("omega0", lambda v: v > 0, "> 0"),
-        ):
-            v = nd.get(key)
-            if v is None:
-                err(f"noise.{key}: missing")
-            elif not _is_number(v):
-                err(f"noise.{key}: must be a number")
-            elif not cond(v):
-                err(f"noise.{key}: must be {desc}, got {v}")
-            else:
-                vals[key] = float(v)
-        if len(vals) == 4:
-            noise = NoiseParams(**vals)
-
-    # tau grid
-    taus = None
-    td = doc.get("tau")
-    if td is None:
-        err("tau: missing")
-    elif isinstance(td, list):
-        if not td:
-            err("tau: must be a non-empty list")
-        elif not all(_is_number(t) and t > 0 for t in td):
-            err("tau: every entry must be a number > 0")
+    kind = values.get("probe.kind")
+    want = OPT_KINDS if mode == "optimize" else FIXED_KINDS
+    if kind is not None and kind not in want:
+        err(f"probe.kind: must be one of {', '.join(want)} in mode {mode}; got {kind!r}")
+    amps = None
+    if "probe.amplitudes" in given and kind != "amplitudes":
+        err("probe.amplitudes: only allowed with kind 'amplitudes'")
+    elif kind == "amplitudes" and "probe.amplitudes" in values:
+        pairs, atoms = values["probe.amplitudes"], values.get("atoms")
+        if pairs is None or (atoms and len(pairs) != atoms + 1):
+            err("probe.amplitudes: must be a list of atoms+1 [re, im] pairs")
         else:
-            taus = np.asarray([float(t) for t in td])
-    elif isinstance(td, dict):
-        for key in td:
-            if key not in ("start", "stop", "points", "spacing"):
-                err(f"tau.{key}: unknown key")
-        start, stop, points = td.get("start"), td.get("stop"), td.get("points")
-        spacing = td.get("spacing", "log")
-        ok = True
-        if not (_is_number(start) and start > 0):
-            err("tau.start: must be a number > 0")
-            ok = False
-        if not (_is_number(stop) and stop is not None and start is not None
-                and _is_number(start) and stop >= start):
-            err("tau.stop: must be a number >= tau.start")
-            ok = False
-        if not (_is_int(points) and points >= 1):
-            err("tau.points: must be an integer >= 1")
-            ok = False
-        if spacing not in ("log", "linear"):
-            err(f"tau.spacing: must be 'log' or 'linear', got {spacing!r}")
-            ok = False
-        if ok:
-            if spacing == "log":
-                taus = np.geomspace(float(start), float(stop), int(points))
-            else:
-                taus = np.linspace(float(start), float(stop), int(points))
-    else:
-        err("tau: must be a list of numbers or a range object")
+            amps = np.array([complex(re, im) for re, im in pairs])
+            if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+                err("probe.amplitudes: not normalized within 1e-10")
+    if "probe.family" in given and kind != "optimize-product":
+        err("probe.family: only allowed with kind 'optimize-product'")
 
-    cfg = RunConfig(mode=mode, noise=noise, taus=taus)
+    sim_T = float(values.get("sim.T", 0.0))
+    if sim_T > 0 and taus is not None:
+        for t in taus:
+            try:
+                layout_k(t, sim_T)
+            except ValueError:
+                err(f"tau: {t} is not a positive integer multiple of sim.T={sim_T}")
 
-    if mode != "lo-avar":
-        atoms = doc.get("atoms")
-        if atoms is None:
-            err("atoms: missing")
-        elif not (_is_int(atoms) and atoms >= 1):
-            err(f"atoms: must be an integer >= 1, got {atoms!r}")
-        else:
-            cfg.atoms = atoms
-
-    if mode in ("bound", "optimize"):
-        k_max = doc.get("k_max")
-        if k_max is None:
-            err("k_max: missing")
-        elif not (_is_int(k_max) and k_max >= 1):
-            err(f"k_max: must be an integer >= 1, got {k_max!r}")
-        else:
-            cfg.k_max = k_max
-
-    if mode in ("bound", "optimize", "bound-check"):
-        pd = doc.get("probe")
-        fixed_kinds = ("plus", "ghz", "amplitudes")
-        opt_kinds = ("optimize-product", "optimize-joint")
-        want = opt_kinds if mode == "optimize" else fixed_kinds
-        if pd is None:
-            err("probe: missing")
-        elif not isinstance(pd, dict):
-            err("probe: must be an object")
-        else:
-            for key in pd:
-                if key not in ("kind", "amplitudes", "family"):
-                    err(f"probe.{key}: unknown key")
-            kind = pd.get("kind")
-            if kind not in want:
-                err(f"probe.kind: must be one of {', '.join(want)} in mode {mode}; "
-                    f"got {kind!r}")
-            else:
-                cfg.probe_kind = kind
-            if kind == "amplitudes":
-                amps = pd.get("amplitudes")
-                n = cfg.atoms
-                if not isinstance(amps, list) or (
-                    n and len(amps) != n + 1
-                ) or not all(
-                    isinstance(a, list) and len(a) == 2 and all(_is_number(x) for x in a)
-                    for a in (amps or [])
-                ):
-                    err("probe.amplitudes: must be a list of atoms+1 [re, im] pairs")
-                else:
-                    arr = np.array([complex(a[0], a[1]) for a in amps])
-                    if abs(np.linalg.norm(arr) - 1.0) > 1e-10:
-                        err("probe.amplitudes: not normalized within 1e-10")
-                    else:
-                        cfg.probe_amplitudes = arr
-            elif "amplitudes" in pd:
-                err("probe.amplitudes: only allowed with kind 'amplitudes'")
-            fam = pd.get("family", "symmetric")
-            if "family" in pd and kind != "optimize-product":
-                err("probe.family: only allowed with kind 'optimize-product'")
-            elif fam not in ("symmetric", "coherent"):
-                err(f"probe.family: must be 'symmetric' or 'coherent', got {fam!r}")
-            else:
-                cfg.probe_family = fam
-
-    if mode in ("simulate", "bound-check"):
-        sd = doc.get("servo", {})
-        if not isinstance(sd, dict):
-            err("servo: must be an object")
-            sd = {}
-        for key in sd:
-            if key not in ("gain", "estimator"):
-                err(f"servo.{key}: unknown key")
-        gain = sd.get("gain", 0.5)
-        estimator = sd.get("estimator", "linear")
-        if not (_is_number(gain) and 0 < gain <= 2):
-            err(f"servo.gain: must be a number in (0, 2], got {gain!r}")
-        elif estimator not in ("linear", "arcsine"):
-            err(f"servo.estimator: must be 'linear' or 'arcsine', got {estimator!r}")
-        else:
-            cfg.servo = ServoConfig(gain=float(gain), estimator=estimator)
-
-        smd = doc.get("sim")
-        if smd is None:
-            err("sim: missing")
-        elif not isinstance(smd, dict):
-            err("sim: must be an object")
-        else:
-            for key in smd:
-                if key not in ("T", "n_steps", "n_runs"):
-                    err(f"sim.{key}: unknown key")
-            T = smd.get("T")
-            n_steps = smd.get("n_steps")
-            n_runs = smd.get("n_runs")
-            if not (_is_number(T) and T > 0):
-                err(f"sim.T: must be a number > 0, got {T!r}")
-            else:
-                cfg.sim_T = float(T)
-            if not (_is_int(n_steps) and n_steps >= 2):
-                err(f"sim.n_steps: must be an integer >= 2, got {n_steps!r}")
-            else:
-                cfg.n_steps = n_steps
-            if not (_is_int(n_runs) and n_runs >= 2):
-                err(f"sim.n_runs: must be an integer >= 2, got {n_runs!r}")
-            else:
-                cfg.n_runs = n_runs
-        if cfg.sim_T > 0 and taus is not None:
-            for t in taus:
-                ratio = t / cfg.sim_T
-                if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-                    err(f"tau: {t} is not a positive integer multiple of sim.T={cfg.sim_T}")
-
-    seeds = doc.get("seeds", [0])
-    if not (isinstance(seeds, list) and len(seeds) == 1 and _is_int(seeds[0])
-            and seeds[0] >= 0):
-        err("seeds: must be a list with exactly one unsigned integer (master seed)")
-    else:
-        cfg.seed = seeds[0]
-    if seed_override is not None:
-        if seed_override < 0:
-            err("--seed: must be >= 0")
-        else:
-            cfg.seed = seed_override
-
-    out = doc.get("out", f"{mode}.csv")
-    if not isinstance(out, str) or not out:
-        err("out: must be a non-empty string")
-    else:
-        cfg.out = out
-    if out_override is not None:
-        cfg.out = out_override
-
-    dim_cap = doc.get("dim_cap", 20_000)
-    if not (_is_int(dim_cap) and dim_cap >= 2):
-        err(f"dim_cap: must be an integer >= 2, got {dim_cap!r}")
-    else:
-        cfg.dim_cap = dim_cap
-
-    tol = doc.get("tol", 1e-8)
-    if not (_is_number(tol) and tol > 0):
-        err(f"tol: must be a number > 0, got {tol!r}")
-    else:
-        cfg.tol = float(tol)
-
+    if seed_override is not None and seed_override < 0:
+        err("--seed: must be >= 0")
     if errors:
         raise CliConfigError(errors)
-    return cfg
+
+    noise = (values[f"noise.{key}"] for key in ("alpha", "beta", "gamma", "omega0"))
+    servo = ServoConfig()
+    if mode in SIMULATED:
+        servo = ServoConfig(float(values["servo.gain"]), values["servo.estimator"])
+    return RunConfig(
+        mode=mode,
+        noise=NoiseParams(*map(float, noise)),
+        taus=taus,
+        atoms=values.get("atoms", 0),
+        k_max=values.get("k_max", 0),
+        probe_kind=values.get("probe.kind", ""),
+        probe_amplitudes=amps,
+        probe_family=values.get("probe.family", "symmetric"),
+        servo=servo,
+        sim_T=sim_T,
+        n_steps=values.get("sim.n_steps", 0),
+        n_runs=values.get("sim.n_runs", 0),
+        seed=values["seeds"][0] if seed_override is None else seed_override,
+        out=out_override if out_override is not None else values["out"] or f"{mode}.csv",
+        dim_cap=values["dim_cap"],
+    )
 
 
 def _fixed_probe(cfg: RunConfig) -> SymmetricState:
@@ -419,7 +364,7 @@ def _rows_bound(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]
         try:
             scan = optimize_interrogation(
                 cfg.noise, cfg.atoms, tau, cfg.k_max,
-                probe=probe, dim_cap=cfg.dim_cap, on_cap="clamp",
+                probe=probe, dim_cap=cfg.dim_cap,
             )
         except DimensionCapError as exc:
             return [_fmt(tau), "", "", "", "", "", _fmt(cfg.seed), f"skipped: {exc}"]
@@ -447,7 +392,7 @@ def _rows_optimize(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[s
         try:
             scan = optimize_interrogation(
                 cfg.noise, cfg.atoms, tau, cfg.k_max,
-                probe=cfg.probe_kind, dim_cap=cfg.dim_cap, on_cap="clamp",
+                probe=cfg.probe_kind, dim_cap=cfg.dim_cap,
                 seed=seed_i, family=cfg.probe_family,
             )
         except DimensionCapError as exc:
@@ -478,7 +423,7 @@ def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[s
     )
     rows = []
     for tau in sorted(cfg.taus):
-        k = int(round(tau / cfg.sim_T))
+        k = layout_k(tau, cfg.sim_T)
         ests = [avar_estimate(tr, k, overlapping=True) for tr in traces]
         vals = np.array([e.avar for e in ests])
         rows.append([
@@ -492,17 +437,19 @@ def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[s
 
 
 def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    from .clock import bound_check
-
     header = ["tau", "k", "T", "avar", "stderr", "sigma2_q", "violation",
               "seed", "status"]
     sim = SimConfig(noise=cfg.noise, n_atoms=cfg.atoms, T=cfg.sim_T,
                     n_steps=cfg.n_steps, servo=cfg.servo)
     taus = sorted(float(t) for t in cfg.taus)
-    ok_taus = [
-        t for t in taus
-        if (cfg.atoms + 1) ** (2 * int(round(t / cfg.sim_T)) - 1) <= cfg.dim_cap
-    ]
+    ks = {t: layout_k(t, cfg.sim_T) for t in taus}
+    skipped = {}
+    for t in taus:
+        try:
+            joint_dim(cfg.atoms, ks[t], cfg.dim_cap)
+        except DimensionCapError as exc:
+            skipped[t] = f"skipped: {exc}"
+    ok_taus = [t for t in taus if t not in skipped]
     rows_by_tau = {}
     if ok_taus:
         report = bound_check(sim, _fixed_probe(cfg), ok_taus, cfg.n_runs,
@@ -513,16 +460,11 @@ def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[lis
                 _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
                 _fmt(cfg.seed), "ok",
             ]
-    rows = []
-    for t in taus:
-        if t in rows_by_tau:
-            rows.append(rows_by_tau[t])
-        else:
-            k = int(round(t / cfg.sim_T))
-            dim = (cfg.atoms + 1) ** (2 * k - 1)
-            rows.append([_fmt(t), _fmt(k), _fmt(cfg.sim_T), "", "", "", "",
-                         _fmt(cfg.seed),
-                         f"skipped: k={k} needs joint dimension {dim} > cap {cfg.dim_cap}"])
+    rows = [
+        [_fmt(t), _fmt(ks[t]), _fmt(cfg.sim_T), "", "", "", "", _fmt(cfg.seed), skipped[t]]
+        if t in skipped else rows_by_tau[t]
+        for t in taus
+    ]
     return header, rows
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ProductProbe, Scenario, qavar
+from .core import ProductProbe, Scenario, joint_dim, layout_k, qavar
 from .hilbert import SymmetricState, plus_step_state
 from .noise import NoiseParams
 
@@ -239,26 +239,16 @@ def bound_check(
 
         avar_mean + 3 * stderr < sigma2_q ,
 
-    i.e. a statistically significant violation of the bound.
+    i.e. a statistically significant violation of the bound.  A tau whose
+    layout exceeds dim_cap raises DimensionCapError.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     if probe is None:
         probe = plus_step_state(config.n_atoms)
-    ks = []
-    for tau in taus:
-        ratio = tau / config.T
-        k = int(round(ratio))
-        if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
-            raise ValueError(
-                f"tau={tau} is not a positive integer multiple of T={config.T}"
-            )
-        dim = (config.n_atoms + 1) ** (2 * k - 1)
-        if dim > dim_cap:
-            raise ValueError(
-                f"tau={tau} needs k={k}, joint dimension {dim} > cap {dim_cap}"
-            )
-        ks.append(k)
+    ks = [layout_k(tau, config.T) for tau in taus]
+    for k in ks:
+        joint_dim(config.n_atoms, k, dim_cap)
 
     seeds = np.random.SeedSequence(seed).spawn(n_runs)
     traces = [

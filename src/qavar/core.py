@@ -44,10 +44,34 @@ __all__ = [
     "QavarResult",
     "McOracleResult",
     "BoundWorkspace",
+    "DimensionCapError",
+    "joint_dim",
+    "layout_k",
     "dephasing_weights",
     "qavar",
     "mc_oracle",
 ]
+
+
+class DimensionCapError(ValueError):
+    """Joint dimension exceeds the configured cap."""
+
+
+def joint_dim(n_atoms: int, k: int, dim_cap: Optional[int] = None) -> int:
+    """Joint dimension (N+1)^(2k-1) of a k-step layout; DimensionCapError past dim_cap."""
+    dim = (n_atoms + 1) ** (2 * k - 1)
+    if dim_cap is not None and dim > dim_cap:
+        raise DimensionCapError(f"k={k} needs joint dimension {dim} > cap {dim_cap}")
+    return dim
+
+
+def layout_k(tau: float, T: float) -> int:
+    """The k with tau = k T; raises ValueError unless k is a positive integer."""
+    ratio = tau / T
+    k = int(round(ratio))
+    if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
+        raise ValueError(f"tau={tau} is not a positive integer multiple of T={T}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -107,7 +131,7 @@ class Scenario:
 
     @property
     def dim(self) -> int:
-        return (self.n_atoms + 1) ** self.n_steps
+        return joint_dim(self.n_atoms, self.k)
 
 
 @dataclass(frozen=True)
@@ -192,7 +216,7 @@ class BoundWorkspace:
         self.T = T
         self.kernels: KernelSet = kernel_set(noise, T, k)
         self.n_steps = self.kernels.K
-        self.dim = (n_atoms + 1) ** self.n_steps
+        self.dim = joint_dim(n_atoms, k)
         self.weights = dephasing_weights(self.kernels.G, n_atoms)
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
 

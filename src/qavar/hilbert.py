@@ -18,13 +18,10 @@ import scipy.linalg
 __all__ = [
     "SymmetricState",
     "multi_index_table",
-    "to_linear",
-    "from_linear",
     "product_pure",
     "plus_step_state",
     "ghz_step_state",
     "coherent_step_state",
-    "partial_trace",
     "eigh",
 ]
 
@@ -74,28 +71,6 @@ def multi_index_table(n_atoms: int, n_steps: int) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-def to_linear(idx: tuple[int, ...], n_atoms: int) -> int:
-    """Base-(N+1) positional encoding of a multi-index, n_1 most significant."""
-    base = n_atoms + 1
-    lin = 0
-    for n in idx:
-        if not 0 <= n <= n_atoms:
-            raise ValueError(f"index entry {n} outside 0..{n_atoms}")
-        lin = lin * base + n
-    return lin
-
-
-def from_linear(lin: int, n_atoms: int, n_steps: int) -> tuple[int, ...]:
-    """Inverse of to_linear."""
-    base = n_atoms + 1
-    if not 0 <= lin < base**n_steps:
-        raise ValueError(f"linear index {lin} outside 0..{base ** n_steps - 1}")
-    out = []
-    for i in range(n_steps):
-        shift = base ** (n_steps - 1 - i)
-        out.append((lin // shift) % base)
-    return tuple(out)
-
 
 def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
     """K-fold tensor power of a step state, as a joint vector."""
@@ -130,23 +105,6 @@ def ghz_step_state(n_atoms: int) -> SymmetricState:
     amps = np.zeros(n_atoms + 1, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
-
-
-def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out all subsystems except `keep` (indices into `dims`)."""
-    n_sub = len(dims)
-    keep = sorted(keep)
-    tensor = rho.reshape(dims + dims)
-    traced = 0
-    for site in range(n_sub):
-        if site in keep:
-            continue
-        ax = site - traced
-        off = n_sub - traced
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + off)
-        traced += 1
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return tensor.reshape(d_keep, d_keep)
 
 
 def eigh(a: np.ndarray, check_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,6 @@ from scipy.linalg import toeplitz
 __all__ = [
     "NoiseParams",
     "KernelSet",
-    "autocorrelation",
     "block_kernel",
     "cross_kernel",
     "free_lo_avar",
@@ -82,15 +81,6 @@ class KernelSet:
     H: np.ndarray
     sigma2_lo: float
     w_var: float
-
-
-def autocorrelation(params: NoiseParams, t: float | np.ndarray) -> float | np.ndarray:
-    """Smooth (OU) part of the autocovariance, ``alpha * exp(-gamma |t|)``.
-
-    The white part ``beta * delta(t)`` is singular and is accounted for
-    analytically inside the block integrals, never sampled pointwise.
-    """
-    return params.alpha * np.exp(-params.gamma * np.abs(np.asarray(t, dtype=float)))
 
 
 def _phi2(x: np.ndarray) -> np.ndarray:
@@ -250,27 +240,16 @@ def gen_trace(
     dt: float,
     n: int,
     seed: int,
-    level: float = 1.0,
 ) -> np.ndarray:
     """Generate a discrete LO frequency-noise trace (rad/s), simulator use only.
 
     Samples represent bin averages over consecutive intervals of length dt.
 
     kind
-        "white"       : intensity params.beta; bin average ~ N(0, beta/dt),
-                        exact at any dt.
-        "ou"          : params.alpha/params.gamma; exact stationary AR(1)
-                        discretization of the OU process.
-        "random_walk" : frequency random walk started at 0; increments
-                        N(0, level^2 dt), so level^2 is the diffusion rate
-                        in (rad/s)^2 / s.
-        "flicker"     : 1/f frequency noise shaped in the spectral domain,
-                        rescaled so its own non-overlapped Allan deviation at
-                        tau = 1 s (angular units) equals `level`.  Requires
-                        n * dt >= 2 s.
-
-    Only "white" and "ou" correspond to the bound's noise model; the other
-    two exist for servo experiments.
+        "white" : intensity params.beta; bin average ~ N(0, beta/dt),
+                  exact at any dt.
+        "ou"    : params.alpha/params.gamma; exact stationary AR(1)
+                  discretization of the OU process.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -291,28 +270,4 @@ def gen_trace(
         for i in range(1, n):
             x[i] = a * x[i - 1] + shocks[i - 1]
         return x
-    if kind == "random_walk":
-        steps = level * np.sqrt(dt) * rng.standard_normal(n)
-        steps[0] = 0.0
-        return np.cumsum(steps)
-    if kind == "flicker":
-        m = int(round(1.0 / dt))
-        if m < 1 or n < 2 * m:
-            raise ValueError(
-                "flicker trace too short to normalize at tau = 1 s "
-                f"(need n*dt >= 2, got n={n}, dt={dt})"
-            )
-        white = rng.standard_normal(n)
-        spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n, d=dt)
-        shape = np.zeros_like(freqs)
-        shape[1:] = freqs[1:] ** -0.5
-        raw = np.fft.irfft(spec * shape, n=n)
-        nwin = n // m
-        block_means = raw[: nwin * m].reshape(nwin, m).mean(axis=1)
-        diffs = np.diff(block_means)
-        avar1 = 0.5 * np.mean(diffs**2)
-        if avar1 <= 0.0:
-            raise ValueError("flicker normalization failed (degenerate trace)")
-        return raw * (level / np.sqrt(avar1))
     raise ValueError(f"unknown trace kind {kind!r}")

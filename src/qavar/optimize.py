@@ -21,6 +21,7 @@ over a tau grid with warm starts, and `extrapolate_long_term` reads off the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,20 +29,28 @@ from scipy.optimize import minimize
 
 from .core import (
     BoundWorkspace,
+    DimensionCapError,
     JointProbe,
     ProductProbe,
-    QavarResult,
     Scenario,
+    joint_dim,
+    qavar,
 )
-from .hilbert import SymmetricState, eigh, plus_step_state
-from .noise import NoiseParams
+from .hilbert import (
+    SymmetricState,
+    coherent_step_state,
+    eigh,
+    ghz_step_state,
+    plus_step_state,
+    product_pure,
+)
+from .noise import NoiseParams, free_lo_avar
 
 __all__ = [
     "OptimizeReport",
     "KEvaluation",
     "InterrogationScan",
     "PlateauFit",
-    "DimensionCapError",
     "cost_operator",
     "optimize_joint_state",
     "optimize_product_state",
@@ -49,10 +58,6 @@ __all__ = [
     "bound_curve",
     "extrapolate_long_term",
 ]
-
-
-class DimensionCapError(ValueError):
-    """Joint dimension exceeds the configured cap."""
 
 
 @dataclass
@@ -124,8 +129,6 @@ def _initial_joint_vector(
 ) -> np.ndarray:
     probe = scenario.probe
     if isinstance(probe, ProductProbe):
-        from .hilbert import product_pure
-
         return product_pure(probe.state, scenario.n_steps)
     if isinstance(probe, JointProbe) and probe.vector is not None:
         v = np.asarray(probe.vector, dtype=complex).reshape(-1)
@@ -202,8 +205,6 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
 
 
 def _coherent_amps(polar: float, n_atoms: int) -> np.ndarray:
-    from .hilbert import coherent_step_state
-
     return np.asarray(coherent_step_state(n_atoms, polar, 0.0).amplitudes)
 
 
@@ -226,7 +227,8 @@ def optimize_product_state(
 
     The scenario's probe, when it is a ProductProbe, seeds the first start
     (warm starting across a tau or k sweep).  History records the best
-    sigma2_q seen after each cost evaluation.
+    sigma2_q seen after each cost evaluation.  `converged` is true only when
+    every Nelder-Mead run ended on its tolerances, none on maxfev.
     """
     if family not in ("symmetric", "coherent"):
         raise ValueError(f"unknown family {family!r}")
@@ -237,14 +239,18 @@ def optimize_product_state(
     history: list[float] = []
     best = {"f": np.inf, "amps": None}
     n_evals = 0
+    runs_ok: list[bool] = []
+
+    def nelder_mead(objective, x0: np.ndarray, fev: int) -> None:
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
+        runs_ok.append(bool(res.success))
 
     def eval_amps(amps: np.ndarray) -> float:
         nonlocal n_evals
         amps = amps / np.linalg.norm(amps)
         if np.abs(amps.imag).max() == 0.0:
             amps = amps.real
-        from functools import reduce
-
         v = reduce(np.kron, [amps] * ws.n_steps) if ws.n_steps > 1 else amps
         s2q = ws.evaluate(v).sigma2_q
         n_evals += 1
@@ -260,12 +266,11 @@ def optimize_product_state(
         starts += [rng.uniform(0.05, np.pi - 0.05, size=1) for _ in range(max(0, n_starts - 1))]
         fev = maxfev if maxfev is not None else 60
         for x0 in starts:
-            minimize(objective, x0, method="Nelder-Mead",
-                     options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
+            nelder_mead(objective, x0, fev)
         assert best["amps"] is not None
         return OptimizeReport(
             sigma2_q=best["f"], state=best["amps"], kind="product-coherent",
-            history=history, iterations=len(history), converged=True,
+            history=history, iterations=len(history), converged=all(runs_ok),
             n_evals=n_evals,
         )
 
@@ -280,35 +285,20 @@ def optimize_product_state(
     starts = starts[: max(1, n_starts)]
     fev = maxfev if maxfev is not None else 80 * N
     for x0 in starts:
-        minimize(real_obj, x0, method="Nelder-Mead",
-                 options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
+        nelder_mead(real_obj, x0, fev)
     assert best["amps"] is not None
 
-    converged = True
     if polish_phases and N >= 1:
         full_obj = lambda x: eval_amps(_amps_from_chart(x, N, with_phases=True))
-        x0 = _chart_from_amps(best["amps"], N)
-        minimize(full_obj, x0, method="Nelder-Mead",
-                 options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
+        nelder_mead(full_obj, _chart_from_amps(best["amps"], N), fev)
     return OptimizeReport(
         sigma2_q=best["f"], state=best["amps"], kind="product-symmetric",
-        history=history, iterations=len(history), converged=converged,
+        history=history, iterations=len(history), converged=all(runs_ok),
         n_evals=n_evals,
     )
 
 
 ProbeSpec = Union[str, ProductProbe, JointProbe, SymmetricState]
-
-
-def _evaluate_fixed(
-    noise: NoiseParams, n_atoms: int, k: int, T: float, probe: ProbeSpec
-) -> float:
-    from .core import qavar
-
-    if isinstance(probe, SymmetricState):
-        probe = ProductProbe(probe)
-    scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=probe)
-    return qavar(scen).sigma2_q
 
 
 def optimize_interrogation(
@@ -319,7 +309,6 @@ def optimize_interrogation(
     probe: ProbeSpec = "optimize-product",
     dim_cap: int = 20_000,
     seed: int = 0,
-    on_cap: str = "raise",
     family: str = "symmetric",
     n_starts: int = 8,
     polish_phases: bool = True,
@@ -330,33 +319,27 @@ def optimize_interrogation(
 
     probe is either a fixed probe ("plus"/"ghz" resolve per step, or any
     ProductProbe/JointProbe/SymmetricState) or one of the optimizer modes
-    "optimize-product" / "optimize-joint".  A k whose joint dimension
-    (N+1)^(2k-1) exceeds dim_cap raises DimensionCapError naming it, or is
-    skipped when on_cap="clamp" (at least one k must survive).
+    "optimize-product" / "optimize-joint".  The sweep stops at the first k
+    whose joint dimension (N+1)^(2k-1) exceeds dim_cap; DimensionCapError is
+    raised when not even k = 1 fits.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if on_cap not in ("raise", "clamp"):
-        raise ValueError(f"on_cap must be 'raise' or 'clamp', got {on_cap!r}")
     if isinstance(probe, str) and probe in ("plus", "ghz"):
-        from .hilbert import ghz_step_state
-
         probe = plus_step_state(n_atoms) if probe == "plus" else ghz_step_state(n_atoms)
+    if isinstance(probe, SymmetricState):
+        probe = ProductProbe(probe)
 
     evaluations: list[KEvaluation] = []
     warm = warm_state
     rng_seeds = np.random.SeedSequence(seed).spawn(k_max)
     for k in range(1, k_max + 1):
-        dim = (n_atoms + 1) ** (2 * k - 1)
-        if dim > dim_cap:
-            if on_cap == "clamp":
-                break
-            raise DimensionCapError(
-                f"k={k} needs joint dimension {dim} > cap {dim_cap} "
-                f"(N={n_atoms}, K={2 * k - 1})"
-            )
+        try:
+            dim = joint_dim(n_atoms, k, dim_cap)
+        except DimensionCapError:
+            break
         T = tau / k
         report = None
         if probe == "optimize-product":
@@ -383,15 +366,13 @@ def optimize_interrogation(
         elif isinstance(probe, str):
             raise ValueError(f"unknown probe spec {probe!r}")
         else:
-            s2q = _evaluate_fixed(noise, n_atoms, k, T, probe)
+            s2q = qavar(Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=probe)).sigma2_q
         evaluations.append(KEvaluation(k=k, T=T, dim=dim, sigma2_q=s2q, report=report))
     if not evaluations:
         raise DimensionCapError(
             f"no k in 1..{k_max} fits dimension cap {dim_cap} for N={n_atoms}"
         )
     best = min(evaluations, key=lambda e: e.sigma2_q)
-    from .noise import free_lo_avar
-
     return InterrogationScan(
         tau=tau,
         k_opt=best.k,
@@ -422,7 +403,7 @@ def bound_curve(
     for i, tau in enumerate(sorted(taus)):
         scan = optimize_interrogation(
             noise, n_atoms, float(tau), k_max,
-            probe=probe, dim_cap=dim_cap, seed=seed + i, on_cap="clamp",
+            probe=probe, dim_cap=dim_cap, seed=seed + i,
             family=family, n_starts=n_starts, polish_phases=polish_phases,
             warm_state=warm, maxfev=maxfev,
         )

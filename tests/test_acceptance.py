@@ -220,6 +220,7 @@ def test_04_single_step_closed_form(capsys):
     assert ok, msg
 
 
+@pytest.mark.slow
 def test_05_long_term_coefficients(capsys):
     # Frozen grids: each tau window sits where the k_max = 4 sweep is near
     # its plateau, before the capped-k lift takes over.
@@ -258,6 +259,7 @@ def test_06_bound_ordering(capsys, random_suite):
     assert ok, msg
 
 
+@pytest.mark.slow
 def test_07_servo_simulation_vs_bound(capsys):
     T = 0.5
     taus = (0.5, 1.0, 2.0)

@@ -1,6 +1,7 @@
 """CLI: config validation, CSV output, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,18 @@ from qavar.noise import NoiseParams, free_lo_avar
 
 NOISE = {"alpha": 2.0, "beta": 0.4, "gamma": 0.5, "omega0": 3.25e15}
 PAR = NoiseParams(**NOISE)
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+SIM = {"T": 0.5, "n_steps": 400, "n_runs": 2}
+MINIMAL = {
+    "lo-avar": {"noise": NOISE, "tau": [1.0]},
+    "bound": {"noise": NOISE, "tau": [1.0], "atoms": 1, "k_max": 1,
+              "probe": {"kind": "plus"}},
+    "optimize": {"noise": NOISE, "tau": [1.0], "atoms": 1, "k_max": 1,
+                 "probe": {"kind": "optimize-product"}},
+    "simulate": {"noise": NOISE, "tau": [1.0], "atoms": 1, "sim": SIM},
+    "bound-check": {"noise": NOISE, "tau": [0.5], "atoms": 1, "sim": SIM,
+                    "probe": {"kind": "amplitudes", "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}},
+}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -96,7 +109,7 @@ class TestValidation:
         cfg = cli.validate(doc)
         assert cfg.servo.gain == 0.5
         assert cfg.servo.estimator == "linear"
-        assert cfg.tol == 1e-8
+        assert cfg.out == "simulate.csv"
         assert cfg.dim_cap == 20_000
         assert cfg.seed == 0
 
@@ -110,6 +123,20 @@ class TestValidation:
         doc = {"mode": "lo-avar", "noise": NOISE, "tau": [1.0], "seeds": [7]}
         assert cli.validate(doc).seed == 7
         assert cli.validate(doc, seed_override=9).seed == 9
+
+
+class TestSchemaMatchesCanonical:
+    """validate(cfg.canonical()) accepts the resolved config and gives it back."""
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_example_configs(self, path):
+        cfg = cli.validate(json.loads(path.read_text()))
+        assert cli.validate(cfg.canonical()).canonical() == cfg.canonical()
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_minimal_config_per_mode(self, mode):
+        cfg = cli.validate(MINIMAL[mode], mode_override=mode)
+        assert cli.validate(cfg.canonical()).canonical() == cfg.canonical()
 
 
 class TestLoAvarMode:
@@ -222,6 +249,26 @@ class TestSimulateAndCheckModes:
         header = out.read_text().splitlines()[3].split(",")
         row = out.read_text().splitlines()[4].split(",")
         assert row[header.index("violation")] == "false"
+
+
+    def test_bound_check_skips_tau_over_cap(self, tmp_path):
+        # k=1 fits (dim 3), k=2 needs 27
+        doc = {"noise": NOISE, "tau": [0.5, 1.0], "atoms": 2,
+               "probe": {"kind": "plus"}, "sim": SIM, "dim_cap": 3}
+        code, out = run_cli(tmp_path, doc, "bound-check")
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[4:]]
+        assert [row[1] for row in rows] == ["1", "2"]
+        assert rows[0][-1] == "ok"
+        assert rows[1][-1] == "skipped: k=2 needs joint dimension 27 > cap 3"
+
+    def test_bound_check_all_over_cap_is_resource_exit(self, tmp_path, capsys):
+        doc = {"noise": NOISE, "tau": [0.5, 1.0], "atoms": 2,
+               "probe": {"kind": "plus"}, "sim": SIM, "dim_cap": 2}
+        code, out = run_cli(tmp_path, doc, "bound-check")
+        assert code == 3
+        assert out.read_text().count("skipped: k=") == 2
+        assert "all 2 rows skipped" in capsys.readouterr().err
 
 
 class TestMainEntry:

@@ -15,6 +15,8 @@ from qavar.core import (
     ProductProbe,
     Scenario,
     dephasing_weights,
+    joint_dim,
+    layout_k,
     mc_oracle,
     qavar,
 )
@@ -324,6 +326,20 @@ class TestWorkspaceReuse:
         ws = BoundWorkspace(PAR, 1, 2, 0.5)
         with pytest.raises(ValueError, match="shape"):
             ws.evaluate(np.eye(4))
+
+
+class TestLayout:
+    def test_joint_dim_and_cap(self):
+        # the cap admits a dimension equal to it; test_optimize checks one past it
+        assert joint_dim(2, 3) == joint_dim(2, 3, dim_cap=243) == 243
+        assert plus_scenario(n_atoms=2, k=3).dim == BoundWorkspace(PAR, 2, 3, 1.0).dim == 243
+
+    def test_layout_k(self):
+        assert layout_k(1.5, 0.5) == 3
+        assert layout_k(0.3, 0.1) == 3  # 0.3 / 0.1 = 2.9999999999999996
+        for tau in (0.7, 0.2):  # not a multiple; below one step
+            with pytest.raises(ValueError, match="positive integer multiple"):
+                layout_k(tau, 0.5)
 
 
 def _probe(kind, n_atoms, dim, rng):

@@ -9,13 +9,10 @@ from qavar.hilbert import (
     SymmetricState,
     coherent_step_state,
     eigh,
-    from_linear,
     ghz_step_state,
     multi_index_table,
-    partial_trace,
     plus_step_state,
     product_pure,
-    to_linear,
 )
 
 
@@ -45,10 +42,8 @@ class TestSymmetricState:
 class TestIndexing:
     def test_known_examples(self):
         # base N+1, first step most significant
-        assert to_linear((1, 2), n_atoms=2) == 5
-        assert to_linear((1, 0, 1), n_atoms=1) == 5
-        assert from_linear(5, n_atoms=2, n_steps=2) == (1, 2)
-        assert from_linear(5, n_atoms=1, n_steps=3) == (1, 0, 1)
+        assert tuple(multi_index_table(2, 2)[5]) == (1, 2)
+        assert tuple(multi_index_table(1, 3)[5]) == (1, 0, 1)
 
     def test_table_shape_and_order(self):
         A = multi_index_table(1, 3)
@@ -56,7 +51,7 @@ class TestIndexing:
         assert tuple(A[0]) == (0, 0, 0)
         assert tuple(A[-1]) == (1, 1, 1)
         for lin in range(8):
-            assert tuple(A[lin]) == from_linear(lin, 1, 3)
+            assert tuple(A[lin]) == np.unravel_index(lin, (2, 2, 2))
 
     def test_table_cached_and_readonly(self):
         A = multi_index_table(2, 2)
@@ -70,10 +65,10 @@ class TestIndexing:
     def test_round_trip_property(self, n_atoms, n_steps, data):
         dim = (n_atoms + 1) ** n_steps
         lin = data.draw(st.integers(0, dim - 1))
-        idx = from_linear(lin, n_atoms, n_steps)
+        idx = multi_index_table(n_atoms, n_steps)[lin]
         assert len(idx) == n_steps
         assert all(0 <= n <= n_atoms for n in idx)
-        assert to_linear(idx, n_atoms) == lin
+        assert np.ravel_multi_index(tuple(idx), (n_atoms + 1,) * n_steps) == lin
 
 
 class TestProductStates:
@@ -99,41 +94,6 @@ class TestProductStates:
     def test_ghz(self):
         s = ghz_step_state(3)
         assert np.allclose(s.amplitudes, [np.sqrt(0.5), 0, 0, np.sqrt(0.5)])
-
-
-class TestPartialTrace:
-    def test_product_factors(self):
-        a = plus_step_state(1).density()
-        b = np.diag([0.3, 0.7])
-        joint = np.kron(a, b)
-        assert np.allclose(partial_trace(joint, [2, 2], keep=[0]), a)
-        assert np.allclose(partial_trace(joint, [2, 2], keep=[1]), b)
-
-    def test_three_sites_keep_middle(self):
-        rng = np.random.default_rng(0)
-        mats = []
-        for _ in range(3):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m = m @ m.conj().T
-            mats.append(m / np.trace(m))
-        joint = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        assert np.allclose(partial_trace(joint, [2, 2, 2], keep=[1]), mats[1])
-
-    def test_entangled_reduction_is_mixed(self):
-        v = ghz_step_state(1).amplitudes  # Bell pair in step notation
-        joint = np.outer(np.kron(v, v), np.kron(v, v).conj())
-        # reducing one step of a two-step product of (|0>+|1>)/sqrt(2) stays pure
-        red = partial_trace(joint, [2, 2], keep=[0])
-        assert np.allclose(red, 0.5 * np.ones((2, 2)))
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(8, 8))
-        m = m @ m.T
-        m /= np.trace(m)
-        red = partial_trace(m, [2, 2, 2], keep=[0, 2])
-        assert np.trace(red) == pytest.approx(1.0)
-        assert red.shape == (4, 4)
 
 
 class TestEigh:

@@ -15,7 +15,6 @@ from scipy.integrate import dblquad, quad
 
 from qavar.noise import (
     NoiseParams,
-    autocorrelation,
     block_kernel,
     cross_kernel,
     free_lo_avar,
@@ -60,20 +59,6 @@ def quad_cross_kernel(params: NoiseParams, T: float, k: int, i: int) -> float:
         sign = 1.0 if j > k else -1.0
         total += sign * quad_block_cov(params, T, i - 1, j - 1)
     return total / tau
-
-
-class TestAutocorrelation:
-    def test_zero_lag_is_alpha(self):
-        assert autocorrelation(PAR, 0.0) == PAR.alpha
-
-    def test_decay_and_symmetry(self):
-        ts = np.array([-2.0, -0.5, 0.5, 2.0])
-        vals = autocorrelation(PAR, ts)
-        assert np.allclose(vals, autocorrelation(PAR, -ts))
-        assert np.all(np.diff(vals[2:]) < 0)
-
-    def test_known_value(self):
-        assert autocorrelation(PAR, 1.0) == pytest.approx(2.0 * np.exp(-0.5), rel=1e-15)
 
 
 class TestBlockKernel:
@@ -255,28 +240,6 @@ class TestGenTrace:
         assert np.var(x) == pytest.approx(PAR.alpha, rel=0.05)
         lag1 = np.mean(x[1:] * x[:-1])
         assert lag1 == pytest.approx(PAR.alpha * np.exp(-PAR.gamma * 0.25), rel=0.05)
-
-    def test_random_walk_growth(self):
-        x = gen_trace("random_walk", PAR, dt=1.0, n=5000, seed=3, level=0.3)
-        # increments iid N(0, level^2 dt)
-        inc = np.diff(x)
-        assert np.var(inc) == pytest.approx(0.09, rel=0.1)
-
-    def test_flicker_slope(self):
-        # power spectrum ~ 1/f: check log-log PSD slope between -1.3 and -0.7
-        x = gen_trace("flicker", PAR, dt=1.0, n=2**16, seed=4, level=1e-1)
-        f = np.fft.rfftfreq(x.size, 1.0)[1:]
-        p = np.abs(np.fft.rfft(x - x.mean()))[1:] ** 2
-        # average within octaves for a stable slope estimate
-        edges = np.geomspace(f[0], f[-1], 12)
-        fm, pm = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            m = (f >= lo) & (f < hi)
-            if m.sum() > 3:
-                fm.append(np.mean(np.log(f[m])))
-                pm.append(np.mean(np.log(p[m])))
-        slope = np.polyfit(fm, pm, 1)[0]
-        assert -1.3 < slope < -0.7
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bound_reference import cost_functional
-from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
+from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar
 from qavar.hilbert import SymmetricState, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
@@ -129,6 +129,16 @@ class TestProductSearch:
         assert np.isfinite(rep.sigma2_q)
         assert rep.n_evals <= 45
 
+    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
+    def test_converged_is_false_when_maxfev_stops_a_run(self, family):
+        sc = plus_scenario(k=2, T=0.5)
+        free = optimize_product_state(sc, n_starts=2, seed=0, family=family,
+                                      polish_phases=False)
+        capped = optimize_product_state(sc, n_starts=2, seed=0, family=family,
+                                        polish_phases=False, maxfev=5)
+        assert free.converged
+        assert not capped.converged
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             optimize_product_state(plus_scenario(), family="bogus")
@@ -160,18 +170,16 @@ class TestInterrogationScan:
             assert e.dim == 2 ** (2 * e.k - 1)
 
     def test_dimension_cap_raises_with_k(self):
-        with pytest.raises(DimensionCapError, match="k=3"):
-            optimize_interrogation(PAR, 2, 4.0, 6, probe="plus", dim_cap=100)
+        with pytest.raises(DimensionCapError, match="k=3 needs joint dimension 243 > cap 100"):
+            joint_dim(2, 3, dim_cap=100)
 
     def test_dimension_cap_clamps(self):
-        scan = optimize_interrogation(PAR, 2, 4.0, 6, probe="plus",
-                                      dim_cap=100, on_cap="clamp")
+        scan = optimize_interrogation(PAR, 2, 4.0, 6, probe="plus", dim_cap=100)
         assert [e.k for e in scan.evaluations] == [1, 2]
 
     def test_nothing_fits_raises(self):
         with pytest.raises(DimensionCapError, match="no k"):
-            optimize_interrogation(PAR, 3, 1.0, 2, probe="plus",
-                                   dim_cap=2, on_cap="clamp")
+            optimize_interrogation(PAR, 3, 1.0, 2, probe="plus", dim_cap=2)
 
     def test_optimized_beats_fixed_plus(self):
         fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe="plus")
