@@ -8,7 +8,7 @@ from qavar import (
     Scenario,
     ServoConfig,
     SimConfig,
-    avar_estimate,
+    ensemble_avar,
     free_lo_avar,
     plus_step_state,
     qavar,
@@ -21,18 +21,17 @@ n_runs, n_steps = 40, 4000
 
 sim = SimConfig(noise=par, n_atoms=N, T=T, n_steps=n_steps,
                 servo=ServoConfig(gain=0.3, estimator="linear"))
-seeds = np.random.SeedSequence(814).spawn(n_runs)
-traces = [simulate_clock(sim, int(s.generate_state(1)[0])) for s in seeds]
+taus = (0.5, 1.0, 2.0, 4.0, 16.0, 64.0)
+rows = {r.tau: r for r in ensemble_avar(sim, taus, n_runs, seed=814)}
 
 print(f"N = {N}, T = {T} s, gain {sim.servo.gain}, {n_runs} runs x {n_steps} steps")
 print()
 # the bound costs a (N+1)^(2k-1)-dimensional eigensolve, so only small tau here
 print(f"{'tau [s]':>8} {'sim AVAR':>11} {'bound':>11} {'free LO':>11} {'sim/bound':>10}")
 for tau in (0.5, 1.0, 2.0):
-    k = int(round(tau / T))
-    vals = np.array([avar_estimate(tr, k, overlapping=True).avar for tr in traces])
-    avar = vals.mean()
-    scen = Scenario(noise=par, n_atoms=N, k=k, T=T, probe=ProductProbe(plus_step_state(N)))
+    avar = rows[tau].avar
+    scen = Scenario(noise=par, n_atoms=N, k=rows[tau].k, T=T,
+                    probe=ProductProbe(plus_step_state(N)))
     bound = qavar(scen).sigma2_q
     lo = float(free_lo_avar(par, tau))
     print(f"{tau:8.1f} {avar:11.3e} {bound:11.3e} {lo:11.3e} {avar / bound:10.2f}")
@@ -44,18 +43,17 @@ print("for.  Where the lock pays off is longer averaging:")
 print()
 print(f"{'tau [s]':>8} {'sim AVAR':>11} {'free LO':>11} {'sim/LO':>8}")
 for tau in (4.0, 16.0, 64.0):
-    k = int(round(tau / T))
-    vals = np.array([avar_estimate(tr, k, overlapping=True).avar for tr in traces])
+    avar = rows[tau].avar
     lo = float(free_lo_avar(par, tau))
-    print(f"{tau:8.1f} {vals.mean():11.3e} {lo:11.3e} {vals.mean() / lo:8.2f}")
+    print(f"{tau:8.1f} {avar:11.3e} {lo:11.3e} {avar / lo:8.2f}")
 
 print()
 print("locked, the LO wander integrates away as 1/tau; free, it never does.")
 print()
 
 # the locked clock turns LO wander into white frequency noise; watch the
-# correction signal absorb the OU component
-tr = traces[0]
+# correction signal absorb the OU component (run 0 of the ensemble above)
+tr = simulate_clock(sim, int(np.random.SeedSequence(814).spawn(1)[0].generate_state(1)[0]))
 print("single run, first 8 steps (rad/s):")
 print(f"{'step':>5} {'y (locked)':>12} {'correction':>12}")
 for i in range(8):

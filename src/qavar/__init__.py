@@ -7,14 +7,15 @@ __version__ = "0.1.0"
 
 from .clock import (
     AvarEstimate,
-    BoundCheckReport,
     BoundCheckRow,
+    EnsembleAvar,
     FrequencyTrace,
     ServoConfig,
     SimConfig,
     avar_estimate,
     avar_series,
     bound_check,
+    ensemble_avar,
     simulate_clock,
 )
 from .core import (
@@ -78,7 +79,7 @@ __all__ = [
     "optimize_product_state", "optimize_interrogation", "bound_curve",
     "extrapolate_long_term",
     # clock
-    "ServoConfig", "SimConfig", "FrequencyTrace", "AvarEstimate",
-    "BoundCheckRow", "BoundCheckReport", "simulate_clock", "avar_series",
-    "avar_estimate", "bound_check",
+    "ServoConfig", "SimConfig", "FrequencyTrace", "AvarEstimate", "EnsembleAvar",
+    "BoundCheckRow", "simulate_clock", "avar_series", "avar_estimate",
+    "ensemble_avar", "bound_check",
 ]

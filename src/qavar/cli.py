@@ -26,7 +26,7 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .clock import ServoConfig, SimConfig, avar_estimate, bound_check, simulate_clock
+from .clock import ServoConfig, SimConfig, bound_check, ensemble_avar
 from .core import DimensionCapError, joint_dim, layout_k
 from .hilbert import SymmetricState, ghz_step_state, plus_step_state
 from .noise import NoiseParams, free_lo_avar
@@ -413,59 +413,44 @@ def _rows_optimize(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[s
     return header, rows
 
 
+def _sim_config(cfg: RunConfig) -> SimConfig:
+    return SimConfig(noise=cfg.noise, n_atoms=cfg.atoms, T=cfg.sim_T,
+                     n_steps=cfg.n_steps, servo=cfg.servo)
+
+
 def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
     header = ["tau", "k", "T", "avar", "stderr", "n_pairs", "n_runs", "seed", "status"]
-    sim = SimConfig(noise=cfg.noise, n_atoms=cfg.atoms, T=cfg.sim_T,
-                    n_steps=cfg.n_steps, servo=cfg.servo)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs)
-    traces = _map_tasks(
-        lambda s: simulate_clock(sim, int(s.generate_state(1)[0])), list(seeds), threads
-    )
-    rows = []
-    for tau in sorted(cfg.taus):
-        k = layout_k(tau, cfg.sim_T)
-        ests = [avar_estimate(tr, k, overlapping=True) for tr in traces]
-        vals = np.array([e.avar for e in ests])
-        rows.append([
-            _fmt(float(tau)), _fmt(k), _fmt(cfg.sim_T),
-            _fmt(float(vals.mean())),
-            _fmt(float(vals.std(ddof=1) / np.sqrt(cfg.n_runs))),
-            _fmt(int(sum(e.n_pairs for e in ests))),
-            _fmt(cfg.n_runs), _fmt(cfg.seed), "ok",
-        ])
+    taus = sorted(float(t) for t in cfg.taus)
+    rows = [
+        [_fmt(r.tau), _fmt(r.k), _fmt(cfg.sim_T), _fmt(r.avar), _fmt(r.stderr),
+         _fmt(r.n_pairs), _fmt(cfg.n_runs), _fmt(cfg.seed), "ok"]
+        for r in ensemble_avar(_sim_config(cfg), taus, cfg.n_runs, cfg.seed)
+    ]
     return header, rows
 
 
 def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
     header = ["tau", "k", "T", "avar", "stderr", "sigma2_q", "violation",
               "seed", "status"]
-    sim = SimConfig(noise=cfg.noise, n_atoms=cfg.atoms, T=cfg.sim_T,
-                    n_steps=cfg.n_steps, servo=cfg.servo)
     taus = sorted(float(t) for t in cfg.taus)
-    ks = {t: layout_k(t, cfg.sim_T) for t in taus}
-    skipped = {}
+    rows = {}
     for t in taus:
+        k = layout_k(t, cfg.sim_T)
         try:
-            joint_dim(cfg.atoms, ks[t], cfg.dim_cap)
+            joint_dim(cfg.atoms, k, cfg.dim_cap)
         except DimensionCapError as exc:
-            skipped[t] = f"skipped: {exc}"
-    ok_taus = [t for t in taus if t not in skipped]
-    rows_by_tau = {}
+            rows[t] = [_fmt(t), _fmt(k), _fmt(cfg.sim_T), "", "", "", "", _fmt(cfg.seed),
+                       f"skipped: {exc}"]
+    ok_taus = [t for t in taus if t not in rows]
     if ok_taus:
-        report = bound_check(sim, _fixed_probe(cfg), ok_taus, cfg.n_runs,
-                             cfg.seed, dim_cap=cfg.dim_cap)
-        for r in report.rows:
-            rows_by_tau[r.tau] = [
+        for r in bound_check(_sim_config(cfg), _fixed_probe(cfg), ok_taus,
+                             cfg.n_runs, cfg.seed, dim_cap=cfg.dim_cap):
+            rows[r.tau] = [
                 _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim_T), _fmt(r.avar),
                 _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
                 _fmt(cfg.seed), "ok",
             ]
-    rows = [
-        [_fmt(t), _fmt(ks[t]), _fmt(cfg.sim_T), "", "", "", "", _fmt(cfg.seed), skipped[t]]
-        if t in skipped else rows_by_tau[t]
-        for t in taus
-    ]
-    return header, rows
+    return header, [rows[t] for t in taus]
 
 
 def run(cfg: RunConfig, threads: int = 1) -> int:
@@ -525,7 +510,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the tau rows of bound and optimize")
     args = parser.parse_args(argv)
 
     try:

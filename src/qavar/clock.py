@@ -12,12 +12,17 @@ integrates the phase estimate:
 The corrected fractional frequency record y_i = theta_i / T - c_i feeds the
 Allan variance estimators, which average k-step blocks and halve the mean
 squared difference of adjacent block means.
+
+`ensemble_avar` is the one n-run ensemble: it runs each clock from its own
+child of SeedSequence(seed) and reduces the traces to the mean overlapping
+Allan variance and its standard error per tau.  `bound_check` lays those
+rows against sigma2_q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +35,12 @@ __all__ = [
     "SimConfig",
     "FrequencyTrace",
     "AvarEstimate",
+    "EnsembleAvar",
     "BoundCheckRow",
-    "BoundCheckReport",
     "simulate_clock",
     "avar_series",
     "avar_estimate",
+    "ensemble_avar",
     "bound_check",
 ]
 
@@ -95,24 +101,23 @@ class AvarEstimate:
 
 
 @dataclass(frozen=True)
-class BoundCheckRow:
+class EnsembleAvar:
+    """Mean overlapping Allan variance of an ensemble at tau = k T; n_pairs
+    counts the block pairs over all runs."""
+
     tau: float
     k: int
     avar: float
     stderr: float
-    sigma2_q: float
-    violation: bool
+    n_pairs: int
 
 
 @dataclass(frozen=True)
-class BoundCheckReport:
-    rows: tuple[BoundCheckRow, ...]
-    n_runs: int
-    n_steps: int
+class BoundCheckRow(EnsembleAvar):
+    """An ensemble row laid against the bound at the same layout."""
 
-    @property
-    def any_violation(self) -> bool:
-        return any(r.violation for r in self.rows)
+    sigma2_q: float
+    violation: bool
 
 
 def _ou_step_moments(alpha: float, gamma: float, T: float):
@@ -214,12 +219,37 @@ def avar_series(
 def avar_estimate(
     trace: FrequencyTrace,
     k: int,
-    omega0: Optional[float] = None,
     overlapping: bool = False,
 ) -> AvarEstimate:
     """Allan variance of a simulated trace at tau = k T."""
-    w0 = trace.omega0 if omega0 is None else omega0
-    return avar_series(trace.y, trace.T, k, w0, overlapping=overlapping)
+    return avar_series(trace.y, trace.T, k, trace.omega0, overlapping=overlapping)
+
+
+def ensemble_avar(
+    config: SimConfig, taus: Sequence[float], n_runs: int, seed: int
+) -> tuple[EnsembleAvar, ...]:
+    """Overlapping Allan variance of n_runs independent clocks, per tau.
+
+    Run r draws its noise from child r of SeedSequence(seed); each tau must
+    be an integer multiple of config.T.  A row holds the mean over runs and
+    its standard error, std(ddof=1) / sqrt(n_runs).
+    """
+    if n_runs < 2:
+        raise ValueError(f"n_runs must be >= 2, got {n_runs}")
+    ks = [layout_k(tau, config.T) for tau in taus]
+    per_run = np.empty((len(ks), n_runs))
+    n_pairs = [0] * len(ks)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
+        trace = simulate_clock(config, int(child.generate_state(1)[0]))
+        for j, k in enumerate(ks):
+            est = avar_estimate(trace, k, overlapping=True)
+            per_run[j, r] = est.avar
+            n_pairs[j] += est.n_pairs
+    return tuple(
+        EnsembleAvar(tau=float(tau), k=k, avar=float(vals.mean()),
+                     stderr=float(vals.std(ddof=1) / np.sqrt(n_runs)), n_pairs=pairs)
+        for tau, k, vals, pairs in zip(taus, ks, per_run, n_pairs)
+    )
 
 
 def bound_check(
@@ -229,47 +259,27 @@ def bound_check(
     n_runs: int,
     seed: int,
     dim_cap: int = 20_000,
-) -> BoundCheckReport:
+) -> tuple[BoundCheckRow, ...]:
     """Ensemble comparison of simulated Allan variance against the bound.
 
-    Runs n_runs independent clocks, estimates the overlapping Allan variance
-    at each tau (which must be an integer multiple of config.T), computes
-    sigma2_q for the matching scenario with the given per-step probe
-    (default: all atoms in |+>), and flags any tau where
+    Takes the `ensemble_avar` rows at each tau, computes sigma2_q for the
+    matching scenario with the given per-step probe (default: all atoms in
+    |+>), and flags any tau where
 
         avar_mean + 3 * stderr < sigma2_q ,
 
     i.e. a statistically significant violation of the bound.  A tau whose
-    layout exceeds dim_cap raises DimensionCapError.
+    layout exceeds dim_cap raises DimensionCapError before any simulation.
     """
-    if n_runs < 2:
-        raise ValueError(f"n_runs must be >= 2, got {n_runs}")
-    if probe is None:
-        probe = plus_step_state(config.n_atoms)
-    ks = [layout_k(tau, config.T) for tau in taus]
-    for k in ks:
-        joint_dim(config.n_atoms, k, dim_cap)
-
-    seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    traces = [
-        simulate_clock(config, int(s.generate_state(1)[0])) for s in seeds
-    ]
+    for tau in taus:
+        joint_dim(config.n_atoms, layout_k(tau, config.T), dim_cap)
+    probe = ProductProbe(probe if probe is not None else plus_step_state(config.n_atoms))
     rows = []
-    for tau, k in zip(taus, ks):
-        per_run = np.array(
-            [avar_estimate(tr, k, overlapping=True).avar for tr in traces]
-        )
-        mean = float(per_run.mean())
-        stderr = float(per_run.std(ddof=1) / np.sqrt(n_runs))
-        scen = Scenario(
-            noise=config.noise, n_atoms=config.n_atoms, k=k, T=config.T,
-            probe=ProductProbe(probe),
-        )
+    for est in ensemble_avar(config, taus, n_runs, seed):
+        scen = Scenario(noise=config.noise, n_atoms=config.n_atoms, k=est.k,
+                        T=config.T, probe=probe)
         s2q = qavar(scen).sigma2_q
-        rows.append(
-            BoundCheckRow(
-                tau=float(tau), k=k, avar=mean, stderr=stderr,
-                sigma2_q=s2q, violation=bool(mean + 3.0 * stderr < s2q),
-            )
-        )
-    return BoundCheckReport(rows=tuple(rows), n_runs=n_runs, n_steps=config.n_steps)
+        rows.append(BoundCheckRow(
+            **asdict(est), sigma2_q=s2q, violation=bool(est.avar + 3.0 * est.stderr < s2q),
+        ))
+    return tuple(rows)

@@ -25,6 +25,8 @@ __all__ = [
     "eigh",
 ]
 
+HERMITIAN_TOL = 1e-10  # largest |a - a^H| entry `eigh` accepts, relative to max |a|
+
 
 @dataclass(frozen=True)
 class SymmetricState:
@@ -47,11 +49,6 @@ class SymmetricState:
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def density(self) -> np.ndarray:
-        """(N+1, N+1) rank-one density matrix."""
-        v = self.amplitudes
-        return np.outer(v, v.conj())
 
 
 @lru_cache(maxsize=64)
@@ -107,10 +104,10 @@ def ghz_step_state(n_atoms: int) -> SymmetricState:
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
-def eigh(a: np.ndarray, check_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Hermitian eigendecomposition.
 
-    Validates Hermiticity within check_tol (relative to max |entry|),
+    Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|),
     symmetrizes, and solves with the divide-and-conquer driver.  Real
     input, also complex-typed input whose imaginary part is all zero, stays
     on the ~4x faster real path.
@@ -121,6 +118,6 @@ def eigh(a: np.ndarray, check_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     if np.iscomplexobj(a) and not np.any(a.imag):
         a = a.real
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > check_tol * scale:
+    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL * scale:
         raise ValueError("matrix not Hermitian within tolerance")
     return scipy.linalg.eigh(0.5 * (a + a.conj().T), driver="evd")

@@ -73,9 +73,6 @@ class KernelSet:
     the variance of the two-window frequency difference w.
     """
 
-    params: NoiseParams
-    T: float
-    k: int
     K: int
     G: np.ndarray
     H: np.ndarray
@@ -192,8 +189,7 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
     tau = k * T
     s2 = float(free_lo_avar(params, tau))
     return KernelSet(
-        params=params, T=T, k=k, K=2 * k - 1, G=G, H=H,
-        sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
+        K=2 * k - 1, G=G, H=H, sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
     )
 
 

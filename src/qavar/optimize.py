@@ -40,7 +40,6 @@ from .hilbert import (
     SymmetricState,
     coherent_step_state,
     eigh,
-    ghz_step_state,
     plus_step_state,
     product_pure,
 )
@@ -58,6 +57,10 @@ __all__ = [
     "bound_curve",
     "extrapolate_long_term",
 ]
+
+SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma2_lo
+SEESAW_MAX_ITER = 300
+FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
 
 
 @dataclass
@@ -137,28 +140,24 @@ def _initial_joint_vector(
     return v / np.linalg.norm(v)
 
 
-def optimize_joint_state(
-    scenario: Scenario,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-) -> OptimizeReport:
+def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     """See-saw minimization over arbitrary joint input states.
 
     The scenario's probe seeds the iteration (random pure state if it is not
     usable as a vector).  Convergence is declared when sigma2_q changes by
-    less than tol * sigma2_lo between sweeps.
+    less than SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER
+    sweeps.
     """
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     rng = np.random.default_rng(seed)
     psi = _initial_joint_vector(scenario, rng)
     history: list[float] = []
     converged = False
-    floor = max(ws.kernels.sigma2_lo, 0.0)
-    for _ in range(max_iter):
+    stop = SEESAW_TOL * max(ws.kernels.sigma2_lo, 1e-300)
+    for _ in range(SEESAW_MAX_ITER):
         res = ws.evaluate(psi, want_sld=True)
         history.append(res.sigma2_q)
-        if len(history) >= 2 and abs(history[-2] - history[-1]) <= tol * max(floor, 1e-300):
+        if len(history) >= 2 and abs(history[-2] - history[-1]) <= stop:
             converged = True
             break
         A = cost_operator(res.sld, ws)
@@ -204,10 +203,6 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.concatenate([angles, phases])
 
 
-def _coherent_amps(polar: float, n_atoms: int) -> np.ndarray:
-    return np.asarray(coherent_step_state(n_atoms, polar, 0.0).amplitudes)
-
-
 def optimize_product_state(
     scenario: Scenario,
     n_starts: int = 8,
@@ -221,84 +216,69 @@ def optimize_product_state(
     family "symmetric": any per-step symmetric-subspace state; the search
     runs first over real amplitude charts (the fast LAPACK path; real charts
     are stationary points of the residual phases by conjugation symmetry)
-    and, when polish_phases is true, refines over the full 2N-parameter
-    chart.  family "coherent": atom-level product states, a single polar
-    parameter.
+    and, when polish_phases is true and N >= 2, refines over the full
+    2N-parameter chart.  At N = 1 the only phase is the per-step twist,
+    which leaves sigma2_q invariant, so there is nothing to polish.
+    family "coherent": atom-level product states, a single polar parameter.
 
-    The scenario's probe, when it is a ProductProbe, seeds the first start
-    (warm starting across a tau or k sweep).  History records the best
-    sigma2_q seen after each cost evaluation.  `converged` is true only when
-    every Nelder-Mead run ended on its tolerances, none on maxfev.
+    The scenario's probe, when it is a ProductProbe, seeds the first
+    symmetric start (warm starting across a tau or k sweep).  History
+    records the best sigma2_q seen after each cost evaluation.  `converged`
+    is true only when every Nelder-Mead run ended on its tolerances, none on
+    maxfev.
     """
-    if family not in ("symmetric", "coherent"):
-        raise ValueError(f"unknown family {family!r}")
     N = scenario.n_atoms
+    if family == "coherent":
+        chart = lambda x: np.asarray(coherent_step_state(N, float(x[0]), 0.0).amplitudes)
+        starts, n_params, default_fev = [np.array([np.pi / 2.0])], 1, 60
+    elif family == "symmetric":
+        chart = lambda x: _amps_from_chart(x, N, with_phases=False)
+        starts, n_params, default_fev = [], N, 80 * N
+        if isinstance(scenario.probe, ProductProbe) and scenario.probe.state.n_atoms == N:
+            starts.append(_chart_from_amps(np.asarray(scenario.probe.state.amplitudes), N)[:N])
+        starts.append(_chart_from_amps(np.asarray(plus_step_state(N).amplitudes), N)[:N])
+    else:
+        raise ValueError(f"unknown family {family!r}")
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     rng = np.random.default_rng(seed)
+    while len(starts) < n_starts:
+        starts.append(rng.uniform(0.05, np.pi - 0.05, size=n_params))
+    fev = maxfev if maxfev is not None else default_fev
     w0sq_tau = scenario.noise.omega0**2 * scenario.tau
     history: list[float] = []
     best = {"f": np.inf, "amps": None}
-    n_evals = 0
     runs_ok: list[bool] = []
 
-    def nelder_mead(objective, x0: np.ndarray, fev: int) -> None:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
-        runs_ok.append(bool(res.success))
-
     def eval_amps(amps: np.ndarray) -> float:
-        nonlocal n_evals
         amps = amps / np.linalg.norm(amps)
         if np.abs(amps.imag).max() == 0.0:
             amps = amps.real
         v = reduce(np.kron, [amps] * ws.n_steps) if ws.n_steps > 1 else amps
         s2q = ws.evaluate(v).sigma2_q
-        n_evals += 1
         if s2q < best["f"]:
             best["f"] = s2q
             best["amps"] = amps.astype(complex)
         history.append(best["f"])
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 
-    if family == "coherent":
-        objective = lambda x: eval_amps(_coherent_amps(float(x[0]), N))
-        starts = [np.array([np.pi / 2.0])]
-        starts += [rng.uniform(0.05, np.pi - 0.05, size=1) for _ in range(max(0, n_starts - 1))]
-        fev = maxfev if maxfev is not None else 60
-        for x0 in starts:
-            nelder_mead(objective, x0, fev)
-        assert best["amps"] is not None
-        return OptimizeReport(
-            sigma2_q=best["f"], state=best["amps"], kind="product-coherent",
-            history=history, iterations=len(history), converged=all(runs_ok),
-            n_evals=n_evals,
-        )
+    def nelder_mead(chart, x0: np.ndarray) -> None:
+        res = minimize(lambda x: eval_amps(chart(x)), x0, method="Nelder-Mead",
+                       options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
+        runs_ok.append(bool(res.success))
 
-    # symmetric family, stage 1: real charts
-    real_obj = lambda x: eval_amps(_amps_from_chart(x, N, with_phases=False))
-    starts: list[np.ndarray] = []
-    if isinstance(scenario.probe, ProductProbe) and scenario.probe.state.n_atoms == N:
-        starts.append(_chart_from_amps(np.asarray(scenario.probe.state.amplitudes), N)[:N])
-    starts.append(_chart_from_amps(np.asarray(plus_step_state(N).amplitudes), N)[:N])
-    while len(starts) < max(1, n_starts):
-        starts.append(rng.uniform(0.05, np.pi - 0.05, size=N))
-    starts = starts[: max(1, n_starts)]
-    fev = maxfev if maxfev is not None else 80 * N
-    for x0 in starts:
-        nelder_mead(real_obj, x0, fev)
-    assert best["amps"] is not None
-
-    if polish_phases and N >= 1:
-        full_obj = lambda x: eval_amps(_amps_from_chart(x, N, with_phases=True))
-        nelder_mead(full_obj, _chart_from_amps(best["amps"], N), fev)
+    for x0 in starts[: max(1, n_starts)]:
+        nelder_mead(chart, x0)
+    if family == "symmetric" and polish_phases and N >= 2:
+        nelder_mead(lambda x: _amps_from_chart(x, N, with_phases=True),
+                    _chart_from_amps(best["amps"], N))
     return OptimizeReport(
-        sigma2_q=best["f"], state=best["amps"], kind="product-symmetric",
+        sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
         history=history, iterations=len(history), converged=all(runs_ok),
-        n_evals=n_evals,
+        n_evals=len(history),
     )
 
 
-ProbeSpec = Union[str, ProductProbe, JointProbe, SymmetricState]
+ProbeSpec = Union[SymmetricState, str]  # "optimize-product" or "optimize-joint"
 
 
 def optimize_interrogation(
@@ -317,20 +297,20 @@ def optimize_interrogation(
 ) -> InterrogationScan:
     """Sweep k = 1..k_max at fixed tau (T = tau/k) and pick the best layout.
 
-    probe is either a fixed probe ("plus"/"ghz" resolve per step, or any
-    ProductProbe/JointProbe/SymmetricState) or one of the optimizer modes
-    "optimize-product" / "optimize-joint".  The sweep stops at the first k
-    whose joint dimension (N+1)^(2k-1) exceeds dim_cap; DimensionCapError is
-    raised when not even k = 1 fits.
+    probe is a fixed per-step SymmetricState or one of the optimizer modes
+    "optimize-product" / "optimize-joint"; anything else is rejected before
+    any evaluation.  The sweep stops at the first k whose joint dimension
+    (N+1)^(2k-1) exceeds dim_cap; DimensionCapError is raised when not even
+    k = 1 fits.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if isinstance(probe, str) and probe in ("plus", "ghz"):
-        probe = plus_step_state(n_atoms) if probe == "plus" else ghz_step_state(n_atoms)
-    if isinstance(probe, SymmetricState):
-        probe = ProductProbe(probe)
+    if not isinstance(probe, SymmetricState) and probe not in ("optimize-product",
+                                                                "optimize-joint"):
+        raise ValueError("probe must be a per-step SymmetricState, 'optimize-product' or "
+                         f"'optimize-joint', got {probe!r}")
 
     evaluations: list[KEvaluation] = []
     warm = warm_state
@@ -363,10 +343,9 @@ def optimize_interrogation(
                 scen, seed=int(rng_seeds[k - 1].generate_state(1)[0])
             )
             s2q = report.sigma2_q
-        elif isinstance(probe, str):
-            raise ValueError(f"unknown probe spec {probe!r}")
         else:
-            s2q = qavar(Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=probe)).sigma2_q
+            s2q = qavar(Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T,
+                                 probe=ProductProbe(probe))).sigma2_q
         evaluations.append(KEvaluation(k=k, T=T, dim=dim, sigma2_q=s2q, report=report))
     if not evaluations:
         raise DimensionCapError(
@@ -420,13 +399,12 @@ def extrapolate_long_term(
     sigma2_qs: Sequence[float],
     omega0: float,
     m: int = 5,
-    flat_tol: float = 0.05,
 ) -> PlateauFit:
     """Read the long-term coefficient c from sigma2_q(tau) ~ c / (omega0^2 tau).
 
     Takes the last m points of c(tau) = sigma2_q * omega0^2 * tau on the
     sorted grid; `flat` reports whether their spread (max - min, relative to
-    the mean) is within flat_tol.  A non-flat tail means the grid has not
+    the mean) is within FLAT_TOL.  A non-flat tail means the grid has not
     reached the 1/tau regime and the returned c is not trustworthy.
     """
     taus = np.asarray(taus, dtype=float)
@@ -440,7 +418,7 @@ def extrapolate_long_term(
     tail = c_values[-n_used:]
     mean = float(np.mean(tail))
     spread = float((tail.max() - tail.min()) / abs(mean)) if mean != 0.0 else np.inf
-    flat = bool(spread <= flat_tol and n_used >= m)
+    flat = bool(spread <= FLAT_TOL and n_used >= m)
     return PlateauFit(
         c=mean, flat=flat, spread=spread, taus=taus, c_values=c_values,
         n_used=n_used,

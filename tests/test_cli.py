@@ -1,5 +1,6 @@
 """CLI: config validation, CSV output, determinism, exit codes."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from qavar.noise import NoiseParams, free_lo_avar
 
 NOISE = {"alpha": 2.0, "beta": 0.4, "gamma": 0.5, "omega0": 3.25e15}
 PAR = NoiseParams(**NOISE)
-CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+GOLDEN = Path(__file__).parent / "golden"
 SIM = {"T": 0.5, "n_steps": 400, "n_runs": 2}
 MINIMAL = {
     "lo-avar": {"noise": NOISE, "tau": [1.0]},
@@ -36,6 +39,11 @@ def run_cli(tmp_path, doc, mode, extra=(), name="cfg.json", out="out.csv"):
     out_path = tmp_path / out
     code = cli.main([mode, "--config", cfg, "--out", str(out_path), *extra])
     return code, out_path
+
+
+def csv_rows(path):
+    return list(csv.DictReader(line for line in path.read_text().splitlines()
+                               if not line.startswith("#")))
 
 
 class TestValidation:
@@ -250,6 +258,15 @@ class TestSimulateAndCheckModes:
         row = out.read_text().splitlines()[4].split(",")
         assert row[header.index("violation")] == "false"
 
+    def test_bound_check_avar_columns_equal_simulate(self, tmp_path):
+        # both modes reduce the same ensemble
+        doc = {"noise": NOISE, "tau": [1.0, 0.5], "atoms": 2, "sim": SIM, "seeds": [5]}
+        _, sim = run_cli(tmp_path, doc, "simulate", out="sim.csv")
+        _, chk = run_cli(tmp_path, dict(doc, probe={"kind": "plus"}), "bound-check",
+                         name="chk.json", out="chk.csv")
+        cols = [[(r["tau"], r["avar"], r["stderr"]) for r in csv_rows(p)] for p in (sim, chk)]
+        assert cols[0] == cols[1]
+        assert [tau for tau, _, _ in cols[0]] == ["0.5", "1.0"]
 
     def test_bound_check_skips_tau_over_cap(self, tmp_path):
         # k=1 fits (dim 3), k=2 needs 27
@@ -269,6 +286,36 @@ class TestSimulateAndCheckModes:
         assert code == 3
         assert out.read_text().count("skipped: k=") == 2
         assert "all 2 rows skipped" in capsys.readouterr().err
+
+
+class TestGoldenCsv:
+    """CLI output on configs/ against committed files, token by token.
+
+    Only sigma2_q, which comes out of an eigensolve whose last bits may vary
+    with the LAPACK build, compares at rtol 1e-12.  A change that means to
+    move these bytes regenerates the file and says why.
+    """
+
+    @pytest.mark.parametrize("name", ["simulate", "bound_check", "lo_avar"])
+    def test_matches_golden(self, tmp_path, name):
+        config = CONFIG_DIR / f"{name}.json"
+        out = tmp_path / f"{name}.csv"
+        mode = json.loads(config.read_text())["mode"]
+        assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
+        got, want = out.read_text(), (GOLDEN / f"{name}.csv").read_text()
+        assert got.endswith("\n")
+        got, want = got.splitlines(), want.splitlines()
+        assert got[:4] == want[:4]  # '#' lines and header
+        assert len(got) == len(want)
+        header = want[3].split(",")
+        for got_row, want_row in zip(got[4:], want[4:]):
+            pairs = list(zip(header, got_row.split(","), want_row.split(",")))
+            assert len(pairs) == len(header) == got_row.count(",") + 1
+            for column, g, w in pairs:
+                if column == "sigma2_q":
+                    assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+                else:
+                    assert g == w, (column, got_row)
 
 
 class TestMainEntry:

@@ -9,6 +9,7 @@ from qavar.clock import (
     avar_estimate,
     avar_series,
     bound_check,
+    ensemble_avar,
     simulate_clock,
 )
 from qavar.core import ProductProbe, Scenario, qavar
@@ -142,23 +143,52 @@ class TestWhiteNoiseCalibration:
             assert est.avar == pytest.approx(want, rel=0.1), k
 
 
+class TestEnsembleAvar:
+    def test_matches_hand_rolled_loop_bit_for_bit(self):
+        # the pattern acceptance check 7 writes out inline
+        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=600,
+                        servo=ServoConfig(gain=0.3))
+        taus, n_runs = (0.5, 1.5, 1.0), 5
+        seeds = np.random.SeedSequence(11).spawn(n_runs)
+        traces = [simulate_clock(cfg, int(s.generate_state(1)[0])) for s in seeds]
+        rows = ensemble_avar(cfg, taus, n_runs, seed=11)
+        assert [(r.tau, r.k) for r in rows] == [(0.5, 1), (1.5, 3), (1.0, 2)]
+        for row in rows:
+            ests = [avar_estimate(tr, row.k, overlapping=True) for tr in traces]
+            vals = np.array([e.avar for e in ests])
+            assert row.avar == float(vals.mean())
+            assert row.stderr == float(vals.std(ddof=1) / np.sqrt(n_runs))
+            assert row.n_pairs == sum(e.n_pairs for e in ests) == n_runs * (600 - 2 * row.k + 1)
+
+    def test_needs_two_runs(self):
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
+        with pytest.raises(ValueError, match="n_runs"):
+            ensemble_avar(cfg, [0.5], n_runs=1, seed=0)
+
+    def test_non_commensurate_tau_rejected(self):
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
+        with pytest.raises(ValueError, match="multiple"):
+            ensemble_avar(cfg, [0.5, 0.7], n_runs=2, seed=0)
+
+
 class TestBoundCheck:
     def test_no_violation_in_small_config(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=3000)
-        report = bound_check(cfg, None, taus=[0.5, 1.0], n_runs=6, seed=0)
-        assert not report.any_violation
-        assert report.n_runs == 6
-        for row, k in zip(report.rows, (1, 2)):
+        rows = bound_check(cfg, None, taus=[0.5, 1.0], n_runs=6, seed=0)
+        assert isinstance(rows, tuple)
+        assert not any(row.violation for row in rows)
+        for row, est, k in zip(rows, ensemble_avar(cfg, [0.5, 1.0], 6, seed=0), (1, 2)):
             assert row.k == k
+            assert (row.tau, row.avar, row.stderr) == (est.tau, est.avar, est.stderr)
             assert row.stderr > 0
             assert row.avar > row.sigma2_q  # servo noise sits above the bound
 
     def test_bound_values_match_qavar(self):
         cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=500)
-        report = bound_check(cfg, ghz_step_state(2), taus=[1.0], n_runs=2, seed=1)
+        (row,) = bound_check(cfg, ghz_step_state(2), taus=[1.0], n_runs=2, seed=1)
         scen = Scenario(noise=PAR, n_atoms=2, k=2, T=0.5,
                         probe=ProductProbe(ghz_step_state(2)))
-        assert report.rows[0].sigma2_q == pytest.approx(qavar(scen).sigma2_q, rel=1e-12)
+        assert row.sigma2_q == pytest.approx(qavar(scen).sigma2_q, rel=1e-12)
 
     def test_non_commensurate_tau_rejected(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)

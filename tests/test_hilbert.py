@@ -30,14 +30,6 @@ class TestSymmetricState:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
-    def test_density_rank_one(self):
-        s = ghz_step_state(2)
-        rho = s.density()
-        assert rho.shape == (3, 3)
-        assert np.trace(rho) == pytest.approx(1.0)
-        evals = np.linalg.eigvalsh(rho)
-        assert evals[-1] == pytest.approx(1.0)
-
 
 class TestIndexing:
     def test_known_examples(self):
@@ -75,7 +67,7 @@ class TestProductStates:
     def test_product_pure_matches_density(self):
         s = coherent_step_state(2, 1.1, 0.4)
         v = product_pure(s, 3)
-        rho = s.density()
+        rho = np.outer(s.amplitudes, s.amplitudes.conj())
         assert np.allclose(np.outer(v, v.conj()), np.kron(np.kron(rho, rho), rho), atol=1e-14)
 
     def test_coherent_binomial_pattern(self):

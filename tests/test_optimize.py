@@ -129,6 +129,15 @@ class TestProductSearch:
         assert np.isfinite(rep.sigma2_q)
         assert rep.n_evals <= 45
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_phase_polish_at_one_atom(self, k):
+        # at N = 1 the only phase is the per-step twist, a gauge of the bound
+        sc = plus_scenario(k=k, T=1.5 / k)
+        plain = optimize_product_state(sc, n_starts=2, seed=1, polish_phases=False)
+        polished = optimize_product_state(sc, n_starts=2, seed=1, polish_phases=True)
+        assert (polished.sigma2_q, polished.n_evals, polished.converged) == (
+            plain.sigma2_q, plain.n_evals, plain.converged)
+
     @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     def test_converged_is_false_when_maxfev_stops_a_run(self, family):
         sc = plus_scenario(k=2, T=0.5)
@@ -161,7 +170,7 @@ class TestOrderingSandwich:
 
 class TestInterrogationScan:
     def test_fixed_probe_sweep(self):
-        scan = optimize_interrogation(PAR, 1, 2.0, 3, probe="plus")
+        scan = optimize_interrogation(PAR, 1, 2.0, 3, probe=plus_step_state(1))
         assert len(scan.evaluations) == 3
         assert scan.sigma2_q == min(e.sigma2_q for e in scan.evaluations)
         assert scan.k_opt * scan.T_opt == pytest.approx(2.0, rel=1e-12)
@@ -174,15 +183,15 @@ class TestInterrogationScan:
             joint_dim(2, 3, dim_cap=100)
 
     def test_dimension_cap_clamps(self):
-        scan = optimize_interrogation(PAR, 2, 4.0, 6, probe="plus", dim_cap=100)
+        scan = optimize_interrogation(PAR, 2, 4.0, 6, probe=plus_step_state(2), dim_cap=100)
         assert [e.k for e in scan.evaluations] == [1, 2]
 
     def test_nothing_fits_raises(self):
         with pytest.raises(DimensionCapError, match="no k"):
-            optimize_interrogation(PAR, 3, 1.0, 2, probe="plus", dim_cap=2)
+            optimize_interrogation(PAR, 3, 1.0, 2, probe=plus_step_state(3), dim_cap=2)
 
     def test_optimized_beats_fixed_plus(self):
-        fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe="plus")
+        fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe=plus_step_state(1))
         opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product",
                                      n_starts=2, polish_phases=False)
         assert opt.sigma2_q <= fixed.sigma2_q * (1 + 1e-10)
@@ -207,6 +216,18 @@ class TestInterrogationScan:
             optimize_interrogation(PAR, 1, 1.0, 0)
         with pytest.raises(ValueError, match="probe"):
             optimize_interrogation(PAR, 1, 1.0, 1, probe="bogus")
+        with pytest.raises(ValueError, match="probe"):
+            optimize_interrogation(PAR, 1, 1.0, 1, probe="plus")
+
+    def test_joint_probe_rejected_before_any_evaluation(self, monkeypatch):
+        # a JointProbe fixes k through its dimension, so it cannot sweep k
+        calls = []
+        monkeypatch.setattr("qavar.optimize.qavar", lambda *a: calls.append(a))
+        probe = JointProbe(vector=np.array([1.0, 1.0]) / np.sqrt(2.0))
+        with pytest.raises(ValueError, match="SymmetricState, 'optimize-product' or "
+                                             "'optimize-joint'"):
+            optimize_interrogation(PAR, 1, 2.0, 2, probe=probe)
+        assert calls == []
 
 
 class TestBoundCurve:
