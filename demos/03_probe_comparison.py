@@ -59,7 +59,7 @@ for name, k, c in rows:
 
 rep = best_joint[2]
 print()
-print(f"see-saw convergence ({rep.iterations} sweeps, converged={rep.converged}):")
+print(f"see-saw convergence ({rep.n_evals} sweeps, converged={rep.converged}):")
 h = np.array(rep.history) * w0sq * tau
 show = list(range(min(4, len(h)))) + [len(h) - 1]
 for i in sorted(set(show)):

@@ -22,12 +22,10 @@ from .core import (
     BoundWorkspace,
     DimensionCapError,
     JointProbe,
-    McOracleResult,
     ProductProbe,
     QavarResult,
     Scenario,
     dephasing_weights,
-    mc_oracle,
     qavar,
 )
 from .hilbert import (
@@ -46,7 +44,6 @@ from .noise import (
     free_lo_avar,
     gen_trace,
     kernel_set,
-    sample_joint,
 )
 from .optimize import (
     InterrogationScan,
@@ -65,14 +62,13 @@ __all__ = [
     "__version__",
     # noise
     "NoiseParams", "KernelSet", "block_kernel", "cross_kernel",
-    "free_lo_avar", "kernel_set", "sample_joint", "gen_trace",
+    "free_lo_avar", "kernel_set", "gen_trace",
     # hilbert
     "SymmetricState", "multi_index_table", "product_pure", "plus_step_state",
     "coherent_step_state", "ghz_step_state",
     # core
-    "ProductProbe", "JointProbe", "Scenario", "QavarResult", "McOracleResult",
-    "BoundWorkspace", "DimensionCapError", "dephasing_weights", "qavar",
-    "mc_oracle",
+    "ProductProbe", "JointProbe", "Scenario", "QavarResult", "BoundWorkspace",
+    "DimensionCapError", "dephasing_weights", "qavar",
     # optimize
     "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",

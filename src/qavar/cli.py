@@ -3,7 +3,7 @@
     qavar <mode> --config <path> [--out <path>] [--seed <u64>] [--threads <n>]
 
 Modes: bound, optimize, simulate, lo-avar, bound-check.  The config schema is
-the FIELDS table below (path, predicate, default, modes), applied strictly:
+the FIELDS table below (path, check, default, modes), applied strictly:
 unknown or mode-inapplicable keys are rejected and messages carry field
 paths.  Output is deterministic: the same config and seeds give a
 byte-identical CSV, metadata lines ('# ...') carry the tool version, a hash
@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from .clock import ServoConfig, SimConfig, bound_check, ensemble_avar
 from .core import DimensionCapError, joint_dim, layout_k
 from .hilbert import SymmetricState, ghz_step_state, plus_step_state
 from .noise import NoiseParams, free_lo_avar
-from .optimize import optimize_interrogation
+from .optimize import ProbeSpec, optimize_interrogation
 
 __all__ = ["CliConfigError", "RunConfig", "validate", "run", "main"]
 
@@ -54,52 +55,26 @@ class CliConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """A validated, fully defaulted run description."""
+    """A validated run: the library objects the row builders use, and the
+    resolved config they were built from."""
 
     mode: str
+    resolved: dict
     noise: NoiseParams
     taus: np.ndarray
+    seed: int
+    out: str
+    dim_cap: int
     atoms: int = 0
     k_max: int = 0
-    probe_kind: str = ""
-    probe_amplitudes: Optional[np.ndarray] = None
-    probe_family: str = "symmetric"
-    servo: ServoConfig = field(default_factory=ServoConfig)
-    sim_T: float = 0.0
-    n_steps: int = 0
+    probe: Optional[ProbeSpec] = None
+    probe_family: Optional[str] = None
+    sim: Optional[SimConfig] = None
     n_runs: int = 0
-    seed: int = 0
-    out: str = ""
-    dim_cap: int = 20_000
 
     def canonical(self) -> dict:
         """Resolved config as a plain dict (hash input; excludes out path)."""
-        doc: dict[str, Any] = {
-            "mode": self.mode,
-            "noise": {
-                "alpha": self.noise.alpha, "beta": self.noise.beta,
-                "gamma": self.noise.gamma, "omega0": self.noise.omega0,
-            },
-            "tau": [float(t) for t in self.taus],
-            "seeds": [self.seed],
-            "dim_cap": self.dim_cap,
-        }
-        if self.mode != "lo-avar":
-            doc["atoms"] = self.atoms
-        if self.mode in ("bound", "optimize"):
-            doc["k_max"] = self.k_max
-        if self.mode in PROBED:
-            doc["probe"] = {"kind": self.probe_kind}
-            if self.probe_amplitudes is not None:
-                doc["probe"]["amplitudes"] = [
-                    [float(a.real), float(a.imag)] for a in self.probe_amplitudes
-                ]
-            if self.probe_kind == "optimize-product":
-                doc["probe"]["family"] = self.probe_family
-        if self.mode in SIMULATED:
-            doc["servo"] = {"gain": self.servo.gain, "estimator": self.servo.estimator}
-            doc["sim"] = {"T": self.sim_T, "n_steps": self.n_steps, "n_runs": self.n_runs}
-        return doc
+        return self.resolved
 
 
 def _is_number(x: Any) -> bool:
@@ -110,19 +85,50 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_taus(x: Any) -> bool:
+    """A non-empty list of numbers > 0, or a range object (see `_tau_grid`)."""
+    return isinstance(x, dict) or (
+        isinstance(x, list) and x != [] and all(_is_number(t) and t > 0 for t in x))
+
+
 def _is_pairs(x: Any) -> bool:
     return isinstance(x, list) and all(
         isinstance(a, list) and len(a) == 2 and all(_is_number(v) for v in a) for a in x
     )
 
 
+class Check(NamedTuple):
+    """What a key accepts: a predicate on the JSON value, the words naming it
+    in an error, and the type an accepted value is read as."""
+
+    accepts: Callable[[Any], bool]
+    what: str
+    read: Callable[[Any], Any] = lambda v: v
+
+
+def number(op: str, low: float, high: Optional[float] = None) -> Check:
+    """A real value with `v op low` (op '>' or '>='), and v <= high if given."""
+    above = operator.gt if op == ">" else operator.ge
+    what = (f"a number {op} {low}" if high is None
+            else f"a number in {'(' if op == '>' else '['}{low}, {high}]")
+    return Check(lambda v: _is_number(v) and above(v, low) and (high is None or v <= high),
+                 what, float)
+
+
+def integer(low: int) -> Check:
+    return Check(lambda v: _is_int(v) and v >= low, f"an integer >= {low}", int)
+
+
+def one_of(*choices: str) -> Check:
+    return Check(lambda v: v in choices, " or ".join(map(repr, choices)))
+
+
 class Field(NamedTuple):
-    """One config key: dotted path, predicate and what it asks for, default
-    (REQUIRED: none; None: optional, resolved by `validate`), accepting modes."""
+    """One config key: dotted path, what it accepts, default (REQUIRED: none;
+    None: optional, left out of the resolved config), accepting modes."""
 
     path: str
-    check: Callable[[Any], bool]
-    what: str
+    check: Check
     default: Any
     modes: tuple[str, ...]
 
@@ -134,40 +140,39 @@ OPT_KINDS = ("optimize-product", "optimize-joint")
 # The config schema.  A block ("noise", "probe", ...) is required when one of
 # its keys is; `validate` applies this table, then the rules spanning fields.
 FIELDS = (
-    Field("noise.alpha", lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED, MODES),
-    Field("noise.beta", lambda v: _is_number(v) and v >= 0, "a number >= 0", REQUIRED, MODES),
-    Field("noise.gamma", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, MODES),
-    Field("noise.omega0", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, MODES),
-    Field("tau", lambda v: isinstance(v, (list, dict)),
-          "a list of numbers or a range object", REQUIRED, MODES),
-    Field("atoms", lambda v: _is_int(v) and v >= 1, "an integer >= 1", REQUIRED,
-          ("bound", "optimize", "simulate", "bound-check")),
-    Field("k_max", lambda v: _is_int(v) and v >= 1, "an integer >= 1", REQUIRED,
-          ("bound", "optimize")),
-    Field("probe.kind", lambda v: v in FIXED_KINDS + OPT_KINDS,
-          f"one of {', '.join(FIXED_KINDS + OPT_KINDS)}", REQUIRED, PROBED),
-    Field("probe.amplitudes", _is_pairs, "a list of atoms+1 [re, im] pairs", None, PROBED),
-    Field("probe.family", lambda v: v in ("symmetric", "coherent"),
-          "'symmetric' or 'coherent'", "symmetric", PROBED),
-    Field("servo.gain", lambda v: _is_number(v) and 0 < v <= 2, "a number in (0, 2]", 0.5,
-          SIMULATED),
-    Field("servo.estimator", lambda v: v in ("linear", "arcsine"), "'linear' or 'arcsine'",
-          "linear", SIMULATED),
-    Field("sim.T", lambda v: _is_number(v) and v > 0, "a number > 0", REQUIRED, SIMULATED),
-    Field("sim.n_steps", lambda v: _is_int(v) and v >= 2, "an integer >= 2", REQUIRED, SIMULATED),
-    Field("sim.n_runs", lambda v: _is_int(v) and v >= 2, "an integer >= 2", REQUIRED, SIMULATED),
-    Field("seeds", lambda v: isinstance(v, list) and len(v) == 1 and _is_int(v[0]) and v[0] >= 0,
-          "a list with exactly one unsigned integer (master seed)", [0], MODES),
-    Field("out", lambda v: isinstance(v, str) and v != "", "a non-empty string", None, MODES),
-    Field("dim_cap", lambda v: _is_int(v) and v >= 2, "an integer >= 2", 20_000, MODES),
+    Field("noise.alpha", number(">=", 0), REQUIRED, MODES),
+    Field("noise.beta", number(">=", 0), REQUIRED, MODES),
+    Field("noise.gamma", number(">", 0), REQUIRED, MODES),
+    Field("noise.omega0", number(">", 0), REQUIRED, MODES),
+    Field("tau", Check(_is_taus, "a non-empty list of numbers > 0 or a range object"),
+          REQUIRED, MODES),
+    Field("atoms", integer(1), REQUIRED, ("bound", "optimize", "simulate", "bound-check")),
+    Field("k_max", integer(1), REQUIRED, ("bound", "optimize")),
+    Field("probe.kind", Check(lambda v: v in FIXED_KINDS + OPT_KINDS,
+                              f"one of {', '.join(FIXED_KINDS + OPT_KINDS)}"), REQUIRED, PROBED),
+    Field("probe.amplitudes",
+          Check(_is_pairs, "a list of atoms+1 [re, im] pairs",
+                lambda pairs: [[float(re), float(im)] for re, im in pairs]), None, PROBED),
+    Field("probe.family", one_of("symmetric", "coherent"), "symmetric", PROBED),
+    Field("servo.gain", number(">", 0, 2), 0.5, SIMULATED),
+    Field("servo.estimator", one_of("linear", "arcsine"), "linear", SIMULATED),
+    Field("sim.T", number(">", 0), REQUIRED, SIMULATED),
+    Field("sim.n_steps", integer(2), REQUIRED, SIMULATED),
+    Field("sim.n_runs", integer(2), REQUIRED, SIMULATED),
+    Field("seeds", Check(lambda v: isinstance(v, list) and len(v) == 1 and _is_int(v[0])
+                         and v[0] >= 0, "a list with exactly one unsigned integer (master seed)"),
+          [0], MODES),
+    Field("out", Check(lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+          None, MODES),
+    Field("dim_cap", integer(2), 20_000, MODES),
 )
 
 
 def _apply_fields(doc: dict, mode: str, errors: list[str]) -> tuple[dict, set]:
     """Check doc against the FIELDS of one mode.
 
-    Returns the valid or defaulted values by path, and the paths the config
-    gave.  Every problem is appended to errors.
+    Returns the accepted (typed) or defaulted values by path, and the paths
+    the config gave.  Every problem is appended to errors.
     """
     blocks: dict[str, list[Field]] = {}
     for f in FIELDS:
@@ -196,23 +201,19 @@ def _apply_fields(doc: dict, mode: str, errors: list[str]) -> tuple[dict, set]:
                     errors.append(f"{f.path}: missing")
                 else:
                     values[f.path] = f.default
-            elif f.check(source[key]):
-                values[f.path] = source[key]
+            elif f.check.accepts(source[key]):
+                values[f.path] = f.check.read(source[key])
                 given.add(f.path)
             else:
-                errors.append(f"{f.path}: must be {f.what}, got {source[key]!r}")
+                errors.append(f"{f.path}: must be {f.check.what}, got {source[key]!r}")
     return values, given
 
 
 def _tau_grid(td: Any, errors: list[str]) -> Optional[np.ndarray]:
     """The tau list, or the grid of a {start, stop, points, spacing} range."""
-    before = len(errors)
     if isinstance(td, list):
-        if not td:
-            errors.append("tau: must be a non-empty list")
-        elif not all(_is_number(t) and t > 0 for t in td):
-            errors.append("tau: every entry must be a number > 0")
-        return np.asarray([float(t) for t in td]) if len(errors) == before else None
+        return np.asarray([float(t) for t in td])
+    before = len(errors)
     errors += [f"tau.{key}: unknown key" for key in td
                if key not in ("start", "stop", "points", "spacing")]
     start, stop, points = td.get("start"), td.get("stop"), td.get("points")
@@ -241,22 +242,19 @@ def validate(
 
     Raises CliConfigError listing every problem found (field paths included).
     """
-    errors: list[str] = []
-    err = errors.append
-
     if not isinstance(doc, dict):
         raise CliConfigError(["config: top level must be a JSON object"])
-
     mode = doc.get("mode", mode_override)
     if mode is None:
-        err("mode: missing (give it in the config or on the command line)")
-    elif mode not in MODES:
-        err(f"mode: must be one of {', '.join(MODES)}; got {mode!r}")
-    elif mode_override is not None and "mode" in doc and doc["mode"] != mode_override:
-        err(f"mode: config says {doc['mode']!r} but command line says {mode_override!r}")
-    if errors:
-        raise CliConfigError(errors)
+        raise CliConfigError(["mode: missing (give it in the config or on the command line)"])
+    if mode not in MODES:
+        raise CliConfigError([f"mode: must be one of {', '.join(MODES)}; got {mode!r}"])
+    if mode_override is not None and mode != mode_override:
+        raise CliConfigError(
+            [f"mode: config says {doc['mode']!r} but command line says {mode_override!r}"])
 
+    errors: list[str] = []
+    err = errors.append
     values, given = _apply_fields(doc, mode, errors)
     taus = _tau_grid(values["tau"], errors) if "tau" in values else None
 
@@ -264,11 +262,11 @@ def validate(
     want = OPT_KINDS if mode == "optimize" else FIXED_KINDS
     if kind is not None and kind not in want:
         err(f"probe.kind: must be one of {', '.join(want)} in mode {mode}; got {kind!r}")
-    amps = None
+    atoms, amps = values.get("atoms", 0), None
     if "probe.amplitudes" in given and kind != "amplitudes":
         err("probe.amplitudes: only allowed with kind 'amplitudes'")
     elif kind == "amplitudes" and "probe.amplitudes" in values:
-        pairs, atoms = values["probe.amplitudes"], values.get("atoms")
+        pairs = values["probe.amplitudes"]
         if pairs is None or (atoms and len(pairs) != atoms + 1):
             err("probe.amplitudes: must be a list of atoms+1 [re, im] pairs")
         else:
@@ -278,48 +276,56 @@ def validate(
     if "probe.family" in given and kind != "optimize-product":
         err("probe.family: only allowed with kind 'optimize-product'")
 
-    sim_T = float(values.get("sim.T", 0.0))
-    if sim_T > 0 and taus is not None:
+    sim_T, n_steps = values.get("sim.T"), values.get("sim.n_steps")
+    if sim_T is not None and taus is not None:
         for t in taus:
             try:
-                layout_k(t, sim_T)
+                k = layout_k(t, sim_T)
             except ValueError:
                 err(f"tau: {t} is not a positive integer multiple of sim.T={sim_T}")
+                continue
+            if n_steps is not None and 2 * k > n_steps:
+                err(f"tau: {t} needs 2k = {2 * k} steps, more than sim.n_steps={n_steps}")
 
     if seed_override is not None and seed_override < 0:
         err("--seed: must be >= 0")
     if errors:
         raise CliConfigError(errors)
 
-    noise = (values[f"noise.{key}"] for key in ("alpha", "beta", "gamma", "omega0"))
-    servo = ServoConfig()
-    if mode in SIMULATED:
-        servo = ServoConfig(float(values["servo.gain"]), values["servo.estimator"])
+    seed = values["seeds"][0] if seed_override is None else seed_override
+    resolved: dict[str, Any] = {"mode": mode}
+    for path, value in values.items():
+        head, _, key = path.rpartition(".")
+        if value is not None:
+            (resolved.setdefault(head, {}) if head else resolved)[key] = value
+    resolved.update(tau=[float(t) for t in taus], seeds=[seed])
+    resolved.pop("out", None)
+    if kind != "optimize-product":
+        resolved.get("probe", {}).pop("family", None)
+
+    probe = kind
+    if kind == "amplitudes":
+        probe = SymmetricState(n_atoms=atoms, amplitudes=amps)
+    elif kind in ("plus", "ghz"):
+        probe = (plus_step_state if kind == "plus" else ghz_step_state)(atoms)
+    noise = NoiseParams(**resolved["noise"])
+    sim = (SimConfig(noise, atoms, sim_T, n_steps, ServoConfig(**resolved["servo"]))
+           if mode in SIMULATED else None)
     return RunConfig(
         mode=mode,
-        noise=NoiseParams(*map(float, noise)),
+        resolved=resolved,
+        noise=noise,
         taus=taus,
-        atoms=values.get("atoms", 0),
-        k_max=values.get("k_max", 0),
-        probe_kind=values.get("probe.kind", ""),
-        probe_amplitudes=amps,
-        probe_family=values.get("probe.family", "symmetric"),
-        servo=servo,
-        sim_T=sim_T,
-        n_steps=values.get("sim.n_steps", 0),
-        n_runs=values.get("sim.n_runs", 0),
-        seed=values["seeds"][0] if seed_override is None else seed_override,
+        seed=seed,
         out=out_override if out_override is not None else values["out"] or f"{mode}.csv",
         dim_cap=values["dim_cap"],
+        atoms=atoms,
+        k_max=values.get("k_max", 0),
+        probe=probe,
+        probe_family=values.get("probe.family"),
+        sim=sim,
+        n_runs=values.get("sim.n_runs", 0),
     )
-
-
-def _fixed_probe(cfg: RunConfig) -> SymmetricState:
-    if cfg.probe_kind == "plus":
-        return plus_step_state(cfg.atoms)
-    if cfg.probe_kind == "ghz":
-        return ghz_step_state(cfg.atoms)
-    return SymmetricState(n_atoms=cfg.atoms, amplitudes=cfg.probe_amplitudes)
 
 
 def _fmt(value: Any) -> str:
@@ -339,114 +345,72 @@ def _fmt_state(state: np.ndarray) -> str:
     return ";".join(f"{float(a.real)!r}:{float(a.imag)!r}" for a in state)
 
 
-def _map_tasks(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _rows_lo_avar(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    header = ["tau", "sigma2_lo", "status"]
-    rows = [
-        [_fmt(float(t)), _fmt(float(free_lo_avar(cfg.noise, float(t)))), "ok"]
-        for t in cfg.taus
-    ]
-    return header, rows
+    rows = [[_fmt(t), _fmt(free_lo_avar(cfg.noise, t)), "ok"] for t in map(float, cfg.taus)]
+    return ["tau", "sigma2_lo", "status"], rows
 
 
-def _rows_bound(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    header = ["tau", "k", "T", "sigma2_lo", "sigma2_q", "c_running", "seed", "status"]
-    probe = _fixed_probe(cfg)
-    w0sq = cfg.noise.omega0**2
-
-    def one(tau: float) -> list[str]:
-        try:
-            scan = optimize_interrogation(
-                cfg.noise, cfg.atoms, tau, cfg.k_max,
-                probe=probe, dim_cap=cfg.dim_cap,
-            )
-        except DimensionCapError as exc:
-            return [_fmt(tau), "", "", "", "", "", _fmt(cfg.seed), f"skipped: {exc}"]
-        c = scan.sigma2_q * w0sq * tau
-        return [
-            _fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
-            _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(c),
-            _fmt(cfg.seed), "ok",
-        ]
-
-    rows = _map_tasks(one, [float(t) for t in sorted(cfg.taus)], threads)
-    return header, rows
-
-
-def _rows_optimize(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    header = ["tau", "k", "T", "sigma2_lo", "sigma2_q", "c_running",
-              "iterations", "converged", "state", "seed", "status"]
+def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
+    """bound and optimize: one k sweep per tau; optimize adds what the
+    optimizer reports on the best k."""
+    optimized = cfg.mode == "optimize"
+    header = (["tau", "k", "T", "sigma2_lo", "sigma2_q", "c_running"]
+              + (["iterations", "converged", "state"] if optimized else [])
+              + ["seed", "status"])
     w0sq = cfg.noise.omega0**2
     taus = [float(t) for t in sorted(cfg.taus)]
     child_seeds = np.random.SeedSequence(cfg.seed).spawn(len(taus))
 
-    def one(item) -> list[str]:
-        i, tau = item
-        seed_i = int(child_seeds[i].generate_state(1)[0])
+    def one(i: int) -> list[str]:
+        tau = taus[i]
         try:
             scan = optimize_interrogation(
                 cfg.noise, cfg.atoms, tau, cfg.k_max,
-                probe=cfg.probe_kind, dim_cap=cfg.dim_cap,
-                seed=seed_i, family=cfg.probe_family,
+                probe=cfg.probe, dim_cap=cfg.dim_cap,
+                seed=int(child_seeds[i].generate_state(1)[0]), family=cfg.probe_family,
             )
         except DimensionCapError as exc:
-            return [_fmt(tau)] + [""] * 8 + [f"skipped: {exc}"]
-        best = min(scan.evaluations, key=lambda e: e.sigma2_q)
-        rep = best.report
-        c = scan.sigma2_q * w0sq * tau
-        return [
-            _fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
-            _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(c),
-            _fmt(rep.iterations if rep else 0),
-            _fmt(bool(rep.converged) if rep else False),
-            _fmt_state(rep.state) if rep is not None else "",
-            _fmt(cfg.seed), "ok",
-        ]
+            return [_fmt(tau)] + [""] * (len(header) - 3) + [_fmt(cfg.seed), f"skipped: {exc}"]
+        row = [_fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
+               _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * tau)]
+        if optimized:
+            rep = min(scan.evaluations, key=lambda e: e.sigma2_q).report
+            row += [_fmt(rep.n_evals), _fmt(rep.converged), _fmt_state(rep.state)]
+        return row + [_fmt(cfg.seed), "ok"]
 
-    rows = _map_tasks(one, list(enumerate(taus)), threads)
-    return header, rows
-
-
-def _sim_config(cfg: RunConfig) -> SimConfig:
-    return SimConfig(noise=cfg.noise, n_atoms=cfg.atoms, T=cfg.sim_T,
-                     n_steps=cfg.n_steps, servo=cfg.servo)
+    if threads <= 1 or len(taus) <= 1:
+        return header, [one(i) for i in range(len(taus))]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return header, list(pool.map(one, range(len(taus))))
 
 
 def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
     header = ["tau", "k", "T", "avar", "stderr", "n_pairs", "n_runs", "seed", "status"]
     taus = sorted(float(t) for t in cfg.taus)
     rows = [
-        [_fmt(r.tau), _fmt(r.k), _fmt(cfg.sim_T), _fmt(r.avar), _fmt(r.stderr),
+        [_fmt(r.tau), _fmt(r.k), _fmt(cfg.sim.T), _fmt(r.avar), _fmt(r.stderr),
          _fmt(r.n_pairs), _fmt(cfg.n_runs), _fmt(cfg.seed), "ok"]
-        for r in ensemble_avar(_sim_config(cfg), taus, cfg.n_runs, cfg.seed)
+        for r in ensemble_avar(cfg.sim, taus, cfg.n_runs, cfg.seed)
     ]
     return header, rows
 
 
 def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    header = ["tau", "k", "T", "avar", "stderr", "sigma2_q", "violation",
-              "seed", "status"]
+    header = ["tau", "k", "T", "avar", "stderr", "sigma2_q", "violation", "seed", "status"]
     taus = sorted(float(t) for t in cfg.taus)
     rows = {}
     for t in taus:
-        k = layout_k(t, cfg.sim_T)
+        k = layout_k(t, cfg.sim.T)
         try:
             joint_dim(cfg.atoms, k, cfg.dim_cap)
         except DimensionCapError as exc:
-            rows[t] = [_fmt(t), _fmt(k), _fmt(cfg.sim_T), "", "", "", "", _fmt(cfg.seed),
+            rows[t] = [_fmt(t), _fmt(k), _fmt(cfg.sim.T), "", "", "", "", _fmt(cfg.seed),
                        f"skipped: {exc}"]
     ok_taus = [t for t in taus if t not in rows]
     if ok_taus:
-        for r in bound_check(_sim_config(cfg), _fixed_probe(cfg), ok_taus,
-                             cfg.n_runs, cfg.seed, dim_cap=cfg.dim_cap):
+        for r in bound_check(cfg.sim, cfg.probe, ok_taus, cfg.n_runs, cfg.seed, cfg.dim_cap):
             rows[r.tau] = [
-                _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim_T), _fmt(r.avar),
+                _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim.T), _fmt(r.avar),
                 _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
                 _fmt(cfg.seed), "ok",
             ]
@@ -457,8 +421,8 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
     """Execute a validated run and write the CSV. Returns the exit code."""
     dispatch = {
         "lo-avar": _rows_lo_avar,
-        "bound": _rows_bound,
-        "optimize": _rows_optimize,
+        "bound": _rows_scan,
+        "optimize": _rows_scan,
         "simulate": _rows_simulate,
         "bound-check": _rows_bound_check,
     }
@@ -468,12 +432,10 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    for row in rows:
-        for tok in row:
-            if tok in ("nan", "inf", "-inf"):
-                print(f"numerical failure: non-finite value in output row {row}",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
+    bad = [row for row in rows if {"nan", "inf", "-inf"} & set(row)]
+    if bad:
+        print(f"numerical failure: non-finite value in output row {bad[0]}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     canonical = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
@@ -483,13 +445,11 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
         f"# seed {cfg.seed}",
         ",".join(header),
     ]
-    for row in rows:
-        lines.append(",".join(_csv_escape(tok) for tok in row))
+    lines += [",".join(_csv_escape(tok) for tok in row) for row in rows]
     with open(cfg.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    n_ok = sum(1 for row in rows if row[-1] == "ok")
-    if rows and n_ok == 0:
+    if rows and all(row[-1] != "ok" for row in rows):
         print(f"all {len(rows)} rows skipped by the dimension cap", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK

@@ -231,12 +231,17 @@ def ensemble_avar(
     """Overlapping Allan variance of n_runs independent clocks, per tau.
 
     Run r draws its noise from child r of SeedSequence(seed); each tau must
-    be an integer multiple of config.T.  A row holds the mean over runs and
-    its standard error, std(ddof=1) / sqrt(n_runs).
+    be an integer multiple k of config.T with 2k <= config.n_steps, which is
+    checked before any run.  A row holds the mean over runs and its standard
+    error, std(ddof=1) / sqrt(n_runs).
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
     ks = [layout_k(tau, config.T) for tau in taus]
+    for tau, k in zip(taus, ks):
+        if 2 * k > config.n_steps:
+            raise ValueError(f"tau={tau} needs 2k = {2 * k} steps, more than "
+                             f"n_steps={config.n_steps}")
     per_run = np.empty((len(ks), n_runs))
     n_pairs = [0] * len(ks)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):

@@ -33,7 +33,6 @@ __all__ = [
     "cross_kernel",
     "free_lo_avar",
     "kernel_set",
-    "sample_joint",
     "gen_trace",
 ]
 
@@ -191,43 +190,6 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
     return KernelSet(
         K=2 * k - 1, G=G, H=H, sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
     )
-
-
-def sample_joint(
-    params: NoiseParams, T: float, k: int, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n_samples exact joint samples of (theta_1..theta_K, w).
-
-    Uses the eigendecomposition of the bordered covariance
-    [[G, H], [H^T, w_var]]; a minimum eigenvalue below -1e-10 relative to the
-    largest signals an inconsistent kernel implementation and raises.
-
-    Returns
-    -------
-    theta : (n_samples, K) array, w : (n_samples,) array.
-    """
-    n = n_samples
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n}")
-    kernels = kernel_set(params, T, k)
-    K = kernels.K
-    cov = np.empty((K + 1, K + 1))
-    cov[:K, :K] = kernels.G
-    cov[:K, K] = kernels.H
-    cov[K, :K] = kernels.H
-    cov[K, K] = kernels.w_var
-    evals, evecs = np.linalg.eigh(cov)
-    scale = max(evals[-1], 0.0)
-    if evals[0] < -1e-10 * max(scale, 1.0):
-        raise ValueError(
-            f"joint covariance not PSD (min eigenvalue {evals[0]:.3e}); "
-            "kernel implementation inconsistent"
-        )
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, K + 1))
-    samples = z @ factor.T
-    return samples[:, :K], samples[:, K]
 
 
 def gen_trace(

@@ -71,9 +71,8 @@ class OptimizeReport:
     state: np.ndarray
     kind: str
     history: list[float]
-    iterations: int
     converged: bool
-    n_evals: int = 0
+    n_evals: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,6 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
         state=psi,
         kind="joint",
         history=history,
-        iterations=len(history),
         converged=converged,
         n_evals=len(history),
     )
@@ -273,8 +271,7 @@ def optimize_product_state(
                     _chart_from_amps(best["amps"], N))
     return OptimizeReport(
         sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
-        history=history, iterations=len(history), converged=all(runs_ok),
-        n_evals=len(history),
+        history=history, converged=all(runs_ok), n_evals=len(history),
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from bound_reference import rho_bar, rho_prime, support_projector
+from mc_reference import mc_oracle
 from qavar import (
     BoundWorkspace,
     JointProbe,
@@ -34,7 +35,6 @@ from qavar import (
     free_lo_avar,
     gen_trace,
     ghz_step_state,
-    mc_oracle,
     optimize_joint_state,
     plus_step_state,
     product_pure,

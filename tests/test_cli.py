@@ -1,7 +1,10 @@
 """CLI: config validation, CSV output, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from qavar.noise import NoiseParams, free_lo_avar
 NOISE = {"alpha": 2.0, "beta": 0.4, "gamma": 0.5, "omega0": 3.25e15}
 PAR = NoiseParams(**NOISE)
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 GOLDEN = Path(__file__).parent / "golden"
 SIM = {"T": 0.5, "n_steps": 400, "n_runs": 2}
@@ -26,6 +30,12 @@ MINIMAL = {
     "bound-check": {"noise": NOISE, "tau": [0.5], "atoms": 1, "sim": SIM,
                     "probe": {"kind": "amplitudes", "amplitudes": [[0.6, 0.0], [0.0, 0.8]]}},
 }
+
+
+def config_hash(cfg):
+    """The digest run() writes on the '# config-hash' line."""
+    canonical = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -90,7 +100,7 @@ class TestValidation:
         s = np.sqrt(0.5)
         cfg = cli.validate(dict(base, probe={"kind": "amplitudes",
                                              "amplitudes": [[s, 0.0], [0.0, s]]}))
-        assert cfg.probe_amplitudes[1] == pytest.approx(1j * s)
+        assert cfg.probe.amplitudes[1] == pytest.approx(1j * s)
 
     def test_tau_forms(self):
         base = {"mode": "lo-avar", "noise": NOISE}
@@ -111,12 +121,23 @@ class TestValidation:
         with pytest.raises(cli.CliConfigError, match="multiple"):
             cli.validate(doc)
 
+    @pytest.mark.parametrize("mode", ["simulate", "bound-check"])
+    def test_tau_needing_more_than_n_steps_is_a_config_error(self, tmp_path, capsys, mode):
+        doc = {"noise": NOISE, "tau": [0.5, 30.0], "atoms": 1, "probe": {"kind": "plus"},
+               "sim": {"T": 0.5, "n_steps": 100, "n_runs": 2}}
+        if mode == "simulate":
+            del doc["probe"]
+        code, out = run_cli(tmp_path, doc, mode)
+        assert code == 2 and not out.exists()
+        assert ("config error: tau: 30.0 needs 2k = 120 steps, more than sim.n_steps=100"
+                in capsys.readouterr().err)
+
     def test_defaults_pinned(self):
         doc = {"mode": "simulate", "noise": NOISE, "tau": [1.0], "atoms": 1,
                "sim": {"T": 0.5, "n_steps": 100, "n_runs": 2}}
         cfg = cli.validate(doc)
-        assert cfg.servo.gain == 0.5
-        assert cfg.servo.estimator == "linear"
+        assert cfg.sim.servo.gain == 0.5
+        assert cfg.sim.servo.estimator == "linear"
         assert cfg.out == "simulate.csv"
         assert cfg.dim_cap == 20_000
         assert cfg.seed == 0
@@ -145,6 +166,49 @@ class TestSchemaMatchesCanonical:
     def test_minimal_config_per_mode(self, mode):
         cfg = cli.validate(MINIMAL[mode], mode_override=mode)
         assert cli.validate(cfg.canonical()).canonical() == cfg.canonical()
+
+
+class TestConfigHash:
+    """Digests of resolved configs, pinned so that a change to how the config
+    is resolved cannot move the '# config-hash' line unnoticed."""
+
+    MINIMAL_DIGESTS = {
+        "bound": "f1643eb80da0ca3403074489ebbbbb9b09a0557b5f3f61cf54a7c3ea477ec16f",
+        "optimize": "3100fa2176f9be2c3e45cfb234a8dd7d89989613555093466a6f03605c7f7b21",
+        "simulate": "900653f14ea6ad57697a63913d1855d90775bb375b1423a3ea9503a3e9a6066a",
+        "lo-avar": "e1fe87bff5a42510d00b54261c1ce242e7bb25c1aa95f04358da26daef62d95d",
+        "bound-check": "3e3bcec7c261781fb60a295e8c0055d3bf224c1d280250c8d4130eb66f4892f7",
+    }
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_minimal_config_digest(self, mode):
+        cfg = cli.validate(MINIMAL[mode], mode_override=mode)
+        assert config_hash(cfg) == self.MINIMAL_DIGESTS[mode]
+
+    def test_optimize_product_digest(self):
+        cfg = cli.validate(json.loads((CONFIG_DIR / "optimize_product.json").read_text()))
+        assert config_hash(cfg) == (
+            "d6abc87e0f009030f7dcf8aec3a7ce1a7551c91ad8a79e889b9c4cfa593ea711")
+
+    def test_integer_spellings_hash_like_floats(self):
+        ints = dict(MINIMAL["simulate"], noise=dict(NOISE, alpha=2), tau=[1],
+                    servo={"gain": 1})
+        floats = dict(MINIMAL["simulate"], noise=dict(NOISE, alpha=2.0), tau=[1.0],
+                      servo={"gain": 1.0})
+        a, b = (cli.validate(doc, mode_override="simulate") for doc in (ints, floats))
+        assert a.canonical() == b.canonical()
+        assert config_hash(a) == config_hash(b) == (
+            "df6a620a7307ff2a54e72dc05c4c00a3597beb5b403986f61b255f3d10709f66")
+
+
+class TestReadmeConfigTable:
+    def test_every_field_has_a_row(self):
+        text = README.read_text()
+        lines = text[text.index("| key | accepted values |"):].splitlines()
+        rows = list(takewhile(lambda line: line.startswith("|"), lines))[2:]
+        keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert {f.path for f in cli.FIELDS} <= keys
+        assert keys - {f.path for f in cli.FIELDS} == {"mode"}
 
 
 class TestLoAvarMode:
@@ -237,6 +301,17 @@ class TestOptimizeMode:
         assert ":" in state and ";" in state
         assert row[header.index("converged")] in ("true", "false")
 
+    def test_skipped_row_has_every_column(self, tmp_path):
+        # like bound, a skipped tau keeps the seed and status columns
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 2, "k_max": 2,
+               "probe": {"kind": "optimize-product"}, "dim_cap": 2, "seeds": [4]}
+        code, out = run_cli(tmp_path, doc, "optimize")
+        assert code == 3
+        (row,) = csv_rows(out)
+        assert None not in row.values()
+        assert row["seed"] == "4"
+        assert row["status"] == "skipped: no k in 1..2 fits dimension cap 2 for N=2"
+
 
 class TestSimulateAndCheckModes:
     def test_simulate_runs(self, tmp_path):
@@ -292,11 +367,12 @@ class TestGoldenCsv:
     """CLI output on configs/ against committed files, token by token.
 
     Only sigma2_q, which comes out of an eigensolve whose last bits may vary
-    with the LAPACK build, compares at rtol 1e-12.  A change that means to
-    move these bytes regenerates the file and says why.
+    with the LAPACK build, and c_running, which is computed from it, compare
+    at rtol 1e-12.  A change that means to move these bytes regenerates the
+    file and says why.
     """
 
-    @pytest.mark.parametrize("name", ["simulate", "bound_check", "lo_avar"])
+    @pytest.mark.parametrize("name", ["simulate", "bound_check", "lo_avar", "bound_plus"])
     def test_matches_golden(self, tmp_path, name):
         config = CONFIG_DIR / f"{name}.json"
         out = tmp_path / f"{name}.csv"
@@ -312,7 +388,7 @@ class TestGoldenCsv:
             pairs = list(zip(header, got_row.split(","), want_row.split(",")))
             assert len(pairs) == len(header) == got_row.count(",") + 1
             for column, g, w in pairs:
-                if column == "sigma2_q":
+                if column in ("sigma2_q", "c_running"):
                     assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
                 else:
                     assert g == w, (column, got_row)

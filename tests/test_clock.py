@@ -170,6 +170,19 @@ class TestEnsembleAvar:
         with pytest.raises(ValueError, match="multiple"):
             ensemble_avar(cfg, [0.5, 0.7], n_runs=2, seed=0)
 
+    def test_tau_longer_than_half_the_run_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qavar.clock.simulate_clock", lambda *a: calls.append(a))
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
+        with pytest.raises(ValueError, match="tau=30.0 needs 2k = 120 steps"):
+            ensemble_avar(cfg, [0.5, 30.0], n_runs=2, seed=0)
+        assert calls == []
+
+    def test_tau_of_half_the_run_accepted(self):
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
+        (row,) = ensemble_avar(cfg, [25.0], n_runs=2, seed=0)
+        assert (row.k, row.n_pairs) == (50, 2)
+
 
 class TestBoundCheck:
     def test_no_violation_in_small_config(self):

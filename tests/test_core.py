@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bound_reference import cost_functional, eigen_sum, rho_bar, rho_prime, support_projector
+from mc_reference import mc_oracle
 from qavar.core import (
     BoundWorkspace,
     JointProbe,
@@ -17,7 +18,6 @@ from qavar.core import (
     dephasing_weights,
     joint_dim,
     layout_k,
-    mc_oracle,
     qavar,
 )
 from qavar.hilbert import ghz_step_state, plus_step_state, product_pure

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from mc_reference import sample_joint
 from qavar.noise import (
     NoiseParams,
     block_kernel,
@@ -20,7 +21,6 @@ from qavar.noise import (
     free_lo_avar,
     gen_trace,
     kernel_set,
-    sample_joint,
 )
 
 PAR = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
