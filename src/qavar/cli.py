@@ -407,13 +407,12 @@ def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[lis
             rows[t] = [_fmt(t), _fmt(k), _fmt(cfg.sim.T), "", "", "", "", _fmt(cfg.seed),
                        f"skipped: {exc}"]
     ok_taus = [t for t in taus if t not in rows]
-    if ok_taus:
-        for r in bound_check(cfg.sim, cfg.probe, ok_taus, cfg.n_runs, cfg.seed, cfg.dim_cap):
-            rows[r.tau] = [
-                _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim.T), _fmt(r.avar),
-                _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
-                _fmt(cfg.seed), "ok",
-            ]
+    for r in bound_check(cfg.sim, cfg.probe, ok_taus, cfg.n_runs, cfg.seed, cfg.dim_cap):
+        rows[r.tau] = [
+            _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim.T), _fmt(r.avar),
+            _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
+            _fmt(cfg.seed), "ok",
+        ]
     return header, [rows[t] for t in taus]
 
 

@@ -237,6 +237,8 @@ def ensemble_avar(
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
+    if len(taus) == 0:
+        return ()
     ks = [layout_k(tau, config.T) for tau in taus]
     for tau, k in zip(taus, ks):
         if 2 * k > config.n_steps:

@@ -131,6 +131,34 @@ class Scenario:
     def dim(self) -> int:
         return joint_dim(self.n_atoms, self.k)
 
+    def joint_input(self) -> np.ndarray:
+        """The checked joint input: a pure vector (D,) or a density (D, D)."""
+        dim = self.dim
+        probe = self.probe
+        if isinstance(probe, ProductProbe):
+            if probe.state.n_atoms != self.n_atoms:
+                raise ValueError(
+                    f"probe has {probe.state.n_atoms} atoms, scenario {self.n_atoms}"
+                )
+            return product_pure(probe.state, self.n_steps)
+        if probe.vector is not None:
+            v = np.asarray(probe.vector).reshape(-1)
+            if v.shape != (dim,):
+                raise ValueError(f"joint vector length {v.shape[0]}, expected {dim}")
+            nrm = np.linalg.norm(v)
+            if abs(nrm - 1.0) > 1e-10:
+                raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
+            return v
+        m = np.asarray(probe.density)
+        if m.shape != (dim, dim):
+            raise ValueError(f"joint density shape {m.shape}, expected {(dim, dim)}")
+        scale = max(1.0, float(np.abs(m).max()))
+        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
+            raise ValueError("joint density is not Hermitian")
+        if abs(np.trace(m).real - 1.0) > 1e-10:
+            raise ValueError(f"joint density trace {np.trace(m).real!r}, expected 1")
+        return m
+
 
 @dataclass(frozen=True)
 class QavarResult:
@@ -154,35 +182,6 @@ def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
     s = np.einsum("dk,dk->d", A, M)
     quad = s[:, None] + s[None, :] - 2.0 * (M @ A.T)
     return np.exp(-0.5 * quad)
-
-
-def _joint_input(scenario: Scenario) -> np.ndarray:
-    """The scenario's joint input: a pure vector (D,) or a density (D, D)."""
-    dim = scenario.dim
-    probe = scenario.probe
-    if isinstance(probe, ProductProbe):
-        if probe.state.n_atoms != scenario.n_atoms:
-            raise ValueError(
-                f"probe has {probe.state.n_atoms} atoms, scenario {scenario.n_atoms}"
-            )
-        return product_pure(probe.state, scenario.n_steps)
-    if probe.vector is not None:
-        v = np.asarray(probe.vector, dtype=complex).reshape(-1)
-        if v.shape != (dim,):
-            raise ValueError(f"joint vector length {v.shape[0]}, expected {dim}")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
-        return v
-    m = np.asarray(probe.density, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"joint density shape {m.shape}, expected {(dim, dim)}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-        raise ValueError("joint density is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-10:
-        raise ValueError(f"joint density trace {np.trace(m).real!r}, expected 1")
-    return m
 
 
 class BoundWorkspace:
@@ -224,9 +223,12 @@ class BoundWorkspace:
         lam_r + lam_s and each SLD entry by 2 |U~_rs|, so no cut-off is needed.
         The correction's roundoff is absolute, of order eps * sigma2_lo, so
         sigma2_q is exact to roundoff even where the correction is tiny.
-        Real inputs stay on the real LAPACK path.
+        A complex input whose imaginary part is all zero is taken as real,
+        before the outer product, so real inputs stay on the real LAPACK path.
         """
         rho_in = np.asarray(rho_in)
+        if np.iscomplexobj(rho_in) and not np.any(rho_in.imag):
+            rho_in = rho_in.real
         if rho_in.ndim == 1:
             rho_in = np.outer(rho_in, rho_in.conj())
         if rho_in.shape != (self.dim, self.dim):
@@ -258,4 +260,4 @@ def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:
     difference sigma2_q, and optionally the optimal L operator.
     """
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    return ws.evaluate(_joint_input(scenario), want_sld=want_sld)
+    return ws.evaluate(scenario.joint_input(), want_sld=want_sld)

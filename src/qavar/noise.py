@@ -201,13 +201,12 @@ def gen_trace(
 ) -> np.ndarray:
     """Generate a discrete LO frequency-noise trace (rad/s), simulator use only.
 
-    Samples represent bin averages over consecutive intervals of length dt.
-
     kind
-        "white" : intensity params.beta; bin average ~ N(0, beta/dt),
-                  exact at any dt.
-        "ou"    : params.alpha/params.gamma; exact stationary AR(1)
-                  discretization of the OU process.
+        "white" : intensity params.beta; sample i is the bin average over
+                  [i dt, (i+1) dt], ~ N(0, beta/dt), exact at any dt.
+        "ou"    : params.alpha/params.gamma; sample i is the OU value at
+                  time i dt (a point sample, variance alpha), drawn by the
+                  exact stationary AR(1) chain with lag-1 factor exp(-gamma dt).
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")

@@ -21,7 +21,6 @@ over a tau grid with warm starts, and `extrapolate_long_term` reads off the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,7 +29,6 @@ from scipy.optimize import minimize
 from .core import (
     BoundWorkspace,
     DimensionCapError,
-    JointProbe,
     ProductProbe,
     Scenario,
     joint_dim,
@@ -107,49 +105,37 @@ class PlateauFit:
 
 
 def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
-    """Hermitian A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo.
+    """A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo.
 
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
     + Tr(L^2 rho_bar)/(2 omega0^2) is jointly convex and equals sigma2_q at
     the SLD.  With W the dephasing weights and U = diag(u), u_a = a^T H:
 
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
+
+    A_L is Hermitian to roundoff; `hilbert.eigh` checks and symmetrizes it.
     """
     w0sq = workspace.noise.omega0**2
     W = workspace.weights
     u = workspace.u
-    A = W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
-    scale = max(np.abs(A).max(), 1.0)
-    herm_defect = np.abs(A - A.conj().T).max()
-    if herm_defect > 1e-10 * scale:
-        raise ValueError(f"cost operator not Hermitian (defect {herm_defect:.3e})")
-    return 0.5 * (A + A.conj().T)
-
-
-def _initial_joint_vector(
-    scenario: Scenario, rng: np.random.Generator
-) -> np.ndarray:
-    probe = scenario.probe
-    if isinstance(probe, ProductProbe):
-        return product_pure(probe.state, scenario.n_steps)
-    if isinstance(probe, JointProbe) and probe.vector is not None:
-        v = np.asarray(probe.vector, dtype=complex).reshape(-1)
-        return v / np.linalg.norm(v)
-    v = rng.standard_normal(scenario.dim) + 1j * rng.standard_normal(scenario.dim)
-    return v / np.linalg.norm(v)
+    return W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
 
 
 def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     """See-saw minimization over arbitrary joint input states.
 
-    The scenario's probe seeds the iteration (random pure state if it is not
-    usable as a vector).  Convergence is declared when sigma2_q changes by
+    The scenario's checked joint input seeds the iteration; a density probe
+    gives no pure state, so it starts from a random one drawn from `seed`.
+    A real start stays real.  Convergence is declared when sigma2_q changes by
     less than SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER
     sweeps.
     """
+    psi = scenario.joint_input()
+    if psi.ndim == 2:
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(scenario.dim) + 1j * rng.standard_normal(scenario.dim)
+        psi = psi / np.linalg.norm(psi)
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    rng = np.random.default_rng(seed)
-    psi = _initial_joint_vector(scenario, rng)
     history: list[float] = []
     converged = False
     stop = SEESAW_TOL * max(ws.kernels.sigma2_lo, 1e-300)
@@ -161,7 +147,7 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
             break
         A = cost_operator(res.sld, ws)
         _, V = eigh(A)
-        psi = np.ascontiguousarray(V[:, 0]).astype(complex)
+        psi = np.ascontiguousarray(V[:, 0])
     return OptimizeReport(
         sigma2_q=history[-1],
         state=psi,
@@ -248,14 +234,11 @@ def optimize_product_state(
     runs_ok: list[bool] = []
 
     def eval_amps(amps: np.ndarray) -> float:
-        amps = amps / np.linalg.norm(amps)
-        if np.abs(amps.imag).max() == 0.0:
-            amps = amps.real
-        v = reduce(np.kron, [amps] * ws.n_steps) if ws.n_steps > 1 else amps
-        s2q = ws.evaluate(v).sigma2_q
+        state = SymmetricState(n_atoms=N, amplitudes=amps / np.linalg.norm(amps))
+        s2q = ws.evaluate(product_pure(state, ws.n_steps)).sigma2_q
         if s2q < best["f"]:
             best["f"] = s2q
-            best["amps"] = amps.astype(complex)
+            best["amps"] = state.amplitudes
         history.append(best["f"])
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 

@@ -372,7 +372,9 @@ class TestGoldenCsv:
     file and says why.
     """
 
-    @pytest.mark.parametrize("name", ["simulate", "bound_check", "lo_avar", "bound_plus"])
+    @pytest.mark.parametrize(
+        "name", ["simulate", "bound_check", "lo_avar", "bound_plus", "optimize_product"]
+    )
     def test_matches_golden(self, tmp_path, name):
         config = CONFIG_DIR / f"{name}.json"
         out = tmp_path / f"{name}.csv"

@@ -178,6 +178,13 @@ class TestEnsembleAvar:
             ensemble_avar(cfg, [0.5, 30.0], n_runs=2, seed=0)
         assert calls == []
 
+    def test_no_tau_simulates_no_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qavar.clock.simulate_clock", lambda *a: calls.append(a))
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
+        assert ensemble_avar(cfg, [], n_runs=5, seed=1) == ()
+        assert calls == []
+
     def test_tau_of_half_the_run_accepted(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
         (row,) = ensemble_avar(cfg, [25.0], n_runs=2, seed=0)

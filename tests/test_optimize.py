@@ -5,7 +5,7 @@ import pytest
 
 from bound_reference import cost_functional
 from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar
-from qavar.hilbert import SymmetricState, plus_step_state, product_pure
+from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
     DimensionCapError,
@@ -56,7 +56,8 @@ class TestCostOperator:
     def test_hermitian_output(self):
         ws = BoundWorkspace(PAR, 2, 1, 1.0)
         A = cost_operator(random_hermitian(ws.dim, 5), ws)
-        assert np.allclose(A, A.conj().T)
+        # relative: the entries are ~1/omega0^2, far below allclose's atol
+        assert np.abs(A - A.conj().T).max() <= 1e-12 * np.abs(A).max()
 
 
 class TestSeeSaw:
@@ -86,6 +87,46 @@ class TestSeeSaw:
         re_eval = qavar(Scenario(noise=PAR, n_atoms=1, k=2, T=0.5,
                                  probe=JointProbe(vector=rep.state)))
         assert re_eval.sigma2_q == pytest.approx(rep.sigma2_q, rel=1e-10)
+
+    def test_real_start_stays_real(self, monkeypatch):
+        seen = []
+        evaluate = BoundWorkspace.evaluate
+
+        def spy(ws, rho_in, want_sld=False):
+            seen.append(rho_in.dtype)
+            return evaluate(ws, rho_in, want_sld)
+
+        monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
+        plus = product_pure(plus_step_state(2), 3).real
+        rep = optimize_joint_state(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0,
+                                            probe=JointProbe(vector=plus)))
+        assert len(seen) == rep.n_evals >= 2
+        assert set(seen) == {np.dtype(np.float64)}
+        assert rep.state.dtype == np.float64
+
+    def test_real_and_complex_starts_agree(self):
+        # a per-step phase twist leaves sigma2_q invariant but makes every
+        # iterate complex; both starts must reach the same optimum alike
+        real = optimize_joint_state(plus_scenario(n_atoms=2, k=2, T=1.0))
+        twisted = optimize_joint_state(Scenario(
+            noise=PAR, n_atoms=2, k=2, T=1.0,
+            probe=ProductProbe(coherent_step_state(2, np.pi / 2, np.pi / 3))))
+        assert np.iscomplexobj(twisted.state) and not np.iscomplexobj(real.state)
+        assert twisted.sigma2_q == pytest.approx(real.sigma2_q, rel=1e-10)
+        assert twisted.n_evals == real.n_evals
+
+    @pytest.mark.parametrize("vector, message", [
+        (np.full(26, 1 / np.sqrt(26)), "joint vector length 26, expected 27"),
+        (np.full(27, 0.2), "joint vector not normalized"),
+    ])
+    def test_bad_joint_vector_rejected_before_any_sweep(self, monkeypatch, vector, message):
+        sc = Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=JointProbe(vector=vector))
+        with pytest.raises(ValueError, match=message) as from_qavar:
+            qavar(sc)
+        monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("swept"))
+        with pytest.raises(ValueError) as from_seesaw:
+            optimize_joint_state(sc)
+        assert str(from_seesaw.value) == str(from_qavar.value)
 
 
 class TestProductSearch:
