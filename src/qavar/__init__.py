@@ -12,7 +12,6 @@ from .clock import (
     FrequencyTrace,
     ServoConfig,
     SimConfig,
-    avar_estimate,
     avar_series,
     bound_check,
     ensemble_avar,
@@ -42,8 +41,8 @@ from .noise import (
     block_kernel,
     cross_kernel,
     free_lo_avar,
-    gen_trace,
     kernel_set,
+    lo_phases,
 )
 from .optimize import (
     InterrogationScan,
@@ -62,7 +61,7 @@ __all__ = [
     "__version__",
     # noise
     "NoiseParams", "KernelSet", "block_kernel", "cross_kernel",
-    "free_lo_avar", "kernel_set", "gen_trace",
+    "free_lo_avar", "kernel_set", "lo_phases",
     # hilbert
     "SymmetricState", "multi_index_table", "product_pure", "plus_step_state",
     "coherent_step_state", "ghz_step_state",
@@ -76,6 +75,6 @@ __all__ = [
     "extrapolate_long_term",
     # clock
     "ServoConfig", "SimConfig", "FrequencyTrace", "AvarEstimate", "EnsembleAvar",
-    "BoundCheckRow", "simulate_clock", "avar_series", "avar_estimate",
-    "ensemble_avar", "bound_check",
+    "BoundCheckRow", "simulate_clock", "avar_series", "ensemble_avar",
+    "bound_check",
 ]

@@ -1,8 +1,7 @@
-"""Stochastic Ramsey clock with an integrator servo, and Allan estimators.
+"""Stochastic Ramsey clock with an integrator servo, and its Allan estimator.
 
-Each step of length T accumulates the LO phase theta_i (exact sampling: the
-OU integral and endpoint are jointly Gaussian given the previous endpoint,
-the white part adds an independent N(0, beta T)).  The atoms acquire
+Each step of length T accumulates the LO phase theta_i, drawn exactly by
+`noise.lo_phases`.  The atoms acquire
 phi_i = theta_i - c_i T relative to the current correction c_i, a mid-fringe
 Ramsey measurement returns m ~ Binomial(N, (1 + sin phi)/2), and the servo
 integrates the phase estimate:
@@ -10,8 +9,9 @@ integrates the phase estimate:
     c_{i+1} = c_i + gain * phi_hat_i / T .
 
 The corrected fractional frequency record y_i = theta_i / T - c_i feeds the
-Allan variance estimators, which average k-step blocks and halve the mean
-squared difference of adjacent block means.
+overlapping Allan variance estimator, which averages every run of k
+consecutive steps and halves the mean squared difference of block means k
+steps apart.
 
 `ensemble_avar` is the one n-run ensemble: it runs each clock from its own
 child of SeedSequence(seed) and reduces the traces to the mean overlapping
@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ProductProbe, Scenario, joint_dim, layout_k, qavar
 from .hilbert import SymmetricState, plus_step_state
-from .noise import NoiseParams
+from .noise import NoiseParams, lo_phases
 
 __all__ = [
     "ServoConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "BoundCheckRow",
     "simulate_clock",
     "avar_series",
-    "avar_estimate",
     "ensemble_avar",
     "bound_check",
 ]
@@ -120,34 +119,11 @@ class BoundCheckRow(EnsembleAvar):
     violation: bool
 
 
-def _ou_step_moments(alpha: float, gamma: float, T: float):
-    """Conditional (I, x_end) | x_start moments for one OU window.
-
-    I = int_0^T x dt.  Returns the linear coefficients on x_start and the
-    2x2 conditional covariance factored for sampling.
-    """
-    e = np.exp(-gamma * T)
-    coef_i = (1.0 - e) / gamma
-    coef_x = e
-    if alpha == 0.0:
-        return coef_i, coef_x, 0.0, 0.0, 0.0
-    var_i = (2.0 * alpha / gamma) * (
-        T - 2.0 * (1.0 - e) / gamma + (1.0 - e * e) / (2.0 * gamma)
-    )
-    var_x = alpha * (1.0 - e * e)
-    cov = (alpha / gamma) * (1.0 - e) ** 2
-    a = np.sqrt(max(var_i, 0.0))
-    b = cov / a if a > 0.0 else 0.0
-    c = np.sqrt(max(var_x - b * b, 0.0))
-    return coef_i, coef_x, a, b, c
-
-
 def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     """Run the servo loop for n_steps and return the corrected record.
 
-    Noise sampling is exact (no time discretization): per step the OU phase
-    integral and OU endpoint are drawn from their joint conditional normal,
-    and the white contribution adds N(0, beta T) to the phase.
+    The LO phases come from `lo_phases` on default_rng(seed); the same
+    stream then gives the Ramsey outcomes, one binomial draw per step.
     """
     p = config.noise
     T = config.T
@@ -155,22 +131,15 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     N = config.n_atoms
     servo = config.servo
     rng = np.random.default_rng(seed)
-
-    coef_i, coef_x, a, b, c = _ou_step_moments(p.alpha, p.gamma, T)
-    white_sd = np.sqrt(p.beta * T)
-    z = rng.standard_normal((n, 3))
-    x = np.sqrt(p.alpha) * rng.standard_normal() if p.alpha > 0.0 else 0.0
+    theta = lo_phases(p, T, n, rng)
 
     arcsine = servo.estimator == "arcsine"
     gain_over_t = servo.gain / T
-    y = np.empty(n)
     corrections = np.empty(n)
     outcomes = np.empty(n, dtype=np.int64)
     corr = 0.0
-    for i in range(n):
-        theta = coef_i * x + a * z[i, 0] + white_sd * z[i, 2]
-        x = coef_x * x + b * z[i, 0] + c * z[i, 1]
-        phi = theta - corr * T
+    for i, th in enumerate(theta):
+        phi = th - corr * T
         prob = 0.5 * (1.0 + np.sin(phi))
         m = rng.binomial(N, prob)
         est = 2.0 * m / N - 1.0
@@ -178,25 +147,20 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
             est = np.arcsin(min(1.0, max(-1.0, est)))
         corrections[i] = corr
         outcomes[i] = m
-        y[i] = theta / T - corr
         corr += gain_over_t * est
     return FrequencyTrace(
-        T=T, omega0=p.omega0, y=y, corrections=corrections, outcomes=outcomes
+        T=T, omega0=p.omega0, y=theta / T - corrections, corrections=corrections,
+        outcomes=outcomes,
     )
 
 
-def avar_series(
-    y: np.ndarray,
-    T: float,
-    k: int,
-    omega0: float,
-    overlapping: bool = False,
-) -> AvarEstimate:
-    """Fractional Allan variance of a stepwise frequency record at tau = k T.
+def avar_series(y: np.ndarray, T: float, k: int, omega0: float) -> AvarEstimate:
+    """Overlapping fractional Allan variance of a stepwise frequency record.
 
-    Block means over k consecutive steps; the estimator is the halved mean
-    squared difference of adjacent block means, divided by omega0^2.  The
-    overlapping variant slides the window by one step instead of one block.
+    Block means over k consecutive steps, the window sliding by one step;
+    the estimator is the halved mean squared difference of block means k
+    steps apart, divided by omega0^2, at tau = k T.  n samples give
+    n - 2k + 1 pairs.
     """
     y = np.asarray(y, dtype=float)
     if k < 1:
@@ -204,25 +168,11 @@ def avar_series(
     n = y.size
     if n < 2 * k:
         raise ValueError(f"need at least 2k = {2 * k} samples, got {n}")
-    if overlapping:
-        csum = np.concatenate([[0.0], np.cumsum(y)])
-        block = (csum[k:] - csum[:-k]) / k
-        diffs = block[k:] - block[:-k]
-    else:
-        nwin = n // k
-        block = y[: nwin * k].reshape(nwin, k).mean(axis=1)
-        diffs = np.diff(block)
+    csum = np.concatenate([[0.0], np.cumsum(y)])
+    block = (csum[k:] - csum[:-k]) / k
+    diffs = block[k:] - block[:-k]
     avar = float(np.mean(diffs**2) / (2.0 * omega0**2))
     return AvarEstimate(tau=k * T, avar=avar, n_pairs=int(diffs.size))
-
-
-def avar_estimate(
-    trace: FrequencyTrace,
-    k: int,
-    overlapping: bool = False,
-) -> AvarEstimate:
-    """Allan variance of a simulated trace at tau = k T."""
-    return avar_series(trace.y, trace.T, k, trace.omega0, overlapping=overlapping)
 
 
 def ensemble_avar(
@@ -249,7 +199,7 @@ def ensemble_avar(
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         trace = simulate_clock(config, int(child.generate_state(1)[0]))
         for j, k in enumerate(ks):
-            est = avar_estimate(trace, k, overlapping=True)
+            est = avar_series(trace.y, trace.T, k, trace.omega0)
             per_run[j, r] = est.avar
             n_pairs[j] += est.n_pairs
     return tuple(

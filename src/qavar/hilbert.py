@@ -117,7 +117,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a)
     if np.iscomplexobj(a) and not np.any(a.imag):
         a = a.real
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL * scale:
+    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL * np.abs(a).max():
         raise ValueError("matrix not Hermitian within tolerance")
     return scipy.linalg.eigh(0.5 * (a + a.conj().T), driver="evd")

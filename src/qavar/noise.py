@@ -16,7 +16,8 @@ downstream needs only block integrals of R:
 * ``sigma2_lo(tau)``  the fractional Allan variance of the free-running LO.
 
 The delta part of R is never discretized; it enters each closed form exactly
-(``beta * T`` on G's diagonal, ``±beta/k`` in H).
+(``beta * T`` on G's diagonal, ``±beta/k`` in H).  ``lo_phases`` samples the
+Ramsey phases themselves, exactly, for the clock simulator.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "cross_kernel",
     "free_lo_avar",
     "kernel_set",
-    "gen_trace",
+    "lo_phases",
 ]
 
 
@@ -192,39 +193,47 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
     )
 
 
-def gen_trace(
-    kind: str,
-    params: NoiseParams,
-    dt: float,
-    n: int,
-    seed: int,
-) -> np.ndarray:
-    """Generate a discrete LO frequency-noise trace (rad/s), simulator use only.
+def _ou_step_moments(alpha: float, gamma: float, T: float):
+    """Conditional (I, x_end) | x_start moments for one OU window.
 
-    kind
-        "white" : intensity params.beta; sample i is the bin average over
-                  [i dt, (i+1) dt], ~ N(0, beta/dt), exact at any dt.
-        "ou"    : params.alpha/params.gamma; sample i is the OU value at
-                  time i dt (a point sample, variance alpha), drawn by the
-                  exact stationary AR(1) chain with lag-1 factor exp(-gamma dt).
+    I = int_0^T x dt.  Returns the linear coefficients on x_start and the
+    2x2 conditional covariance factored for sampling.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    if kind == "white":
-        sd = np.sqrt(params.beta / dt)
-        return sd * rng.standard_normal(n)
-    if kind == "ou":
-        if params.alpha == 0.0:
-            return np.zeros(n)
-        a = np.exp(-params.gamma * dt)
-        innov_sd = np.sqrt(params.alpha * (1.0 - a * a))
-        x = np.empty(n)
-        x[0] = np.sqrt(params.alpha) * rng.standard_normal()
-        shocks = innov_sd * rng.standard_normal(n - 1)
-        for i in range(1, n):
-            x[i] = a * x[i - 1] + shocks[i - 1]
-        return x
-    raise ValueError(f"unknown trace kind {kind!r}")
+    e = np.exp(-gamma * T)
+    coef_i = (1.0 - e) / gamma
+    coef_x = e
+    if alpha == 0.0:
+        return coef_i, coef_x, 0.0, 0.0, 0.0
+    var_i = (2.0 * alpha / gamma) * (
+        T - 2.0 * (1.0 - e) / gamma + (1.0 - e * e) / (2.0 * gamma)
+    )
+    var_x = alpha * (1.0 - e * e)
+    cov = (alpha / gamma) * (1.0 - e) ** 2
+    a = np.sqrt(max(var_i, 0.0))
+    b = cov / a if a > 0.0 else 0.0
+    c = np.sqrt(max(var_x - b * b, 0.0))
+    return coef_i, coef_x, a, b, c
+
+
+def lo_phases(
+    params: NoiseParams, T: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Ramsey phases theta_1..theta_n of n consecutive windows of length T.
+
+    theta_i / T is the LO frequency averaged over window i.  Sampling is
+    exact (no time discretization): per window the OU phase integral and
+    OU endpoint are drawn from their joint conditional normal given the
+    previous endpoint, the white contribution adds N(0, beta T) to the
+    phase, and the OU part starts stationary.
+
+    rng is the caller's stream; this draws n x 3 standard normals from it,
+    then one more for the stationary start when alpha > 0.
+    """
+    coef_i, coef_x, a, b, c = _ou_step_moments(params.alpha, params.gamma, T)
+    z = rng.standard_normal((n, 3))
+    x = np.sqrt(params.alpha) * rng.standard_normal() if params.alpha > 0.0 else 0.0
+    starts = np.empty(n)
+    for i, (z0, z1) in enumerate(zip(z[:, 0], z[:, 1])):
+        starts[i] = x
+        x = coef_x * x + b * z0 + c * z1
+    return coef_i * starts + a * z[:, 0] + np.sqrt(params.beta * T) * z[:, 2]

@@ -25,7 +25,6 @@ from qavar import (
     ServoConfig,
     SimConfig,
     SymmetricState,
-    avar_estimate,
     avar_series,
     block_kernel,
     bound_curve,
@@ -33,7 +32,6 @@ from qavar import (
     dephasing_weights,
     extrapolate_long_term,
     free_lo_avar,
-    gen_trace,
     ghz_step_state,
     optimize_joint_state,
     plus_step_state,
@@ -275,7 +273,7 @@ def test_07_servo_simulation_vs_bound(capsys):
         traces = [simulate_clock(cfg, int(s.generate_state(1)[0])) for s in seeds]
         for tau in taus:
             k = int(round(tau / T))
-            vals = np.array([avar_estimate(tr, k, overlapping=True).avar
+            vals = np.array([avar_series(tr.y, T, k, REF.omega0).avar
                              for tr in traces])
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(n_runs))
@@ -300,10 +298,10 @@ def test_07_servo_simulation_vs_bound(capsys):
 def test_08_white_noise_free_running_avar(capsys):
     par = NoiseParams(alpha=0.0, beta=0.4, gamma=0.5, omega0=REF.omega0)
     T = 0.5
-    y = gen_trace("white", par, T, 400_000, seed=7)
+    y = np.sqrt(par.beta / T) * np.random.default_rng(7).standard_normal(400_000)
     worst = 0.0
     for k in (1, 2, 5, 10):
-        est = avar_series(y, T, k, par.omega0, overlapping=True).avar
+        est = avar_series(y, T, k, par.omega0).avar
         want = par.beta / (W0SQ * k * T)
         worst = max(worst, abs(est / want - 1.0))
     ok = worst <= 0.10

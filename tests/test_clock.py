@@ -6,7 +6,6 @@ import pytest
 from qavar.clock import (
     ServoConfig,
     SimConfig,
-    avar_estimate,
     avar_series,
     bound_check,
     ensemble_avar,
@@ -14,7 +13,7 @@ from qavar.clock import (
 )
 from qavar.core import ProductProbe, Scenario, qavar
 from qavar.hilbert import ghz_step_state, plus_step_state
-from qavar.noise import NoiseParams, free_lo_avar, kernel_set
+from qavar.noise import NoiseParams, free_lo_avar, kernel_set, lo_phases
 
 PAR = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
 QUIET = NoiseParams(alpha=0.0, beta=0.0, gamma=0.5, omega0=3.25e15)
@@ -22,8 +21,10 @@ QUIET = NoiseParams(alpha=0.0, beta=0.0, gamma=0.5, omega0=3.25e15)
 
 class TestAvarSeries:
     def test_constant_record_is_zero(self):
-        est = avar_series(np.full(100, 3.7), T=0.5, k=4, omega0=2.0)
-        assert est.avar == 0.0
+        n, c, omega0 = 100, 3.7, 2.0
+        est = avar_series(np.full(n, c), T=0.5, k=4, omega0=omega0)
+        # the running-sum block means carry roundoff of order n eps |c|
+        assert 0.0 <= est.avar <= (n * np.finfo(float).eps * c) ** 2 / (2.0 * omega0**2)
         assert est.tau == 2.0
 
     def test_alternating_record_known_value(self):
@@ -32,28 +33,12 @@ class TestAvarSeries:
         est = avar_series(y, T=1.0, k=1, omega0=2.0)
         # adjacent diffs all +-2v: mean square 4 v^2, halved, / omega0^2
         assert est.avar == pytest.approx(2.0 * v**2 / 4.0, rel=1e-14)
-        assert est.n_pairs == 15
-        # averaging an odd signal over k=2 blocks kills it
+        assert est.n_pairs == 16 - 2 + 1
+        # averaging an odd signal over k=2 blocks kills it; the window
+        # slides by one step, so n samples give n - 2k + 1 pairs
         est2 = avar_series(y, T=1.0, k=2, omega0=2.0)
         assert est2.avar == pytest.approx(0.0, abs=1e-30)
-
-    def test_overlapping_uses_more_pairs(self):
-        rng = np.random.default_rng(0)
-        y = rng.normal(size=256)
-        plain = avar_series(y, 1.0, 8, 1.0)
-        over = avar_series(y, 1.0, 8, 1.0, overlapping=True)
-        assert over.n_pairs > plain.n_pairs
-        assert over.n_pairs == 256 - 16 + 1
-        assert plain.n_pairs == 256 // 8 - 1
-
-    def test_estimators_agree_on_white_noise(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=200_000)
-        a = avar_series(y, 1.0, 10, 1.0).avar
-        b = avar_series(y, 1.0, 10, 1.0, overlapping=True).avar
-        # same estimand; overlapping has lower variance
-        assert a == pytest.approx(b, rel=0.1)
-        assert a == pytest.approx(0.1, rel=0.1)  # Var/k for unit white
+        assert est2.n_pairs == 16 - 4 + 1
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="2k"):
@@ -91,6 +76,14 @@ class TestSimulateClock:
         g1 = PAR.alpha / PAR.gamma**2 * (1 - np.exp(-PAR.gamma * 0.7)) ** 2
         assert lag1 == pytest.approx(g1, rel=0.05)
 
+    def test_phases_are_lo_phases_of_the_seed_stream(self):
+        # the LO phases are the first draws of default_rng(seed); the
+        # binomial outcomes follow on the same stream
+        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=400)
+        tr = simulate_clock(cfg, seed=6)
+        want = lo_phases(PAR, cfg.T, cfg.n_steps, np.random.default_rng(6))
+        np.testing.assert_allclose((tr.y + tr.corrections) * cfg.T, want, rtol=1e-12)
+
     def test_zero_noise_servo_unbiased(self):
         cfg = SimConfig(noise=QUIET, n_atoms=4, T=1.0, n_steps=50_000,
                         servo=ServoConfig(estimator="arcsine"))
@@ -112,7 +105,7 @@ class TestSimulateClock:
         cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=40_000)
         tr = simulate_clock(cfg, seed=5)
         k = 40  # tau = 20 s
-        got = avar_estimate(tr, k, overlapping=True).avar
+        got = avar_series(tr.y, tr.T, k, tr.omega0).avar
         free = float(free_lo_avar(PAR, 20.0))
         assert got < 0.5 * free
 
@@ -138,7 +131,8 @@ class TestWhiteNoiseCalibration:
         n = 400_000
         y = rng.normal(0.0, np.sqrt(white.beta / T), size=n)
         for k in (1, 2, 4, 10):
-            est = avar_series(y, T, k, white.omega0, overlapping=True)
+            est = avar_series(y, T, k, white.omega0)
+            # Var(y) / (k omega0^2) for white samples of variance beta / T
             want = white.beta / (white.omega0**2 * est.tau)
             assert est.avar == pytest.approx(want, rel=0.1), k
 
@@ -154,7 +148,7 @@ class TestEnsembleAvar:
         rows = ensemble_avar(cfg, taus, n_runs, seed=11)
         assert [(r.tau, r.k) for r in rows] == [(0.5, 1), (1.5, 3), (1.0, 2)]
         for row in rows:
-            ests = [avar_estimate(tr, row.k, overlapping=True) for tr in traces]
+            ests = [avar_series(tr.y, tr.T, row.k, tr.omega0) for tr in traces]
             vals = np.array([e.avar for e in ests])
             assert row.avar == float(vals.mean())
             assert row.stderr == float(vals.std(ddof=1) / np.sqrt(n_runs))

@@ -107,6 +107,14 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_tolerance_is_relative_at_tiny_scale(self):
+        # the see-saw's cost operator has entries of order 1/omega0^2 ~ 1e-31
+        a = 1e-30 * np.random.default_rng(4).normal(size=(8, 8))
+        assert np.abs(a - a.T).max() > np.abs(a).max()
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigh(a)
+        assert np.array_equal(eigh(np.zeros((3, 3)))[0], np.zeros(3))
+
     def test_real_downcast_keeps_real_vectors(self):
         a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
         _, evecs = eigh(a)

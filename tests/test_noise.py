@@ -19,7 +19,6 @@ from qavar.noise import (
     block_kernel,
     cross_kernel,
     free_lo_avar,
-    gen_trace,
     kernel_set,
 )
 
@@ -219,27 +218,6 @@ class TestSampleJoint:
         assert np.all(np.abs(emp_G - ks.G) < se * (np.abs(ks.G) + ks.G.max()))
         assert np.all(np.abs(emp_H - ks.H) < se * (np.abs(ks.H).max() + np.sqrt(ks.w_var * ks.G.max())))
         assert np.var(w) == pytest.approx(ks.w_var, rel=0.05)
-
-
-class TestGenTrace:
-    def test_deterministic(self):
-        a = gen_trace("ou", PAR, dt=0.1, n=64, seed=5)
-        b = gen_trace("ou", PAR, dt=0.1, n=64, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            gen_trace("pink", PAR, dt=0.1, n=8, seed=0)
-
-    def test_white_variance(self):
-        x = gen_trace("white", PAR, dt=0.5, n=400_000, seed=1)
-        assert np.var(x) == pytest.approx(PAR.beta / 0.5, rel=0.02)
-
-    def test_ou_stationary_stats(self):
-        x = gen_trace("ou", PAR, dt=0.25, n=400_000, seed=2)
-        assert np.var(x) == pytest.approx(PAR.alpha, rel=0.05)
-        lag1 = np.mean(x[1:] * x[:-1])
-        assert lag1 == pytest.approx(PAR.alpha * np.exp(-PAR.gamma * 0.25), rel=0.05)
 
 
 class TestValidation:
