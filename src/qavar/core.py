@@ -239,7 +239,9 @@ class BoundWorkspace:
         diff = lam[:, None] - lam[None, :]
         tot = lam[:, None] + lam[None, :]
         ratio = np.divide(diff, tot, out=np.zeros_like(tot), where=tot > 0.0)
-        correction = float(np.sum(diff * ratio * (Ut.conj() * Ut).real)) / self.noise.omega0**2
+        diff *= ratio  # in place: (D, D) temporaries dominate the non-LAPACK time
+        diff *= (Ut.conj() * Ut).real
+        correction = float(np.sum(diff)) / self.noise.omega0**2
         sld = None
         if want_sld:
             sld = 1j * (V @ (2.0 * ratio * Ut) @ V.conj().T)

@@ -117,6 +117,12 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a)
     if np.iscomplexobj(a) and not np.any(a.imag):
         a = a.real
-    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL * np.abs(a).max():
+    # Built in Fortran order and handed over to be overwritten, so LAPACK
+    # works on this buffer instead of a transposed copy.
+    sym = np.add(a, a.conj().T, order="F")
+    sym *= 0.5
+    # sym is exactly Hermitian, so sym.T.conj() is sym read in C order and
+    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.
+    if 2.0 * np.abs(a - sym.T.conj()).max() > HERMITIAN_TOL * np.abs(a).max():
         raise ValueError("matrix not Hermitian within tolerance")
-    return scipy.linalg.eigh(0.5 * (a + a.conj().T), driver="evd")
+    return scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)
