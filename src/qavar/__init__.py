@@ -19,7 +19,6 @@ from .clock import (
 )
 from .core import (
     BoundWorkspace,
-    DimensionCapError,
     JointProbe,
     ProductProbe,
     QavarResult,
@@ -67,7 +66,7 @@ __all__ = [
     "coherent_step_state", "ghz_step_state",
     # core
     "ProductProbe", "JointProbe", "Scenario", "QavarResult", "BoundWorkspace",
-    "DimensionCapError", "dephasing_weights", "qavar",
+    "dephasing_weights", "qavar",
     # optimize
     "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",

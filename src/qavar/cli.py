@@ -9,8 +9,11 @@ paths.  Output is deterministic: the same config and seeds give a
 byte-identical CSV, metadata lines ('# ...') carry the tool version, a hash
 of the resolved config, and the master seed.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap left no work,
-4 numerical failure.
+`dim_cap` is applied here only: a k sweep stops below it, and a bound-check
+tau over it is a skipped row.
+
+Exit codes: 0 success, 2 validation error, 3 resource limit (the dimension
+cap left no work, or memory ran out), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .clock import ServoConfig, SimConfig, bound_check, ensemble_avar
-from .core import DimensionCapError, joint_dim, layout_k
+from .core import joint_dim, layout_k
 from .hilbert import SymmetricState, ghz_step_state, plus_step_state
 from .noise import NoiseParams, free_lo_avar
 from .optimize import ProbeSpec, optimize_interrogation
@@ -350,9 +353,14 @@ def _rows_lo_avar(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[st
     return ["tau", "sigma2_lo", "status"], rows
 
 
+def _fits(cfg: RunConfig, k: int) -> bool:
+    """Whether a k-step layout is within the dimension cap."""
+    return joint_dim(cfg.atoms, k) <= cfg.dim_cap
+
+
 def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    """bound and optimize: one k sweep per tau; optimize adds what the
-    optimizer reports on the best k."""
+    """bound and optimize: one k sweep per tau, over the k that fit the cap;
+    optimize adds what the optimizer reports on the best k."""
     optimized = cfg.mode == "optimize"
     header = (["tau", "k", "T", "sigma2_lo", "sigma2_q", "c_running"]
               + (["iterations", "converged", "state"] if optimized else [])
@@ -360,21 +368,24 @@ def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]
     w0sq = cfg.noise.omega0**2
     taus = [float(t) for t in sorted(cfg.taus)]
     child_seeds = np.random.SeedSequence(cfg.seed).spawn(len(taus))
+    k_top = 0  # dimension grows with k, so the first k over the cap ends the sweep
+    while k_top < cfg.k_max and _fits(cfg, k_top + 1):
+        k_top += 1
 
     def one(i: int) -> list[str]:
         tau = taus[i]
-        try:
-            scan = optimize_interrogation(
-                cfg.noise, cfg.atoms, tau, cfg.k_max,
-                probe=cfg.probe, dim_cap=cfg.dim_cap,
-                seed=int(child_seeds[i].generate_state(1)[0]), family=cfg.probe_family,
-            )
-        except DimensionCapError as exc:
-            return [_fmt(tau)] + [""] * (len(header) - 3) + [_fmt(cfg.seed), f"skipped: {exc}"]
+        if k_top == 0:
+            return [_fmt(tau)] + [""] * (len(header) - 3) + [
+                _fmt(cfg.seed), f"skipped: no k in 1..{cfg.k_max} fits dimension cap "
+                f"{cfg.dim_cap} for N={cfg.atoms}"]
+        scan = optimize_interrogation(
+            cfg.noise, cfg.atoms, tau, k_top, probe=cfg.probe,
+            seed=int(child_seeds[i].generate_state(1)[0]), family=cfg.probe_family,
+        )
         row = [_fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
                _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * tau)]
         if optimized:
-            rep = min(scan.evaluations, key=lambda e: e.sigma2_q).report
+            rep = scan.evaluations[scan.k_opt - 1].report
             row += [_fmt(rep.n_evals), _fmt(rep.converged), _fmt_state(rep.state)]
         return row + [_fmt(cfg.seed), "ok"]
 
@@ -401,13 +412,12 @@ def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[lis
     rows = {}
     for t in taus:
         k = layout_k(t, cfg.sim.T)
-        try:
-            joint_dim(cfg.atoms, k, cfg.dim_cap)
-        except DimensionCapError as exc:
+        if not _fits(cfg, k):
             rows[t] = [_fmt(t), _fmt(k), _fmt(cfg.sim.T), "", "", "", "", _fmt(cfg.seed),
-                       f"skipped: {exc}"]
+                       f"skipped: k={k} needs joint dimension {joint_dim(cfg.atoms, k)} "
+                       f"> cap {cfg.dim_cap}"]
     ok_taus = [t for t in taus if t not in rows]
-    for r in bound_check(cfg.sim, cfg.probe, ok_taus, cfg.n_runs, cfg.seed, cfg.dim_cap):
+    for r in bound_check(cfg.sim, cfg.probe, ok_taus, cfg.n_runs, cfg.seed):
         rows[r.tau] = [
             _fmt(r.tau), _fmt(r.k), _fmt(cfg.sim.T), _fmt(r.avar),
             _fmt(r.stderr), _fmt(r.sigma2_q), _fmt(r.violation),
@@ -430,6 +440,9 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"resource: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
     bad = [row for row in rows if {"nan", "inf", "-inf"} & set(row)]
     if bad:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ProductProbe, Scenario, joint_dim, layout_k, qavar
+from .core import ProductProbe, Scenario, layout_k, qavar
 from .hilbert import SymmetricState, plus_step_state
 from .noise import NoiseParams, lo_phases
 
@@ -215,7 +215,6 @@ def bound_check(
     taus: Sequence[float],
     n_runs: int,
     seed: int,
-    dim_cap: int = 20_000,
 ) -> tuple[BoundCheckRow, ...]:
     """Ensemble comparison of simulated Allan variance against the bound.
 
@@ -225,11 +224,8 @@ def bound_check(
 
         avar_mean + 3 * stderr < sigma2_q ,
 
-    i.e. a statistically significant violation of the bound.  A tau whose
-    layout exceeds dim_cap raises DimensionCapError before any simulation.
+    i.e. a statistically significant violation of the bound.
     """
-    for tau in taus:
-        joint_dim(config.n_atoms, layout_k(tau, config.T), dim_cap)
     probe = ProductProbe(probe if probe is not None else plus_step_state(config.n_atoms))
     rows = []
     for est in ensemble_avar(config, taus, n_runs, seed):

@@ -43,7 +43,6 @@ __all__ = [
     "Scenario",
     "QavarResult",
     "BoundWorkspace",
-    "DimensionCapError",
     "joint_dim",
     "layout_k",
     "dephasing_weights",
@@ -51,16 +50,9 @@ __all__ = [
 ]
 
 
-class DimensionCapError(ValueError):
-    """Joint dimension exceeds the configured cap."""
-
-
-def joint_dim(n_atoms: int, k: int, dim_cap: Optional[int] = None) -> int:
-    """Joint dimension (N+1)^(2k-1) of a k-step layout; DimensionCapError past dim_cap."""
-    dim = (n_atoms + 1) ** (2 * k - 1)
-    if dim_cap is not None and dim > dim_cap:
-        raise DimensionCapError(f"k={k} needs joint dimension {dim} > cap {dim_cap}")
-    return dim
+def joint_dim(n_atoms: int, k: int) -> int:
+    """Joint dimension (N+1)^(2k-1) of a k-step layout."""
+    return (n_atoms + 1) ** (2 * k - 1)
 
 
 def layout_k(tau: float, T: float) -> int:

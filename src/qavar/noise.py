@@ -231,9 +231,10 @@ def lo_phases(
     """
     coef_i, coef_x, a, b, c = _ou_step_moments(params.alpha, params.gamma, T)
     z = rng.standard_normal((n, 3))
-    x = np.sqrt(params.alpha) * rng.standard_normal() if params.alpha > 0.0 else 0.0
-    starts = np.empty(n)
-    for i, (z0, z1) in enumerate(zip(z[:, 0], z[:, 1])):
-        starts[i] = x
-        x = coef_x * x + b * z0 + c * z1
+    starts = np.zeros(n)
+    if params.alpha > 0.0:
+        x = np.sqrt(params.alpha) * rng.standard_normal()
+        for i, (z0, z1) in enumerate(zip(z[:, 0], z[:, 1])):
+            starts[i] = x
+            x = coef_x * x + b * z0 + c * z1
     return coef_i * starts + a * z[:, 0] + np.sqrt(params.beta * T) * z[:, 2]

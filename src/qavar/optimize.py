@@ -28,7 +28,6 @@ from scipy.optimize import minimize
 
 from .core import (
     BoundWorkspace,
-    DimensionCapError,
     ProductProbe,
     Scenario,
     joint_dim,
@@ -59,6 +58,10 @@ __all__ = [
 SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma2_lo
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
+# Up to this joint dimension the k-sweep's product search runs every start and
+# the phase polish.  Past it (D = 2187 at N = 2, k = 4: seconds per evaluation,
+# against ~10 ms at D = 243) it keeps two starts and skips the polish.
+FULL_SEARCH_MAX_DIM = 512
 
 
 @dataclass
@@ -267,7 +270,6 @@ def optimize_interrogation(
     tau: float,
     k_max: int,
     probe: ProbeSpec = "optimize-product",
-    dim_cap: int = 20_000,
     seed: int = 0,
     family: str = "symmetric",
     n_starts: int = 8,
@@ -279,9 +281,9 @@ def optimize_interrogation(
 
     probe is a fixed per-step SymmetricState or one of the optimizer modes
     "optimize-product" / "optimize-joint"; anything else is rejected before
-    any evaluation.  The sweep stops at the first k whose joint dimension
-    (N+1)^(2k-1) exceeds dim_cap; DimensionCapError is raised when not even
-    k = 1 fits.
+    any evaluation.  Every k is evaluated, at joint dimension (N+1)^(2k-1),
+    so a caller with a resource limit passes the largest k it admits.  The
+    product optimizer starts each k from the previous k's optimum.
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -293,44 +295,29 @@ def optimize_interrogation(
                          f"'optimize-joint', got {probe!r}")
 
     evaluations: list[KEvaluation] = []
-    warm = warm_state
-    rng_seeds = np.random.SeedSequence(seed).spawn(k_max)
-    for k in range(1, k_max + 1):
-        try:
-            dim = joint_dim(n_atoms, k, dim_cap)
-        except DimensionCapError:
-            break
-        T = tau / k
+    start = probe if isinstance(probe, SymmetricState) else (
+        warm_state if probe == "optimize-product" else None)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(k_max), start=1):
+        dim, T = joint_dim(n_atoms, k), tau / k
+        init = start if start is not None else plus_step_state(n_atoms)
+        scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(init))
+        k_seed = int(child.generate_state(1)[0])
         report = None
         if probe == "optimize-product":
-            init = warm if warm is not None else plus_step_state(n_atoms)
-            scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T,
-                            probe=ProductProbe(init))
+            full = dim <= FULL_SEARCH_MAX_DIM
             report = optimize_product_state(
                 scen,
-                n_starts=n_starts if dim <= 512 else min(n_starts, 2),
-                seed=int(rng_seeds[k - 1].generate_state(1)[0]),
+                n_starts=n_starts if full else min(n_starts, 2),
+                seed=k_seed,
                 family=family,
-                polish_phases=polish_phases and dim <= 512,
+                polish_phases=polish_phases and full,
                 maxfev=maxfev,
             )
-            s2q = report.sigma2_q
-            warm = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
+            start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
         elif probe == "optimize-joint":
-            scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T,
-                            probe=ProductProbe(plus_step_state(n_atoms)))
-            report = optimize_joint_state(
-                scen, seed=int(rng_seeds[k - 1].generate_state(1)[0])
-            )
-            s2q = report.sigma2_q
-        else:
-            s2q = qavar(Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T,
-                                 probe=ProductProbe(probe))).sigma2_q
+            report = optimize_joint_state(scen, seed=k_seed)
+        s2q = report.sigma2_q if report is not None else qavar(scen).sigma2_q
         evaluations.append(KEvaluation(k=k, T=T, dim=dim, sigma2_q=s2q, report=report))
-    if not evaluations:
-        raise DimensionCapError(
-            f"no k in 1..{k_max} fits dimension cap {dim_cap} for N={n_atoms}"
-        )
     best = min(evaluations, key=lambda e: e.sigma2_q)
     return InterrogationScan(
         tau=tau,
@@ -348,7 +335,6 @@ def bound_curve(
     taus: Sequence[float],
     k_max: int,
     probe: ProbeSpec = "optimize-product",
-    dim_cap: int = 20_000,
     seed: int = 0,
     family: str = "symmetric",
     n_starts: int = 8,
@@ -362,15 +348,14 @@ def bound_curve(
     for i, tau in enumerate(sorted(taus)):
         scan = optimize_interrogation(
             noise, n_atoms, float(tau), k_max,
-            probe=probe, dim_cap=dim_cap, seed=seed + i,
+            probe=probe, seed=seed + i,
             family=family, n_starts=n_starts, polish_phases=polish_phases,
             warm_state=warm, maxfev=maxfev,
         )
         scans.append(scan)
         if probe == "optimize-product":
-            best_eval = min(scan.evaluations, key=lambda e: e.sigma2_q)
-            if best_eval.report is not None:
-                warm = SymmetricState(n_atoms=n_atoms, amplitudes=best_eval.report.state)
+            best_report = scan.evaluations[scan.k_opt - 1].report
+            warm = SymmetricState(n_atoms=n_atoms, amplitudes=best_report.state)
     return scans
 
 

@@ -279,6 +279,22 @@ class TestBoundMode:
         assert row[1] == "1"  # forced to k=1
         assert row[-1] == "ok"
 
+    def test_sweep_stops_below_cap_without_visiting_k_max(self, tmp_path, monkeypatch):
+        # D = 2, 8, 32, 128 at N = 1: the library is handed k = 3, never 10^6
+        seen = []
+        real = cli.optimize_interrogation
+
+        def recorder(noise, n_atoms, tau, k_max, **kw):
+            seen.append(k_max)
+            return real(noise, n_atoms, tau, k_max, **kw)
+
+        monkeypatch.setattr(cli, "optimize_interrogation", recorder)
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "k_max": 10**6,
+               "probe": {"kind": "plus"}, "dim_cap": 100}
+        code, _ = run_cli(tmp_path, doc, "bound")
+        assert code == 0
+        assert seen == [3]
+
     def test_rows_sorted_by_tau(self, tmp_path):
         doc = {"noise": NOISE, "tau": [2.0, 0.5, 1.0], "atoms": 1, "k_max": 1,
                "probe": {"kind": "plus"}}
@@ -300,6 +316,16 @@ class TestOptimizeMode:
         state = row[header.index("state")]
         assert ":" in state and ";" in state
         assert row[header.index("converged")] in ("true", "false")
+
+    def test_cap_equals_smaller_k_max(self, tmp_path):
+        # dim_cap 30 admits k <= 2 at N = 2 (D = 3, 27, 243)
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 2,
+               "probe": {"kind": "optimize-product"}, "seeds": [2]}
+        _, capped = run_cli(tmp_path, dict(doc, k_max=3, dim_cap=30), "optimize",
+                            name="capped.json", out="capped.csv")
+        _, plain = run_cli(tmp_path, dict(doc, k_max=2), "optimize",
+                           name="plain.json", out="plain.csv")
+        assert csv_rows(capped) == csv_rows(plain)
 
     def test_skipped_row_has_every_column(self, tmp_path):
         # like bound, a skipped tau keeps the seed and status columns
@@ -421,6 +447,17 @@ class TestMainEntry:
         code, _ = run_cli(tmp_path, doc, "lo-avar")
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_memory_error_is_resource_exit(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*_):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+
+        monkeypatch.setattr(cli, "ensemble_avar", out_of_memory)
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "sim": SIM}
+        code, out = run_cli(tmp_path, doc, "simulate")
+        assert code == 3
+        assert "resource: Unable to allocate 22.4 GiB" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_from_config(self, tmp_path):
         out_path = tmp_path / "from_config.csv"

@@ -235,11 +235,6 @@ class TestBoundCheck:
         with pytest.raises(ValueError, match="multiple"):
             bound_check(cfg, None, taus=[0.7], n_runs=2, seed=0)
 
-    def test_dim_cap_enforced(self):
-        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=100)
-        with pytest.raises(ValueError, match="cap"):
-            bound_check(cfg, None, taus=[2.0], n_runs=2, seed=0, dim_cap=100)
-
     def test_needs_two_runs(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
         with pytest.raises(ValueError, match="n_runs"):

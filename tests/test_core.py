@@ -330,8 +330,7 @@ class TestWorkspaceReuse:
 
 class TestLayout:
     def test_joint_dim_and_cap(self):
-        # the cap admits a dimension equal to it; test_optimize checks one past it
-        assert joint_dim(2, 3) == joint_dim(2, 3, dim_cap=243) == 243
+        assert joint_dim(2, 3) == 243
         assert plus_scenario(n_atoms=2, k=3).dim == BoundWorkspace(PAR, 2, 3, 1.0).dim == 243
 
     def test_layout_k(self):

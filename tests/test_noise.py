@@ -20,6 +20,7 @@ from qavar.noise import (
     cross_kernel,
     free_lo_avar,
     kernel_set,
+    lo_phases,
 )
 
 PAR = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
@@ -218,6 +219,18 @@ class TestSampleJoint:
         assert np.all(np.abs(emp_G - ks.G) < se * (np.abs(ks.G) + ks.G.max()))
         assert np.all(np.abs(emp_H - ks.H) < se * (np.abs(ks.H).max() + np.sqrt(ks.w_var * ks.G.max())))
         assert np.var(w) == pytest.approx(ks.w_var, rel=0.05)
+
+
+class TestLoPhases:
+    def test_white_only_is_the_white_draw(self):
+        # at alpha = 0 the OU part is zero and draws nothing: theta is the
+        # white column of the same n x 3 draw, and the stream ends there
+        white = NoiseParams(alpha=0.0, beta=0.4, gamma=0.5, omega0=3.25e15)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        theta = lo_phases(white, 0.5, 1000, rng)
+        z = ref.standard_normal((1000, 3))
+        assert theta.tobytes() == (np.sqrt(0.4 * 0.5) * z[:, 2]).tobytes()
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestValidation:

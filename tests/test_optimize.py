@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from bound_reference import cost_functional
-from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar
+from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
 from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
-    DimensionCapError,
     bound_curve,
     cost_operator,
     extrapolate_long_term,
@@ -218,18 +217,6 @@ class TestInterrogationScan:
         assert scan.sigma2_lo == pytest.approx(float(free_lo_avar(PAR, 2.0)), rel=1e-14)
         for e in scan.evaluations:
             assert e.dim == 2 ** (2 * e.k - 1)
-
-    def test_dimension_cap_raises_with_k(self):
-        with pytest.raises(DimensionCapError, match="k=3 needs joint dimension 243 > cap 100"):
-            joint_dim(2, 3, dim_cap=100)
-
-    def test_dimension_cap_clamps(self):
-        scan = optimize_interrogation(PAR, 2, 4.0, 6, probe=plus_step_state(2), dim_cap=100)
-        assert [e.k for e in scan.evaluations] == [1, 2]
-
-    def test_nothing_fits_raises(self):
-        with pytest.raises(DimensionCapError, match="no k"):
-            optimize_interrogation(PAR, 3, 1.0, 2, probe=plus_step_state(3), dim_cap=2)
 
     def test_optimized_beats_fixed_plus(self):
         fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe=plus_step_state(1))
