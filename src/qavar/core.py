@@ -24,7 +24,18 @@ information of rho_bar under the generator U (Braunstein & Caves, PRL 72,
         = sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |<r|U|s>|^2 / omega0^2
 
 in the eigenbasis rho_bar = sum_r lam_r |r><r|, with lam >= 0 and 0/0 = 0.
-`BoundWorkspace.evaluate` is the one place this sum is computed.
+`BoundWorkspace.evaluate` is the one place this bound is computed.
+
+Step reversal P, (n_1..n_K) -> (n_K..n_1), splits that eigensolve in two
+for every reversal-symmetric pure input, which includes every product
+probe.  G is a symmetric Toeplitz matrix (the LO noise is stationary), so
+(Pa - Pb)^T G (Pa - Pb) = (a - b)^T G (a - b) and W commutes with P; with
+v[Pa] = v[a] so does rho_bar, which is block diagonal in the even and odd
+combinations of each mirror pair.  U is not: H is neither symmetric nor
+antisymmetric under reversal (H = [-1.068, -0.677, 0.677] at k = 2, T = 1
+and alpha, beta, gamma = 2, 0.4, 0.5), so U also couples the two blocks.
+The QFI sum runs over eigenpairs within each block and across the two,
+and stays exact.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hilbert import SymmetricState, eigh, multi_index_table, product_pure
+from .hilbert import SymmetricState, eigh, multi_index_table, product_pure, reversal_index
 from .noise import KernelSet, NoiseParams, kernel_set
 
 __all__ = [
@@ -176,12 +187,26 @@ def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.exp(-0.5 * quad)
 
 
+def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |Ut_rs|^2, with 0/0 = 0.
+
+    Also returns the (lam_r - lam_s) / (lam_r + lam_s) table the SLD is built from.
+    """
+    diff = lam_r[:, None] - lam_s[None, :]
+    tot = lam_r[:, None] + lam_s[None, :]
+    ratio = np.divide(diff, tot, out=np.zeros_like(tot), where=tot > 0.0)
+    diff *= ratio  # in place: (D, D) temporaries dominate the non-LAPACK time
+    diff *= (Ut.conj() * Ut).real
+    return float(np.sum(diff)), ratio
+
+
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
     Precomputes the kernels, the (D, D) dephasing weights and the generator
-    diagonal u = A H (u_a = a^T H) once; each `evaluate` call then costs one
-    Hermitian eigensolve of rho_bar plus a few (D, D) products.
+    diagonal u = A H (u_a = a^T H) once, and their restrictions to the even
+    and odd step-reversal blocks; each `evaluate` call then costs one
+    Hermitian eigensolve of rho_bar, or one per block, plus a few products.
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
@@ -194,6 +219,27 @@ class BoundWorkspace:
         self.dim = joint_dim(n_atoms, k)
         self.weights = dephasing_weights(self.kernels.G, n_atoms)
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
+        # Even basis: each palindrome a = Pa, then (|a> + |Pa>)/sqrt(2) per
+        # mirror pair a < Pa; odd basis: (|a> - |Pa>)/sqrt(2).  A symmetric v
+        # enters each block as v[even] and v[odd], with the basis' sqrt(2)
+        # factors moved into the block weights.
+        self._rev = reversal_index(n_atoms, self.n_steps)
+        lin = np.arange(self.dim)
+        pal, lo = np.flatnonzero(self._rev == lin), np.flatnonzero(lin < self._rev)
+        hi = self._rev[lo]
+        self._even = np.concatenate([pal, lo])
+        self._odd = lo
+        W = self.weights
+        cross = np.sqrt(2.0) * W[np.ix_(pal, lo)]
+        self._weights_even = np.block(
+            [[W[np.ix_(pal, pal)], cross], [cross.T, W[np.ix_(lo, lo)] + W[np.ix_(lo, hi)]]]
+        )
+        self._weights_odd = W[np.ix_(lo, lo)] - W[np.ix_(lo, hi)]
+        # U in the same basis: diagonal within each block, and (u_a - u_Pa)/2
+        # between the even and odd partners of each pair.
+        self._u_even = np.concatenate([self.u[pal], 0.5 * (self.u[lo] + self.u[hi])])
+        self._u_odd = self._u_even[pal.size:]
+        self._u_cross = 0.5 * (self.u[lo] - self.u[hi])
 
     def evaluate(
         self,
@@ -217,26 +263,39 @@ class BoundWorkspace:
         sigma2_q is exact to roundoff even where the correction is tiny.
         A complex input whose imaginary part is all zero is taken as real,
         before the outer product, so real inputs stay on the real LAPACK path.
+
+        A pure input with v[Pa] == v[a] bit for bit (every product probe:
+        `product_pure` makes it exact) and no SLD request is solved in the
+        two step-reversal blocks (see the module docstring).  rho_bar is
+        block diagonal there, so its spectrum is the union of the blocks'
+        and the sum splits into within-block and even-odd pairs:
+
+            correction = (S(ee) + S(oo) + 2 S(eo)) / omega0^2
+
+        with S the pair sum above over the block's eigenpairs.  The clamp
+        and the roundoff statement hold block by block.  Densities, other
+        vectors and SLD requests take the full (D, D) solve; the see-saw
+        asks for the SLD, and its iterates are not symmetric.
         """
         rho_in = np.asarray(rho_in)
         if np.iscomplexobj(rho_in) and not np.any(rho_in.imag):
             rho_in = rho_in.real
-        if rho_in.ndim == 1:
-            rho_in = np.outer(rho_in, rho_in.conj())
-        if rho_in.shape != (self.dim, self.dim):
-            raise ValueError(f"input shape {rho_in.shape}, expected {(self.dim, self.dim)}")
-        lam, V = eigh(rho_in * self.weights)
-        lam = np.maximum(lam, 0.0)
-        Ut = V.conj().T @ (self.u[:, None] * V)
-        diff = lam[:, None] - lam[None, :]
-        tot = lam[:, None] + lam[None, :]
-        ratio = np.divide(diff, tot, out=np.zeros_like(tot), where=tot > 0.0)
-        diff *= ratio  # in place: (D, D) temporaries dominate the non-LAPACK time
-        diff *= (Ut.conj() * Ut).real
-        correction = float(np.sum(diff)) / self.noise.omega0**2
         sld = None
-        if want_sld:
-            sld = 1j * (V @ (2.0 * ratio * Ut) @ V.conj().T)
+        if (rho_in.shape == (self.dim,) and not want_sld
+                and np.array_equal(rho_in, rho_in[self._rev])):
+            total = self._parity_pair_sum(rho_in)
+        else:
+            if rho_in.ndim == 1:
+                rho_in = np.outer(rho_in, rho_in.conj())
+            if rho_in.shape != (self.dim, self.dim):
+                raise ValueError(f"input shape {rho_in.shape}, expected {(self.dim, self.dim)}")
+            lam, V = eigh(rho_in * self.weights)
+            lam = np.maximum(lam, 0.0)
+            Ut = V.conj().T @ (self.u[:, None] * V)
+            total, ratio = _pair_sum(lam, lam, Ut)
+            if want_sld:
+                sld = 1j * (V @ (2.0 * ratio * Ut) @ V.conj().T)
+        correction = total / self.noise.omega0**2
         s2lo = self.kernels.sigma2_lo
         return QavarResult(
             tau=self.k * self.T,
@@ -245,6 +304,18 @@ class BoundWorkspace:
             sigma2_q=s2lo - correction,
             sld=sld,
         )
+
+    def _parity_pair_sum(self, v: np.ndarray) -> float:
+        """S(ee) + S(oo) + 2 S(eo) for a reversal-symmetric pure input v."""
+        ve, vo = v[self._even], v[self._odd]
+        lam_e, V_e = eigh(np.outer(ve, ve.conj()) * self._weights_even)
+        lam_o, V_o = eigh(np.outer(vo, vo.conj()) * self._weights_odd)
+        lam_e, lam_o = np.maximum(lam_e, 0.0), np.maximum(lam_o, 0.0)
+        pairs_e = V_e[ve.size - vo.size:]  # the even block's mirror-pair rows
+        ee = _pair_sum(lam_e, lam_e, V_e.conj().T @ (self._u_even[:, None] * V_e))[0]
+        oo = _pair_sum(lam_o, lam_o, V_o.conj().T @ (self._u_odd[:, None] * V_o))[0]
+        eo = _pair_sum(lam_e, lam_o, pairs_e.conj().T @ (self._u_cross[:, None] * V_o))[0]
+        return ee + oo + 2.0 * eo
 
 
 def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:

@@ -18,6 +18,7 @@ import scipy.linalg
 __all__ = [
     "SymmetricState",
     "multi_index_table",
+    "reversal_index",
     "product_pure",
     "plus_step_state",
     "ghz_step_state",
@@ -69,11 +70,30 @@ def multi_index_table(n_atoms: int, n_steps: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def reversal_index(n_atoms: int, n_steps: int) -> np.ndarray:
+    """Linear index of each multi-index's step reversal (n_K..n_1), shape ((N+1)^K,).
+
+    An involution: rev[rev] is the identity, and its fixed points are the
+    (N+1)^ceil(K/2) palindromes.
+    """
+    table = multi_index_table(n_atoms, n_steps)
+    rev = table @ (n_atoms + 1) ** np.arange(n_steps)  # n_K now most significant
+    rev.setflags(write=False)
+    return rev
+
+
 def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
-    """K-fold tensor power of a step state, as a joint vector."""
+    """K-fold tensor power of a step state, as a joint vector.
+
+    The Kronecker power is reversal-symmetric only to roundoff; averaging it
+    with its reversal makes v[rev] == v hold bit for bit (IEEE addition
+    commutes), so `BoundWorkspace.evaluate` can detect the symmetry exactly.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return reduce(np.kron, [state.amplitudes] * n_steps)
+    v = reduce(np.kron, [state.amplitudes] * n_steps)
+    return 0.5 * (v + v[reversal_index(state.n_atoms, n_steps)])
 
 
 def plus_step_state(n_atoms: int) -> SymmetricState:
@@ -122,7 +142,9 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym = np.add(a, a.conj().T, order="F")
     sym *= 0.5
     # sym is exactly Hermitian, so sym.T.conj() is sym read in C order and
-    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.
-    if 2.0 * np.abs(a - sym.T.conj()).max() > HERMITIAN_TOL * np.abs(a).max():
+    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.  The
+    # initial 0 gives a 0 x 0 input (an empty parity block) a maximum.
+    scale = np.abs(a).max(initial=0.0)
+    if 2.0 * np.abs(a - sym.T.conj()).max(initial=0.0) > HERMITIAN_TOL * scale:
         raise ValueError("matrix not Hermitian within tolerance")
     return scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)

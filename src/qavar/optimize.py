@@ -59,8 +59,9 @@ SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
 # Up to this joint dimension the k-sweep's product search runs every start and
-# the phase polish.  Past it (D = 2187 at N = 2, k = 4: seconds per evaluation,
-# against ~10 ms at D = 243) it keeps two starts and skips the polish.
+# the phase polish.  Past it (D = 2187 at N = 2, k = 4: ~0.9 s per product
+# evaluation even in step-reversal blocks of 1134 and 1053, against ~5 ms at
+# D = 243, one BLAS thread) it keeps two starts and skips the polish.
 FULL_SEARCH_MAX_DIM = 512
 
 

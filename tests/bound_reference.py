@@ -47,12 +47,12 @@ def rho_prime(scenario: Scenario, rb: np.ndarray = None) -> np.ndarray:
     return rb * (1j * (u[None, :] - u[:, None]))
 
 
-def _support_pairs(rb: np.ndarray, rp: np.ndarray):
+def _support_pairs(rb: np.ndarray, rp: np.ndarray, support_tol: float = SUPPORT_TOL):
     """Eigenbasis (V, P = V^dag rho_bar' V, lam_r + lam_s, support mask)."""
     lam, V = np.linalg.eigh(rb)
     P = V.conj().T @ rp @ V
     denom = lam[:, None] + lam[None, :]
-    return V, P, denom, denom > SUPPORT_TOL * max(float(lam[-1]), 0.0)
+    return V, P, denom, denom > support_tol * max(float(lam[-1]), 0.0)
 
 
 def solve_sld(rb: np.ndarray, rp: np.ndarray) -> np.ndarray:
@@ -63,9 +63,14 @@ def solve_sld(rb: np.ndarray, rp: np.ndarray) -> np.ndarray:
     return V @ Lt @ V.conj().T
 
 
-def eigen_sum(rb: np.ndarray, rp: np.ndarray, omega0: float) -> float:
-    """Correction Tr(rho_bar L^2)/(2 omega0^2) = sum |rho_bar'_rs|^2 / (lam_r + lam_s)."""
-    _, P, denom, mask = _support_pairs(rb, rp)
+def eigen_sum(rb: np.ndarray, rp: np.ndarray, omega0: float,
+              support_tol: float = SUPPORT_TOL) -> float:
+    """Correction Tr(rho_bar L^2)/(2 omega0^2) = sum |rho_bar'_rs|^2 / (lam_r + lam_s).
+
+    Pairs with lam_r + lam_s <= support_tol * lam_max are left out; each is
+    worth at most (lam_r + lam_s) |U~_rs|^2 / omega0^2.
+    """
+    _, P, denom, mask = _support_pairs(rb, rp, support_tol)
     return float(np.sum(np.abs(P[mask]) ** 2 / denom[mask])) / omega0**2
 
 

@@ -20,7 +20,8 @@ from qavar.core import (
     layout_k,
     qavar,
 )
-from qavar.hilbert import ghz_step_state, plus_step_state, product_pure
+from qavar import core
+from qavar.hilbert import SymmetricState, ghz_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, block_kernel, kernel_set
 
 PAR = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
@@ -326,6 +327,76 @@ class TestWorkspaceReuse:
         ws = BoundWorkspace(PAR, 1, 2, 0.5)
         with pytest.raises(ValueError, match="shape"):
             ws.evaluate(np.eye(4))
+
+
+def _step_state(kind, n_atoms, rng):
+    """Step state of the given kind: plus, ghz, random real or random complex."""
+    if kind == "plus":
+        return plus_step_state(n_atoms)
+    if kind == "ghz":
+        return ghz_step_state(n_atoms)
+    a = rng.normal(size=n_atoms + 1)
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=n_atoms + 1)
+    return SymmetricState(n_atoms=n_atoms, amplitudes=a / np.linalg.norm(a))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_atoms=st.integers(1, 3),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(["plus", "ghz", "real", "complex"]),
+    T=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_parity_blocks_match_reference_property(n_atoms, k, kind, T, seed):
+    """A product probe's two-block solve equals the reference and the full solve.
+
+    GHZ leaves rho_bar rank-deficient, with zero eigenvalues in both blocks.
+    At short T rho_bar is nearly pure, and the pairs below the reference's
+    default support cut (1e-12 lam_max) are worth up to 4e-12 sigma2_lo at
+    N = 3, k = 3, T = 0.2 (both paths agree to 1e-15 there); a 1e-15 cut
+    keeps them.
+    """
+    state = _step_state(kind, n_atoms, np.random.default_rng(seed))
+    sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(state))
+    ws = BoundWorkspace(PAR, n_atoms, k, T)
+    v = sc.joint_input()
+    blocks = ws.evaluate(v)
+    full = ws.evaluate(v, want_sld=True)
+    rb = rho_bar(sc)
+    ref = blocks.sigma2_lo - eigen_sum(rb, rho_prime(sc, rb), PAR.omega0, support_tol=1e-15)
+    tol = 1e-13 * blocks.sigma2_lo
+    assert abs(blocks.sigma2_q - ref) <= tol
+    assert abs(blocks.sigma2_q - full.sigma2_q) <= tol
+
+
+class TestParityDispatch:
+    @pytest.mark.parametrize("n_atoms, k", [(1, 2), (2, 2), (1, 3)])
+    def test_eigensolves_per_input(self, monkeypatch, n_atoms, k):
+        # product inputs: one solve per block, sizes (N+1)^k + p and p with p
+        # mirror pairs; other vectors and SLD requests: one (D, D) solve
+        sizes = []
+        solve = core.eigh
+
+        def recording_eigh(a):
+            sizes.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(core, "eigh", recording_eigh)
+        ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
+        D, n_pal = ws.dim, (n_atoms + 1) ** k
+        p = (D - n_pal) // 2
+        v = product_pure(plus_step_state(n_atoms), ws.n_steps)
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=D) + 1j * rng.normal(size=D)
+        w /= np.linalg.norm(w)
+        for rho_in, want_sld, want in ((v, False, [(n_pal + p,) * 2, (p, p)]),
+                                       (v, True, [(D, D)]),
+                                       (w, False, [(D, D)])):
+            sizes.clear()
+            ws.evaluate(rho_in, want_sld=want_sld)
+            assert sizes == want
 
 
 class TestLayout:

@@ -1,5 +1,7 @@
 """Symmetric-subspace state helpers and multi-index bookkeeping."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from qavar.hilbert import (
     multi_index_table,
     plus_step_state,
     product_pure,
+    reversal_index,
 )
 
 
@@ -62,6 +65,13 @@ class TestIndexing:
         assert all(0 <= n <= n_atoms for n in idx)
         assert np.ravel_multi_index(tuple(idx), (n_atoms + 1,) * n_steps) == lin
 
+    def test_reversal_index(self):
+        assert tuple(reversal_index(2, 2)) == (0, 3, 6, 1, 4, 7, 2, 5, 8)
+        A = multi_index_table(1, 3)
+        rev = reversal_index(1, 3)
+        assert np.array_equal(A[rev], A[:, ::-1])
+        assert rev is reversal_index(1, 3) and not rev.flags.writeable
+
 
 class TestProductStates:
     def test_product_pure_matches_density(self):
@@ -69,6 +79,18 @@ class TestProductStates:
         v = product_pure(s, 3)
         rho = np.outer(s.amplitudes, s.amplitudes.conj())
         assert np.allclose(np.outer(v, v.conj()), np.kron(np.kron(rho, rho), rho), atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 3), n_steps=st.integers(1, 5),
+           seed=st.integers(0, 2**31))
+    def test_product_pure_is_exactly_reversal_symmetric(self, n_atoms, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+        s = SymmetricState(n_atoms=n_atoms, amplitudes=a / np.linalg.norm(a))
+        v = product_pure(s, n_steps)
+        assert np.array_equal(v, v[reversal_index(n_atoms, n_steps)])
+        kron = reduce(np.kron, [s.amplitudes] * n_steps)
+        assert np.allclose(v, kron, rtol=1e-15, atol=0.0)
 
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
@@ -114,6 +136,11 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(a)
         assert np.array_equal(eigh(np.zeros((3, 3)))[0], np.zeros(3))
+
+    def test_empty_matrix(self):
+        # the odd step-reversal block at k = 1 has no mirror pairs
+        evals, evecs = eigh(np.zeros((0, 0)))
+        assert evals.shape == (0,) and evecs.shape == (0, 0)
 
     def test_real_downcast_keeps_real_vectors(self):
         a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
