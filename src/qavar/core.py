@@ -26,16 +26,28 @@ information of rho_bar under the generator U (Braunstein & Caves, PRL 72,
 in the eigenbasis rho_bar = sum_r lam_r |r><r|, with lam >= 0 and 0/0 = 0.
 `BoundWorkspace.evaluate` is the one place this bound is computed.
 
-Step reversal P, (n_1..n_K) -> (n_K..n_1), splits that eigensolve in two
-for every reversal-symmetric pure input, which includes every product
-probe.  G is a symmetric Toeplitz matrix (the LO noise is stationary), so
-(Pa - Pb)^T G (Pa - Pb) = (a - b)^T G (a - b) and W commutes with P; with
-v[Pa] = v[a] so does rho_bar, which is block diagonal in the even and odd
-combinations of each mirror pair.  U is not: H is neither symmetric nor
-antisymmetric under reversal (H = [-1.068, -0.677, 0.677] at k = 2, T = 1
-and alpha, beta, gamma = 2, 0.4, 0.5), so U also couples the two blocks.
-The QFI sum runs over eigenpairs within each block and across the two,
-and stays exact.
+Two exact symmetries split that eigensolve for the pure inputs that carry
+them.  Step reversal P, (n_1..n_K) -> (n_K..n_1): G is a symmetric Toeplitz
+matrix (the LO noise is stationary), so (Pa - Pb)^T G (Pa - Pb) =
+(a - b)^T G (a - b) and W commutes with P.  Spin flip F, n_j -> N - n_j at
+every step, maps a - b to -(a - b), so W commutes with F as well.  With
+v[Pa] = v[a] (every product probe) rho_bar commutes with P; with also
+v[Fa] = +-v[a] (|+>, GHZ, every step state with a_n = +-a_(N-n)) it
+commutes with the group {1, P, F, PF}.  rho_bar is then block diagonal in
+the group's characters: two blocks or four (1134 and 1053, or 574, 520, 560
+and 533, instead of D = 2187 at N = 2, k = 4).  U is not: H is neither
+symmetric nor antisymmetric under reversal (H = [-1.068, -0.677, 0.677] at
+k = 2, T = 1 and alpha, beta, gamma = 2, 0.4, 0.5), so U couples the
+blocks, and the QFI sum runs over eigenpairs within each block and across
+blocks, exactly.  Under F, u_Fa = N sum(H) - u_a, so the shifted generator
+U' = U - (N sum(H) / 2) 1 anticommutes with F.  The shift only moves the
+diagonal <r|U|r>, whose (lam_r - lam_r)^2 weight is 0, so the QFI stays as
+it is; and U' couples an F-even block only to an F-odd one, so the
+four-block sum has no within-block terms.  (U itself differs from U' only
+by that diagonal, so the blocks use u as it is.)  `BoundWorkspace.evaluate`
+takes the largest exact symmetry of a pure input, tested bit for bit, when
+no SLD is asked for and D >= BLOCK_MIN_DIM; everything else takes one
+(D, D) solve.
 """
 
 from __future__ import annotations
@@ -44,8 +56,16 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 
-from .hilbert import SymmetricState, eigh, multi_index_table, product_pure, reversal_index
+from .hilbert import (
+    SymmetricState,
+    eigh,
+    flip_index,
+    multi_index_table,
+    product_pure,
+    reversal_index,
+)
 from .noise import KernelSet, NoiseParams, kernel_set
 
 __all__ = [
@@ -59,6 +79,13 @@ __all__ = [
     "dephasing_weights",
     "qavar",
 ]
+
+# Below this joint dimension one (D, D) solve beats the symmetry blocks, whose
+# eigh calls and block-pair loop carry a fixed Python cost.  Median `evaluate`
+# times in ms (one BLAS thread; full / two blocks / four blocks): 0.10 / 0.25 /
+# 0.36 at D = 8, 0.21 / 0.34 / 0.42 at D = 27, 0.65 / 0.70 / 0.61 at D = 64
+# (the crossover for both), 2.3 / 1.8 / 1.3 at D = 125, 8.7 / 4.3 / 3.4 at 243.
+BLOCK_MIN_DIM = 100
 
 
 def joint_dim(n_atoms: int, k: int) -> int:
@@ -193,20 +220,96 @@ def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[flo
     Also returns the (lam_r - lam_s) / (lam_r + lam_s) table the SLD is built from.
     """
     diff = lam_r[:, None] - lam_s[None, :]
-    tot = lam_r[:, None] + lam_s[None, :]
-    ratio = np.divide(diff, tot, out=np.zeros_like(tot), where=tot > 0.0)
-    diff *= ratio  # in place: (D, D) temporaries dominate the non-LAPACK time
+    ratio = lam_r[:, None] + lam_s[None, :]
+    # in place: (D, D) temporaries dominate the non-LAPACK time and the peak
+    # memory; lam >= 0, so the sums left undivided are the 0s of 0/0 = 0
+    np.divide(diff, ratio, out=ratio, where=ratio > 0.0)
+    diff *= ratio
     diff *= (Ut.conj() * Ut).real
     return float(np.sum(diff)), ratio
+
+
+class _OrbitBlocks:
+    """rho_bar's blocks under a group of commuting index involutions.
+
+    Element j of the group applies the generators `gens` named by the bits of
+    j; character i is row i of the Sylvester Hadamard matrix, the sign
+    (-1)^(bit b of i) on generator b.  Each orbit O is stored by its smallest
+    index r (the representative), its size |O| and one generator coefficient
+    per character,
+
+        c_i(O) = (1/|G|) sum_h chi_i(h) u[h r].
+
+    Block i spans |O, i> = |O|^(-1/2) sum_(a in O) chi_i(h_a) |a>, h_a any
+    element with h_a r = a, over the orbits whose stabilizer chi_i is 1 on.
+    A pure v with v[h a] = chi_c(h) v[a] enters it as x = v[r], and W
+    commutes with the group, so (x x^dag) * W_i with
+
+        W_i[O, O'] = sqrt(|O| |O'|) / |G| sum_h chi_i(h) W[r, h r']
+
+    is rho_bar's block i ^ c: the two differ only in orbits where chi_c is
+    not 1 on the stabilizer, and there v, and so x, is 0.  Such a zero row is
+    a kernel vector of its block, orthogonal to the other blocks'
+    eigenvectors of nonzero eigenvalue, so it adds nothing to the sum and
+    one set of block weights serves every input character.  U couples block
+    i to block i' only within an orbit, by c_(i^i')(O).  Where u minus a
+    constant is odd under the generators in the bitmask `odd` (the shift to
+    U' in the module docstring), c_(i^i') is 0 unless chi_(i^i') is -1 on
+    each of them, or that constant for i = i' (the constant cancels from
+    every other coefficient).  A constant couples only r = s, whose weight
+    (lam_r - lam_s)^2 is 0, so those block pairs are never formed.
+    """
+
+    def __init__(self, weights: np.ndarray, u: np.ndarray, gens: tuple, odd: int) -> None:
+        n = 2 ** len(gens)
+        perms = np.empty((n, u.size), dtype=np.intp)
+        perms[0] = np.arange(u.size)
+        for b, g in enumerate(gens):
+            lo = 2**b
+            perms[lo:2 * lo] = g[perms[:lo]]
+        chars = scipy.linalg.hadamard(n)
+        reps = np.flatnonzero(perms.min(axis=0) == perms[0])
+        fixed = perms[:, reps] == reps
+        member = ((chars[:, :, None] > 0) | ~fixed).all(axis=1)
+        coef = chars @ u[perms[:, reps]] / n
+        scale = fixed.sum(axis=0) ** -0.5  # sqrt(|O| / |G|) = |stabilizer|^(-1/2)
+        self.index, self.block_weights = [], []
+        for i, m in enumerate(member):
+            idx, s = reps[m], scale[m]
+            gathered = weights[idx[:, None], perms[:, idx][:, None, :]]  # W[r, h r']
+            self.index.append(idx)
+            self.block_weights.append(np.tensordot(chars[i], gathered, axes=1) * np.outer(s, s))
+        self.pairs = []
+        for i in range(n):
+            for j in range(i, n):
+                if (i ^ j) & odd == odd:
+                    both = member[i] & member[j]
+                    self.pairs.append((i, j, np.flatnonzero(both[member[i]]),
+                                       np.flatnonzero(both[member[j]]), coef[i ^ j, both]))
+
+    def pair_sum(self, v: np.ndarray) -> float:
+        """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i')."""
+        spectra = []
+        for idx, Wb in zip(self.index, self.block_weights):
+            x = v[idx]
+            lam, V = eigh(np.outer(x, x.conj()) * Wb)
+            spectra.append((np.maximum(lam, 0.0), V))
+        total = 0.0
+        for i, j, rows_i, rows_j, coef in self.pairs:
+            (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
+            Ut = V_i[rows_i].conj().T @ (coef[:, None] * V_j[rows_j])
+            total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, Ut)[0]
+        return total
 
 
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
     Precomputes the kernels, the (D, D) dephasing weights and the generator
-    diagonal u = A H (u_a = a^T H) once, and their restrictions to the even
-    and odd step-reversal blocks; each `evaluate` call then costs one
-    Hermitian eigensolve of rho_bar, or one per block, plus a few products.
+    diagonal u = A H (u_a = a^T H) once; each `evaluate` call then costs one
+    Hermitian eigensolve of rho_bar, or one per symmetry block, plus a few
+    products.  The orbit table and block weights of each symmetry group are
+    built on first use.
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
@@ -219,27 +322,16 @@ class BoundWorkspace:
         self.dim = joint_dim(n_atoms, k)
         self.weights = dephasing_weights(self.kernels.G, n_atoms)
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
-        # Even basis: each palindrome a = Pa, then (|a> + |Pa>)/sqrt(2) per
-        # mirror pair a < Pa; odd basis: (|a> - |Pa>)/sqrt(2).  A symmetric v
-        # enters each block as v[even] and v[odd], with the basis' sqrt(2)
-        # factors moved into the block weights.
         self._rev = reversal_index(n_atoms, self.n_steps)
-        lin = np.arange(self.dim)
-        pal, lo = np.flatnonzero(self._rev == lin), np.flatnonzero(lin < self._rev)
-        hi = self._rev[lo]
-        self._even = np.concatenate([pal, lo])
-        self._odd = lo
-        W = self.weights
-        cross = np.sqrt(2.0) * W[np.ix_(pal, lo)]
-        self._weights_even = np.block(
-            [[W[np.ix_(pal, pal)], cross], [cross.T, W[np.ix_(lo, lo)] + W[np.ix_(lo, hi)]]]
-        )
-        self._weights_odd = W[np.ix_(lo, lo)] - W[np.ix_(lo, hi)]
-        # U in the same basis: diagonal within each block, and (u_a - u_Pa)/2
-        # between the even and odd partners of each pair.
-        self._u_even = np.concatenate([self.u[pal], 0.5 * (self.u[lo] + self.u[hi])])
-        self._u_odd = self._u_even[pal.size:]
-        self._u_cross = 0.5 * (self.u[lo] - self.u[hi])
+        self._flip = flip_index(n_atoms, self.n_steps)
+        self._groups: dict[bool, _OrbitBlocks] = {}
+
+    def _blocks(self, flip: bool) -> _OrbitBlocks:
+        """The orbit blocks of {1, P} or, with `flip`, of {1, P, F, PF}."""
+        if flip not in self._groups:
+            gens = (self._rev, self._flip) if flip else (self._rev,)
+            self._groups[flip] = _OrbitBlocks(self.weights, self.u, gens, 0b10 if flip else 0)
+        return self._groups[flip]
 
     def evaluate(
         self,
@@ -264,26 +356,33 @@ class BoundWorkspace:
         A complex input whose imaginary part is all zero is taken as real,
         before the outer product, so real inputs stay on the real LAPACK path.
 
-        A pure input with v[Pa] == v[a] bit for bit (every product probe:
-        `product_pure` makes it exact) and no SLD request is solved in the
-        two step-reversal blocks (see the module docstring).  rho_bar is
-        block diagonal there, so its spectrum is the union of the blocks'
-        and the sum splits into within-block and even-odd pairs:
+        A pure input of dimension D >= BLOCK_MIN_DIM with no SLD request is
+        solved in the blocks of its largest exact symmetry (see the module
+        docstring), tested bit for bit: v[Pa] == v[a] and v[Fa] == +-v[a]
+        gives the four blocks of {1, P, F, PF}; v[Pa] == v[a] alone (every
+        product probe: `product_pure` makes it exact) the two of {1, P}.
+        rho_bar is block diagonal there, so its spectrum is the union of the
+        blocks' and the sum splits into block pairs (i, i'):
 
-            correction = (S(ee) + S(oo) + 2 S(eo)) / omega0^2
+            correction = sum_(i <= i') (1 + [i != i']) S(i, i') / omega0^2
 
-        with S the pair sum above over the block's eigenpairs.  The clamp
-        and the roundoff statement hold block by block.  Densities, other
-        vectors and SLD requests take the full (D, D) solve; the see-saw
-        asks for the SLD, and its iterates are not symmetric.
+        with S the pair sum above over block i's and block i''s eigenpairs.
+        Under {1, P} that is S(ee) + S(oo) + 2 S(eo); under {1, P, F, PF}
+        only the four pairs of an F-even and an F-odd block remain (the U'
+        shift).  The clamp and the roundoff statement hold block by block.
+        Densities, other vectors, SLD requests and D below the floor take
+        the full (D, D) solve; the see-saw asks for the SLD, and its
+        iterates are not symmetric.
         """
         rho_in = np.asarray(rho_in)
         if np.iscomplexobj(rho_in) and not np.any(rho_in.imag):
             rho_in = rho_in.real
         sld = None
-        if (rho_in.shape == (self.dim,) and not want_sld
+        if (rho_in.shape == (self.dim,) and not want_sld and self.dim >= BLOCK_MIN_DIM
                 and np.array_equal(rho_in, rho_in[self._rev])):
-            total = self._parity_pair_sum(rho_in)
+            flipped = rho_in[self._flip]
+            flip = np.array_equal(rho_in, flipped) or np.array_equal(rho_in, -flipped)
+            total = self._blocks(flip).pair_sum(rho_in)
         else:
             if rho_in.ndim == 1:
                 rho_in = np.outer(rho_in, rho_in.conj())
@@ -304,18 +403,6 @@ class BoundWorkspace:
             sigma2_q=s2lo - correction,
             sld=sld,
         )
-
-    def _parity_pair_sum(self, v: np.ndarray) -> float:
-        """S(ee) + S(oo) + 2 S(eo) for a reversal-symmetric pure input v."""
-        ve, vo = v[self._even], v[self._odd]
-        lam_e, V_e = eigh(np.outer(ve, ve.conj()) * self._weights_even)
-        lam_o, V_o = eigh(np.outer(vo, vo.conj()) * self._weights_odd)
-        lam_e, lam_o = np.maximum(lam_e, 0.0), np.maximum(lam_o, 0.0)
-        pairs_e = V_e[ve.size - vo.size:]  # the even block's mirror-pair rows
-        ee = _pair_sum(lam_e, lam_e, V_e.conj().T @ (self._u_even[:, None] * V_e))[0]
-        oo = _pair_sum(lam_o, lam_o, V_o.conj().T @ (self._u_odd[:, None] * V_o))[0]
-        eo = _pair_sum(lam_e, lam_o, pairs_e.conj().T @ (self._u_cross[:, None] * V_o))[0]
-        return ee + oo + 2.0 * eo
 
 
 def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:

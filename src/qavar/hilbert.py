@@ -19,6 +19,7 @@ __all__ = [
     "SymmetricState",
     "multi_index_table",
     "reversal_index",
+    "flip_index",
     "product_pure",
     "plus_step_state",
     "ghz_step_state",
@@ -83,6 +84,19 @@ def reversal_index(n_atoms: int, n_steps: int) -> np.ndarray:
     return rev
 
 
+@lru_cache(maxsize=64)
+def flip_index(n_atoms: int, n_steps: int) -> np.ndarray:
+    """Linear index of each multi-index's spin flip (N-n_1..N-n_K), shape ((N+1)^K,).
+
+    Every base-(N+1) digit n becomes N - n, so index a maps to D - 1 - a.  An
+    involution that commutes with `reversal_index`.
+    """
+    dim = (n_atoms + 1) ** n_steps
+    flip = dim - 1 - np.arange(dim)
+    flip.setflags(write=False)
+    return flip
+
+
 def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
     """K-fold tensor power of a step state, as a joint vector.
 
@@ -97,8 +111,14 @@ def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
 
 
 def plus_step_state(n_atoms: int) -> SymmetricState:
-    """All atoms in (|g> + |e>)/sqrt(2): equatorial spin-coherent state."""
-    return coherent_step_state(n_atoms, np.pi / 2.0, 0.0)
+    """All atoms in (|g> + |e>)/sqrt(2): equatorial spin-coherent state.
+
+    Built as sqrt(C(N, n)) 2^(-N/2), so a_n == a_(N-n) bit for bit (cos pi/4
+    and sin pi/4 differ in the last bit) and `product_pure` keeps the exact
+    spin-flip symmetry that `BoundWorkspace.evaluate` dispatches on.
+    """
+    amps = np.sqrt([comb(n_atoms, n) for n in range(n_atoms + 1)]) * 2.0 ** (-0.5 * n_atoms)
+    return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
 def coherent_step_state(n_atoms: int, polar: float, azimuth: float) -> SymmetricState:

@@ -59,9 +59,13 @@ SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
 # Up to this joint dimension the k-sweep's product search runs every start and
-# the phase polish.  Past it (D = 2187 at N = 2, k = 4: ~0.9 s per product
-# evaluation even in step-reversal blocks of 1134 and 1053, against ~5 ms at
-# D = 243, one BLAS thread) it keeps two starts and skips the polish.
+# the phase polish; beyond it, two starts and no polish.  At D = 2187 (N = 2,
+# k = 4, one BLAS thread) a product evaluation costs ~0.25 s in four spin-flip
+# x reversal blocks (|+>, GHZ, any state with a_n = +-a_(N-n) bit for bit) and
+# ~0.87 s in two reversal blocks (every other product state, so almost every
+# Nelder-Mead iterate), against ~2.3 and ~4.7 ms at D = 243.  Below
+# core.BLOCK_MIN_DIM, and for SLD requests and joint inputs at any D, an
+# evaluation is one (D, D) solve (~2.6 s at 2187).
 FULL_SEARCH_MAX_DIM = 512
 
 

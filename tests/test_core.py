@@ -1,6 +1,7 @@
 """Bound construction: dephasing averages, correlation operator, SLD, QAVAR."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,15 +331,45 @@ class TestWorkspaceReuse:
 
 
 def _step_state(kind, n_atoms, rng):
-    """Step state of the given kind: plus, ghz, random real or random complex."""
+    """Step state of the given kind: plus, ghz, random real or random complex,
+    or random with a_n = a_(N-n) (even, complex) or a_n = -a_(N-n) (odd, real)."""
     if kind == "plus":
         return plus_step_state(n_atoms)
     if kind == "ghz":
         return ghz_step_state(n_atoms)
     a = rng.normal(size=n_atoms + 1)
-    if kind == "complex":
+    if kind in ("complex", "even"):
         a = a + 1j * rng.normal(size=n_atoms + 1)
+    if kind in ("even", "odd"):
+        a = a + (1 if kind == "even" else -1) * a[::-1]  # bitwise (anti)symmetric
     return SymmetricState(n_atoms=n_atoms, amplitudes=a / np.linalg.norm(a))
+
+
+def _block_and_full_match_reference(n_atoms, k, T, state, n_solves):
+    """The block solve (n_solves eigensolves) equals the reference and the full solve.
+
+    The floor is set to 1, so that every layout down to k = 1 takes the
+    blocks, and then to D + 1 for the one (D, D) solve.
+    At short T rho_bar is nearly pure, and the pairs below the reference's
+    default support cut (1e-12 lam_max) are worth up to 4e-12 sigma2_lo at
+    N = 3, k = 3, T = 0.2 (both paths agree to 1e-15 there); a 1e-15 cut
+    keeps them.
+    """
+    sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(state))
+    ws = BoundWorkspace(PAR, n_atoms, k, T)
+    v = sc.joint_input()
+    with mock.patch.object(core, "eigh", wraps=core.eigh) as spy:
+        with mock.patch.object(core, "BLOCK_MIN_DIM", 1):
+            blocks = ws.evaluate(v)
+        assert spy.call_count == n_solves
+        with mock.patch.object(core, "BLOCK_MIN_DIM", ws.dim + 1):
+            full = ws.evaluate(v)
+        assert spy.call_count == n_solves + 1
+    rb = rho_bar(sc)
+    ref = blocks.sigma2_lo - eigen_sum(rb, rho_prime(sc, rb), PAR.omega0, support_tol=1e-15)
+    tol = 1e-13 * blocks.sigma2_lo
+    assert abs(blocks.sigma2_q - ref) <= tol
+    assert abs(blocks.sigma2_q - full.sigma2_q) <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,32 +381,42 @@ def _step_state(kind, n_atoms, rng):
     seed=st.integers(0, 2**31),
 )
 def test_parity_blocks_match_reference_property(n_atoms, k, kind, T, seed):
-    """A product probe's two-block solve equals the reference and the full solve.
+    """A product probe's block solve equals the reference and the full solve.
 
-    GHZ leaves rho_bar rank-deficient, with zero eigenvalues in both blocks.
-    At short T rho_bar is nearly pure, and the pairs below the reference's
-    default support cut (1e-12 lam_max) are worth up to 4e-12 sigma2_lo at
-    N = 3, k = 3, T = 0.2 (both paths agree to 1e-15 there); a 1e-15 cut
-    keeps them.
+    Random states take the two step-reversal blocks, |+> and GHZ the four
+    blocks of {1, P, F, PF}.  GHZ leaves rho_bar rank-deficient, with zero
+    eigenvalues in every block.
     """
     state = _step_state(kind, n_atoms, np.random.default_rng(seed))
-    sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(state))
-    ws = BoundWorkspace(PAR, n_atoms, k, T)
-    v = sc.joint_input()
-    blocks = ws.evaluate(v)
-    full = ws.evaluate(v, want_sld=True)
-    rb = rho_bar(sc)
-    ref = blocks.sigma2_lo - eigen_sum(rb, rho_prime(sc, rb), PAR.omega0, support_tol=1e-15)
-    tol = 1e-13 * blocks.sigma2_lo
-    assert abs(blocks.sigma2_q - ref) <= tol
-    assert abs(blocks.sigma2_q - full.sigma2_q) <= tol
+    _block_and_full_match_reference(n_atoms, k, T, state, 4 if kind in ("plus", "ghz") else 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_atoms=st.integers(1, 3),
+    k=st.integers(1, 3),
+    kind=st.sampled_from(["plus", "ghz", "even", "odd"]),
+    T=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_flip_blocks_match_reference_property(n_atoms, k, kind, T, seed):
+    """Step states with a_n = +-a_(N-n) take the four spin-flip x reversal blocks.
+
+    An F-odd step state such as (1, -1)/sqrt(2), (1, 0, -1)/sqrt(2) or
+    (a, b, -b, -a) gives v[Fa] = -v[a] over the odd number of steps; its
+    blocks are the F-even input's, relabeled, plus zero rows where v = 0.
+    """
+    state = _step_state(kind, n_atoms, np.random.default_rng(seed))
+    _block_and_full_match_reference(n_atoms, k, T, state, 4)
 
 
 class TestParityDispatch:
     @pytest.mark.parametrize("n_atoms, k", [(1, 2), (2, 2), (1, 3)])
     def test_eigensolves_per_input(self, monkeypatch, n_atoms, k):
-        # product inputs: one solve per block, sizes (N+1)^k + p and p with p
-        # mirror pairs; other vectors and SLD requests: one (D, D) solve
+        # at or above the floor: |+> and GHZ one solve per spin-flip x
+        # reversal block (4 below), a random real product one per reversal
+        # block, sizes (N+1)^k + p and p with p mirror pairs; SLD requests,
+        # other vectors and every input below the floor: one (D, D) solve
         sizes = []
         solve = core.eigh
 
@@ -387,16 +428,27 @@ class TestParityDispatch:
         ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
         D, n_pal = ws.dim, (n_atoms + 1) ** k
         p = (D - n_pal) // 2
-        v = product_pure(plus_step_state(n_atoms), ws.n_steps)
         rng = np.random.default_rng(3)
+        plus, ghz, real = (product_pure(s, ws.n_steps) for s in (
+            plus_step_state(n_atoms), ghz_step_state(n_atoms),
+            _step_state("real", n_atoms, rng)))
         w = rng.normal(size=D) + 1j * rng.normal(size=D)
         w /= np.linalg.norm(w)
-        for rho_in, want_sld, want in ((v, False, [(n_pal + p,) * 2, (p, p)]),
-                                       (v, True, [(D, D)]),
-                                       (w, False, [(D, D)])):
+        for floor, rho_in, want_sld, want in ((D, plus, False, 4),
+                                              (D, ghz, False, 4),
+                                              (D, real, False, [(n_pal + p,) * 2, (p, p)]),
+                                              (D, plus, True, [(D, D)]),
+                                              (D, w, False, [(D, D)]),
+                                              (D + 1, plus, False, [(D, D)]),
+                                              (D + 1, real, False, [(D, D)])):
+            monkeypatch.setattr(core, "BLOCK_MIN_DIM", floor)
             sizes.clear()
             ws.evaluate(rho_in, want_sld=want_sld)
-            assert sizes == want
+            if want == 4:
+                assert len(sizes) == 4 and sum(m for m, _ in sizes) == D
+                assert all(m == n for m, n in sizes)
+            else:
+                assert sizes == want
 
 
 class TestLayout:

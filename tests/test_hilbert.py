@@ -11,6 +11,7 @@ from qavar.hilbert import (
     SymmetricState,
     coherent_step_state,
     eigh,
+    flip_index,
     ghz_step_state,
     multi_index_table,
     plus_step_state,
@@ -72,6 +73,15 @@ class TestIndexing:
         assert np.array_equal(A[rev], A[:, ::-1])
         assert rev is reversal_index(1, 3) and not rev.flags.writeable
 
+    @pytest.mark.parametrize("n_atoms, n_steps", [(1, 1), (2, 3), (3, 2), (1, 5)])
+    def test_flip_index(self, n_atoms, n_steps):
+        A = multi_index_table(n_atoms, n_steps)
+        flip, rev = flip_index(n_atoms, n_steps), reversal_index(n_atoms, n_steps)
+        assert np.array_equal(A[flip], n_atoms - A)
+        assert np.array_equal(flip[flip], np.arange(A.shape[0]))  # an involution
+        assert np.array_equal(flip[rev], rev[flip])
+        assert flip is flip_index(n_atoms, n_steps) and not flip.flags.writeable
+
 
 class TestProductStates:
     def test_product_pure_matches_density(self):
@@ -91,6 +101,16 @@ class TestProductStates:
         assert np.array_equal(v, v[reversal_index(n_atoms, n_steps)])
         kron = reduce(np.kron, [s.amplitudes] * n_steps)
         assert np.allclose(v, kron, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+    def test_plus_product_is_exactly_flip_symmetric(self, n_atoms):
+        a = plus_step_state(n_atoms).amplitudes
+        assert np.array_equal(a, a[::-1])
+        assert np.allclose(a, coherent_step_state(n_atoms, np.pi / 2, 0.0).amplitudes,
+                           rtol=1e-15, atol=0.0)
+        for n_steps in (1, 3, 5):
+            v = product_pure(plus_step_state(n_atoms), n_steps)
+            assert np.array_equal(v, v[flip_index(n_atoms, n_steps)])
 
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
