@@ -7,11 +7,19 @@ Two state optimizers:
   of the cost operator A_L; each half-step minimizes the same jointly convex
   functional, so the sigma2_q history is non-increasing.
 * `optimize_product_state`: Nelder-Mead over per-step pure states (input
-  rho0^(x)K).  `family` picks the chart: "symmetric" spans the full
-  (N+1)-dimensional symmetric subspace (2N real parameters after gauge
-  fixing), "coherent" restricts to atom-level product states (spin-coherent,
-  one polar parameter; the azimuth is exactly irrelevant because per-step
-  diagonal phase twists leave sigma2_q invariant).
+  rho0^(x)K).  `family` picks the chart: "symmetric" spans the
+  (N+1)-dimensional symmetric subspace by N real angles, "coherent"
+  restricts to atom-level product states (spin-coherent, one polar
+  parameter).
+
+Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
+v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
+commutes with the generator U.  So a product probe's bound depends only on
+|a_n|: the coherent family fixes its azimuth at 0, and the optional phase
+polish of the symmetric family searches exactly flat directions.  The
+polish and its `polish_phases` keyword stay only while callers (acceptance
+check 5, the perfbench optimize-small workload) still pass it; ROADMAP.md
+plans its removal.
 
 `optimize_interrogation` sweeps k at fixed tau, `bound_curve` chains scans
 over a tau grid with warm starts, and `extrapolate_long_term` reads off the
@@ -122,10 +130,22 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
 
     A_L is Hermitian to roundoff; `hilbert.eigh` checks and symmetrizes it.
+    The SLD of a real input is L = iK with K real antisymmetric; then
+    L^2 = -K^2 and i [L, U] = -[K, U], so A_L is formed in real arithmetic
+    (a quarter of the complex product's flops).
     """
     w0sq = workspace.noise.omega0**2
     W = workspace.weights
     u = workspace.u
+    if not np.any(L.real):
+        K = L.imag
+        A = K @ K
+        A *= 0.5
+        A += K * u[None, :]
+        A -= u[:, None] * K
+        A *= W
+        A /= -w0sq
+        return A
     return W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
 
 
@@ -134,15 +154,30 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
 
     The scenario's checked joint input seeds the iteration; a density probe
     gives no pure state, so it starts from a random one drawn from `seed`.
-    A real start stays real.  Convergence is declared when sigma2_q changes by
-    less than SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER
-    sweeps.
+    Convergence is declared when sigma2_q changes by less than
+    SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER sweeps.
+
+    The see-saw runs in its start's phase gauge.  A start psi0 with a
+    nonzero imaginary part is split as psi0 = Z |psi0|, Z = diag(z) with
+    z = psi0 / |psi0| (1 where psi0 = 0).  Then rho_bar(psi0) =
+    Z rho_bar(|psi0|) Z^dag, and Z commutes with the diagonal generator U,
+    so the SLD, A_L and A_L's ground state of every iterate transform by Z
+    alike.  The iteration therefore runs from |psi0| with every iterate
+    real (the real LAPACK path and the real cost operator), and the
+    returned state is z * psi, the optimum in the start's gauge.  Each
+    sweep computes only the lowest eigenpair of A_L.
     """
     psi = scenario.joint_input()
     if psi.ndim == 2:
         rng = np.random.default_rng(seed)
         psi = rng.standard_normal(scenario.dim) + 1j * rng.standard_normal(scenario.dim)
         psi = psi / np.linalg.norm(psi)
+    gauge = None
+    if np.iscomplexobj(psi) and np.any(psi.imag):
+        mag = np.abs(psi)
+        gauge = np.ones(psi.shape, dtype=complex)
+        np.divide(psi, mag, out=gauge, where=mag > 0.0)
+        psi = mag
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     history: list[float] = []
     converged = False
@@ -154,11 +189,11 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
             converged = True
             break
         A = cost_operator(res.sld, ws)
-        _, V = eigh(A)
+        _, V = eigh(A, lowest=1)
         psi = np.ascontiguousarray(V[:, 0])
     return OptimizeReport(
         sigma2_q=history[-1],
-        state=psi,
+        state=psi if gauge is None else gauge * psi,
         kind="joint",
         history=history,
         converged=converged,
@@ -206,11 +241,11 @@ def optimize_product_state(
     """Optimize an identical per-step pure probe (input rho0^(x)K).
 
     family "symmetric": any per-step symmetric-subspace state; the search
-    runs first over real amplitude charts (the fast LAPACK path; real charts
-    are stationary points of the residual phases by conjugation symmetry)
-    and, when polish_phases is true and N >= 2, refines over the full
-    2N-parameter chart.  At N = 1 the only phase is the per-step twist,
-    which leaves sigma2_q invariant, so there is nothing to polish.
+    runs over real amplitude charts (the fast LAPACK path) and, when
+    polish_phases is true and N >= 2, again over the 2N-parameter chart with
+    phases.  The phases leave sigma2_q invariant (see the module docstring),
+    so the polish adds only flat directions to the real search; at N = 1 it
+    is skipped.
     family "coherent": atom-level product states, a single polar parameter.
 
     The scenario's probe, when it is a ProductProbe, seeds the first

@@ -249,6 +249,37 @@ def test_bound_sandwich_property(alpha, beta, gamma, T, k, seed):
     assert -slack <= res.sigma2_q <= res.sigma2_lo + slack
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_atoms=st.integers(1, 2),
+    k=st.integers(1, 3),
+    T=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
+    """A pure input's excitation-basis phases are a gauge of the bound.
+
+    With v = Z |v|, Z = diag(z), rho_bar(v) = Z rho_bar(|v|) Z^dag and Z
+    commutes with U, so sigma2_q(v) = sigma2_q(|v|) and the SLD moves to
+    Z L Z^dag = (z z^dag) o L.  The see-saw runs from |v| on this basis.
+    The SLD is fixed only on rho_bar's support, so the two are compared
+    through rho_bar L: off the support the pair ratios of near-zero
+    eigenvalues are roundoff, and entrywise the SLDs differed by up to
+    5e-7 relative at T = 0.2, where rho_bar is nearly pure.
+    """
+    ws = BoundWorkspace(PAR, n_atoms, k, T)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=ws.dim) + 1j * rng.normal(size=ws.dim)
+    v /= np.linalg.norm(v)
+    z = v / np.abs(v)
+    twisted = ws.evaluate(v, want_sld=True)
+    plain = ws.evaluate(np.abs(v), want_sld=True)
+    assert abs(twisted.sigma2_q - plain.sigma2_q) <= 1e-14 * plain.sigma2_lo
+    rb = np.outer(v, v.conj()) * ws.weights
+    moved = rb @ (np.outer(z, z.conj()) * plain.sld)
+    assert np.abs(rb @ twisted.sld - moved).max() <= 1e-10 * np.abs(moved).max()
+
+
 class TestCostFunctional:
     def test_parabola_through_known_points(self):
         sc = plus_scenario(k=2, T=0.5)

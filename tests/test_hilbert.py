@@ -162,6 +162,25 @@ class TestEigh:
         evals, evecs = eigh(np.zeros((0, 0)))
         assert evals.shape == (0,) and evecs.shape == (0, 0)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lowest_pair_matches_full_solve(self, dtype):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(40, 40)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(40, 40))
+        a = a + a.conj().T
+        evals, evecs = eigh(a)
+        assert evals[1] - evals[0] > 1e-3 * np.abs(evals).max()  # nondegenerate
+        low, vec = eigh(a, lowest=1)
+        assert low.shape == (1,) and vec.shape == (40, 1)
+        assert np.iscomplexobj(vec) == (dtype is complex)
+        assert low[0] == pytest.approx(evals[0], rel=1e-12)
+        assert abs(np.vdot(evecs[:, 0], vec[:, 0])) == pytest.approx(1.0, abs=1e-10)
+
+    def test_lowest_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="matrix not Hermitian within tolerance"):
+            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]), lowest=1)
+
     def test_real_downcast_keeps_real_vectors(self):
         a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
         _, evecs = eigh(a)

@@ -55,8 +55,22 @@ class TestCostOperator:
     def test_hermitian_output(self):
         ws = BoundWorkspace(PAR, 2, 1, 1.0)
         A = cost_operator(random_hermitian(ws.dim, 5), ws)
+        # a general Hermitian L takes the complex branch
+        assert A.dtype == np.complex128
         # relative: the entries are ~1/omega0^2, far below allclose's atol
         assert np.abs(A - A.conj().T).max() <= 1e-12 * np.abs(A).max()
+
+    def test_real_input_sld_takes_real_branch(self):
+        # a real input's SLD is iK with K real antisymmetric; A_L is then real
+        ws = BoundWorkspace(PAR, 2, 3, 0.7)
+        v = product_pure(plus_step_state(2), ws.n_steps).real
+        L = ws.evaluate(v, want_sld=True).sld
+        assert not np.any(L.real)
+        A = cost_operator(L, ws)
+        assert A.dtype == np.float64
+        w0sq, W, u = PAR.omega0**2, ws.weights, ws.u
+        full = W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
+        assert np.abs(A - full).max() <= 1e-14 * np.abs(full).max()
 
 
 class TestSeeSaw:
@@ -114,6 +128,42 @@ class TestSeeSaw:
         assert twisted.sigma2_q == pytest.approx(real.sigma2_q, rel=1e-10)
         assert twisted.n_evals == real.n_evals
 
+    @pytest.mark.parametrize("start", ["twisted", "density"])
+    def test_complex_start_runs_real_in_its_gauge(self, monkeypatch, start):
+        # psi0 = z |psi0|: the sweeps run from |psi0| on real inputs, match
+        # the |psi0| run, and the state comes back in the start's gauge
+        seed = 4
+        if start == "twisted":
+            probe = ProductProbe(coherent_step_state(2, np.pi / 2, np.pi / 3))
+            psi0 = product_pure(probe.state, 3)
+        else:
+            probe = JointProbe(density=np.eye(27) / 27)
+            rng = np.random.default_rng(seed)
+            psi0 = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+            psi0 /= np.linalg.norm(psi0)
+        z = psi0 / np.abs(psi0)
+        seen = []
+        evaluate = BoundWorkspace.evaluate
+
+        def spy(ws, rho_in, want_sld=False):
+            seen.append(rho_in.dtype)
+            return evaluate(ws, rho_in, want_sld)
+
+        monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
+        rep = optimize_joint_state(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=probe),
+                                   seed=seed)
+        assert len(seen) == rep.n_evals >= 2
+        assert set(seen) == {np.dtype(np.float64)}
+        monkeypatch.undo()
+        h = np.asarray(rep.history)
+        assert np.all(np.diff(h) <= 1e-10 * free_lo_avar(PAR, 2.0))
+        plain = optimize_joint_state(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0,
+                                              probe=JointProbe(vector=np.abs(psi0))))
+        assert plain.n_evals == rep.n_evals
+        assert np.abs(h - plain.history).max() <= 1e-12 * np.abs(h).max()
+        back = rep.state * z.conj()
+        assert np.abs(back.imag).max() <= 1e-14 * np.abs(back).max()
+
     @pytest.mark.parametrize("vector, message", [
         (np.full(26, 1 / np.sqrt(26)), "joint vector length 26, expected 27"),
         (np.full(27, 0.2), "joint vector not normalized"),
@@ -142,8 +192,8 @@ class TestProductSearch:
         assert rep.n_evals == len(h)
 
     def test_phase_polish_cannot_beat_real_chart(self):
-        # real charts are stationary in the residual phases; the full-chart
-        # polish must agree with the real-chart optimum to optimizer precision
+        # the phases leave sigma2_q invariant; the full-chart polish must
+        # agree with the real-chart optimum to optimizer precision
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
         plain = optimize_product_state(sc, n_starts=4, seed=3, polish_phases=False)
         polished = optimize_product_state(sc, n_starts=4, seed=3, polish_phases=True)
