@@ -59,7 +59,8 @@ class CliConfigError(Exception):
 @dataclass
 class RunConfig:
     """A validated run: the library objects the row builders use, and the
-    resolved config they were built from."""
+    resolved config they were built from (a plain dict without the out path;
+    `run` hashes it)."""
 
     mode: str
     resolved: dict
@@ -74,10 +75,6 @@ class RunConfig:
     probe_family: Optional[str] = None
     sim: Optional[SimConfig] = None
     n_runs: int = 0
-
-    def canonical(self) -> dict:
-        """Resolved config as a plain dict (hash input; excludes out path)."""
-        return self.resolved
 
 
 def _is_number(x: Any) -> bool:
@@ -449,7 +446,7 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
         print(f"numerical failure: non-finite value in output row {bad[0]}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    canonical = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     lines = [
         f"# qavar {__version__}",

@@ -7,19 +7,16 @@ Two state optimizers:
   of the cost operator A_L; each half-step minimizes the same jointly convex
   functional, so the sigma2_q history is non-increasing.
 * `optimize_product_state`: Nelder-Mead over per-step pure states (input
-  rho0^(x)K).  `family` picks the chart: "symmetric" spans the
-  (N+1)-dimensional symmetric subspace by N real angles, "coherent"
-  restricts to atom-level product states (spin-coherent, one polar
-  parameter).
+  rho0^(x)K).  `family` picks the chart: "symmetric" spans the real unit
+  vectors of the (N+1)-dimensional symmetric subspace by N angles,
+  "coherent" restricts to atom-level product states (spin-coherent, one
+  polar parameter).
 
 Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
 v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
 commutes with the generator U.  So a product probe's bound depends only on
-|a_n|: the coherent family fixes its azimuth at 0, and the optional phase
-polish of the symmetric family searches exactly flat directions.  The
-polish and its `polish_phases` keyword stay only while callers (acceptance
-check 5, the perfbench optimize-small workload) still pass it; ROADMAP.md
-plans its removal.
+|a_n|, and both families search real amplitudes only: the symmetric chart
+carries no phases and the coherent family fixes its azimuth at 0.
 
 `optimize_interrogation` sweeps k at fixed tau, `bound_curve` chains scans
 over a tau grid with warm starts, and `extrapolate_long_term` reads off the
@@ -66,14 +63,14 @@ __all__ = [
 SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma2_lo
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
-# Up to this joint dimension the k-sweep's product search runs every start and
-# the phase polish; beyond it, two starts and no polish.  At D = 2187 (N = 2,
-# k = 4, one BLAS thread) a product evaluation costs ~0.25 s in four spin-flip
-# x reversal blocks (|+>, GHZ, any state with a_n = +-a_(N-n) bit for bit) and
-# ~0.87 s in two reversal blocks (every other product state, so almost every
-# Nelder-Mead iterate), against ~2.3 and ~4.7 ms at D = 243.  Below
-# core.BLOCK_MIN_DIM, and for SLD requests and joint inputs at any D, an
-# evaluation is one (D, D) solve (~2.6 s at 2187).
+# Up to this joint dimension the k-sweep's product search runs every start;
+# beyond it, two.  At D = 2187 (N = 2, k = 4, one BLAS thread) a product
+# evaluation costs ~0.25 s in four spin-flip x reversal blocks (|+>, GHZ, any
+# state with a_n = +-a_(N-n) bit for bit) and ~0.87 s in two reversal blocks
+# (every other product state, so almost every Nelder-Mead iterate), against
+# ~2.3 and ~4.7 ms at D = 243.  Below core.BLOCK_MIN_DIM, and for SLD
+# requests and joint inputs at any D, an evaluation is one (D, D) solve
+# (~2.6 s at 2187).
 FULL_SEARCH_MAX_DIM = 512
 
 
@@ -121,7 +118,7 @@ class PlateauFit:
 
 
 def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
-    """A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo.
+    """A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo, for L = iK.
 
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
     + Tr(L^2 rho_bar)/(2 omega0^2) is jointly convex and equals sigma2_q at
@@ -129,31 +126,31 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
 
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
 
-    A_L is Hermitian to roundoff; `hilbert.eigh` checks and symmetrizes it.
-    The SLD of a real input is L = iK with K real antisymmetric; then
-    L^2 = -K^2 and i [L, U] = -[K, U], so A_L is formed in real arithmetic
-    (a quarter of the complex product's flops).
+    There is one formula, the real one.  The SLD of a real input is L = iK
+    with K real antisymmetric, and the see-saw, which runs in its start's
+    phase gauge, feeds only real inputs.  Then L^2 = -K^2 and
+    i [L, U] = -[K, U], so A_L = -W o (K^2 / 2 + [K, U]) / omega0^2 is real
+    symmetric and is formed in real arithmetic (a quarter of the complex
+    product's flops).  An L with a nonzero real part raises ValueError.
     """
-    w0sq = workspace.noise.omega0**2
-    W = workspace.weights
-    u = workspace.u
-    if not np.any(L.real):
-        K = L.imag
-        A = K @ K
-        A *= 0.5
-        A += K * u[None, :]
-        A -= u[:, None] * K
-        A *= W
-        A /= -w0sq
-        return A
-    return W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
+    if np.any(L.real):
+        raise ValueError("cost_operator needs a purely imaginary L = iK, the SLD of a real input")
+    K = L.imag
+    A = K @ K
+    A *= 0.5
+    A += K * workspace.u[None, :]
+    A -= workspace.u[:, None] * K
+    A *= workspace.weights
+    A /= -workspace.noise.omega0**2
+    return A
 
 
 def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     """See-saw minimization over arbitrary joint input states.
 
     The scenario's checked joint input seeds the iteration; a density probe
-    gives no pure state, so it starts from a random one drawn from `seed`.
+    gives no pure state, so it starts from a random real one drawn from
+    `seed` (its phases would be a gauge, see below).
     Convergence is declared when sigma2_q changes by less than
     SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER sweeps.
 
@@ -170,8 +167,8 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     psi = scenario.joint_input()
     if psi.ndim == 2:
         rng = np.random.default_rng(seed)
-        psi = rng.standard_normal(scenario.dim) + 1j * rng.standard_normal(scenario.dim)
-        psi = psi / np.linalg.norm(psi)
+        psi = rng.standard_normal(scenario.dim)
+        psi /= np.linalg.norm(psi)
     gauge = None
     if np.iscomplexobj(psi) and np.any(psi.imag):
         mag = np.abs(psi)
@@ -201,33 +198,31 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     )
 
 
-def _amps_from_chart(x: np.ndarray, n_atoms: int, with_phases: bool) -> np.ndarray:
-    """Hyperspherical chart: N angles (+ N phases) -> N+1 unit amplitudes."""
-    N = n_atoms
-    angles = x[:N]
-    amps = np.empty(N + 1, dtype=complex)
+def _amps_from_chart(x: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Hyperspherical chart: N angles -> N+1 real unit amplitudes.
+
+    Complex-typed, like `SymmetricState.amplitudes` and the coherent
+    chart's output, so both charts share `eval_amps`' arithmetic.
+    """
+    amps = np.empty(n_atoms + 1, dtype=complex)
     rolling = 1.0
-    for j in range(N):
-        amps[j] = rolling * np.cos(angles[j])
-        rolling = rolling * np.sin(angles[j])
-    amps[N] = rolling
-    if with_phases:
-        amps[1:] = amps[1:] * np.exp(1j * x[N:])
+    for j in range(n_atoms):
+        amps[j] = rolling * np.cos(x[j])
+        rolling = rolling * np.sin(x[j])
+    amps[n_atoms] = rolling
     return amps
 
 
 def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Inverse of _amps_from_chart (angles then phases, 2N entries)."""
-    N = n_atoms
+    """Inverse of _amps_from_chart on |amps|: the N angles."""
     mags = np.abs(amps)
-    angles = np.empty(N)
+    angles = np.empty(n_atoms)
     rolling = 1.0
-    for j in range(N):
+    for j in range(n_atoms):
         c = np.clip(mags[j] / rolling if rolling > 1e-14 else 1.0, -1.0, 1.0)
         angles[j] = np.arccos(c)
         rolling = max(rolling * np.sin(angles[j]), 0.0)
-    phases = np.angle(amps[1:])
-    return np.concatenate([angles, phases])
+    return angles
 
 
 def optimize_product_state(
@@ -235,17 +230,14 @@ def optimize_product_state(
     n_starts: int = 8,
     seed: int = 0,
     family: str = "symmetric",
-    polish_phases: bool = True,
     maxfev: Optional[int] = None,
 ) -> OptimizeReport:
     """Optimize an identical per-step pure probe (input rho0^(x)K).
 
-    family "symmetric": any per-step symmetric-subspace state; the search
-    runs over real amplitude charts (the fast LAPACK path) and, when
-    polish_phases is true and N >= 2, again over the 2N-parameter chart with
-    phases.  The phases leave sigma2_q invariant (see the module docstring),
-    so the polish adds only flat directions to the real search; at N = 1 it
-    is skipped.
+    family "symmetric": any per-step symmetric-subspace state, searched over
+    the N-angle chart of real unit amplitudes (the real LAPACK path).  The
+    phases leave sigma2_q invariant (see the module docstring), so the real
+    search covers every value the complex states reach.
     family "coherent": atom-level product states, a single polar parameter.
 
     The scenario's probe, when it is a ProductProbe, seeds the first
@@ -259,11 +251,11 @@ def optimize_product_state(
         chart = lambda x: np.asarray(coherent_step_state(N, float(x[0]), 0.0).amplitudes)
         starts, n_params, default_fev = [np.array([np.pi / 2.0])], 1, 60
     elif family == "symmetric":
-        chart = lambda x: _amps_from_chart(x, N, with_phases=False)
+        chart = lambda x: _amps_from_chart(x, N)
         starts, n_params, default_fev = [], N, 80 * N
         if isinstance(scenario.probe, ProductProbe) and scenario.probe.state.n_atoms == N:
-            starts.append(_chart_from_amps(np.asarray(scenario.probe.state.amplitudes), N)[:N])
-        starts.append(_chart_from_amps(np.asarray(plus_step_state(N).amplitudes), N)[:N])
+            starts.append(_chart_from_amps(scenario.probe.state.amplitudes, N))
+        starts.append(_chart_from_amps(plus_step_state(N).amplitudes, N))
     else:
         raise ValueError(f"unknown family {family!r}")
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
@@ -285,16 +277,10 @@ def optimize_product_state(
         history.append(best["f"])
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 
-    def nelder_mead(chart, x0: np.ndarray) -> None:
+    for x0 in starts[: max(1, n_starts)]:
         res = minimize(lambda x: eval_amps(chart(x)), x0, method="Nelder-Mead",
                        options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
         runs_ok.append(bool(res.success))
-
-    for x0 in starts[: max(1, n_starts)]:
-        nelder_mead(chart, x0)
-    if family == "symmetric" and polish_phases and N >= 2:
-        nelder_mead(lambda x: _amps_from_chart(x, N, with_phases=True),
-                    _chart_from_amps(best["amps"], N))
     return OptimizeReport(
         sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
         history=history, converged=all(runs_ok), n_evals=len(history),
@@ -313,7 +299,6 @@ def optimize_interrogation(
     seed: int = 0,
     family: str = "symmetric",
     n_starts: int = 8,
-    polish_phases: bool = True,
     warm_state: Optional[SymmetricState] = None,
     maxfev: Optional[int] = None,
 ) -> InterrogationScan:
@@ -344,13 +329,11 @@ def optimize_interrogation(
         k_seed = int(child.generate_state(1)[0])
         report = None
         if probe == "optimize-product":
-            full = dim <= FULL_SEARCH_MAX_DIM
             report = optimize_product_state(
                 scen,
-                n_starts=n_starts if full else min(n_starts, 2),
+                n_starts=n_starts if dim <= FULL_SEARCH_MAX_DIM else min(n_starts, 2),
                 seed=k_seed,
                 family=family,
-                polish_phases=polish_phases and full,
                 maxfev=maxfev,
             )
             start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
@@ -378,19 +361,25 @@ def bound_curve(
     seed: int = 0,
     family: str = "symmetric",
     n_starts: int = 8,
-    polish_phases: bool = True,
+    polish_phases: bool = False,
     maxfev: Optional[int] = None,
 ) -> list[InterrogationScan]:
     """Interrogation scans over a tau grid, warm-starting the per-step probe
-    across consecutive tau values (the optimum moves slowly along the grid)."""
+    across consecutive tau values (the optimum moves slowly along the grid).
+
+    `polish_phases` must be False: the product search has no phase polish,
+    because excitation-basis phases are a gauge of the bound (see the module
+    docstring).  True raises ValueError.
+    """
+    if polish_phases:
+        raise ValueError("polish_phases must be False: phases are a gauge of the bound")
     scans: list[InterrogationScan] = []
     warm = None
     for i, tau in enumerate(sorted(taus)):
         scan = optimize_interrogation(
             noise, n_atoms, float(tau), k_max,
             probe=probe, seed=seed + i,
-            family=family, n_starts=n_starts, polish_phases=polish_phases,
-            warm_state=warm, maxfev=maxfev,
+            family=family, n_starts=n_starts, warm_state=warm, maxfev=maxfev,
         )
         scans.append(scan)
         if probe == "optimize-product":
@@ -407,8 +396,8 @@ def extrapolate_long_term(
 ) -> PlateauFit:
     """Read the long-term coefficient c from sigma2_q(tau) ~ c / (omega0^2 tau).
 
-    Takes the last m points of c(tau) = sigma2_q * omega0^2 * tau on the
-    sorted grid; `flat` reports whether their spread (max - min, relative to
+    Takes the last m >= 1 points of c(tau) = sigma2_q * omega0^2 * tau on
+    the sorted grid; `flat` reports whether their spread (max - min, relative to
     the mean) is within FLAT_TOL.  A non-flat tail means the grid has not
     reached the 1/tau regime and the returned c is not trustworthy.
     """
@@ -416,6 +405,8 @@ def extrapolate_long_term(
     s2 = np.asarray(sigma2_qs, dtype=float)
     if taus.shape != s2.shape or taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus and sigma2_qs must be equal-length 1-D sequences")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     order = np.argsort(taus)
     taus = taus[order]
     c_values = s2[order] * omega0**2 * taus

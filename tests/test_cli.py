@@ -34,7 +34,7 @@ MINIMAL = {
 
 def config_hash(cfg):
     """The digest run() writes on the '# config-hash' line."""
-    canonical = json.dumps(cfg.canonical(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -155,17 +155,17 @@ class TestValidation:
 
 
 class TestSchemaMatchesCanonical:
-    """validate(cfg.canonical()) accepts the resolved config and gives it back."""
+    """validate(cfg.resolved) accepts the resolved config and gives it back."""
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_example_configs(self, path):
         cfg = cli.validate(json.loads(path.read_text()))
-        assert cli.validate(cfg.canonical()).canonical() == cfg.canonical()
+        assert cli.validate(cfg.resolved).resolved == cfg.resolved
 
     @pytest.mark.parametrize("mode", cli.MODES)
     def test_minimal_config_per_mode(self, mode):
         cfg = cli.validate(MINIMAL[mode], mode_override=mode)
-        assert cli.validate(cfg.canonical()).canonical() == cfg.canonical()
+        assert cli.validate(cfg.resolved).resolved == cfg.resolved
 
 
 class TestConfigHash:
@@ -196,7 +196,7 @@ class TestConfigHash:
         floats = dict(MINIMAL["simulate"], noise=dict(NOISE, alpha=2.0), tau=[1.0],
                       servo={"gain": 1.0})
         a, b = (cli.validate(doc, mode_override="simulate") for doc in (ints, floats))
-        assert a.canonical() == b.canonical()
+        assert a.resolved == b.resolved
         assert config_hash(a) == config_hash(b) == (
             "df6a620a7307ff2a54e72dc05c4c00a3597beb5b403986f61b255f3d10709f66")
 

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bound_reference import cost_functional, eigen_sum, rho_bar, rho_prime, support_projector
@@ -256,16 +256,24 @@ def test_bound_sandwich_property(alpha, beta, gamma, T, k, seed):
     T=st.floats(0.2, 3.0),
     seed=st.integers(0, 2**31),
 )
+@example(n_atoms=1, k=2, T=1.0, seed=0)  # D = 8, the full solve
+@example(n_atoms=2, k=3, T=1.0, seed=0)  # D = 243, the symmetry blocks
 def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
     """A pure input's excitation-basis phases are a gauge of the bound.
 
     With v = Z |v|, Z = diag(z), rho_bar(v) = Z rho_bar(|v|) Z^dag and Z
     commutes with U, so sigma2_q(v) = sigma2_q(|v|) and the SLD moves to
-    Z L Z^dag = (z z^dag) o L.  The see-saw runs from |v| on this basis.
+    Z L Z^dag = (z z^dag) o L.  The see-saw runs from |v| on this basis,
+    and the product search over real amplitudes only.
     The SLD is fixed only on rho_bar's support, so the two are compared
     through rho_bar L: off the support the pair ratios of near-zero
     eigenvalues are roundoff, and entrywise the SLDs differed by up to
     5e-7 relative at T = 0.2, where rho_bar is nearly pure.
+
+    A product probe's step phases and signs are a gauge on every evaluate
+    path: the full solve below BLOCK_MIN_DIM, the two reversal blocks for
+    a generic step state, and the four spin-flip x reversal blocks for
+    a_n = a_(N-n) with phi_n = phi_(N-n) (exact by IEEE commutativity).
     """
     ws = BoundWorkspace(PAR, n_atoms, k, T)
     rng = np.random.default_rng(seed)
@@ -278,6 +286,18 @@ def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
     rb = np.outer(v, v.conj()) * ws.weights
     moved = rb @ (np.outer(z, z.conj()) * plain.sld)
     assert np.abs(rb @ twisted.sld - moved).max() <= 1e-10 * np.abs(moved).max()
+
+    for flip in (False, True):
+        a = rng.normal(size=n_atoms + 1)
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n_atoms + 1)
+        if flip:
+            a, phi = a + a[::-1], phi + phi[::-1]
+        a /= np.linalg.norm(a)
+        with mock.patch.object(core, "eigh", wraps=core.eigh) as spy:
+            twisted, plain = [ws.evaluate(product_pure(SymmetricState(n_atoms, amps), ws.n_steps))
+                              for amps in (a * np.exp(1j * phi), np.abs(a))]
+        assert spy.call_count == 2 * (1 if ws.dim < core.BLOCK_MIN_DIM else 4 if flip else 2)
+        assert abs(twisted.sigma2_q - plain.sigma2_q) <= 1e-14 * plain.sigma2_lo
 
 
 class TestCostFunctional:

@@ -180,8 +180,3 @@ class TestEigh:
     def test_lowest_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="matrix not Hermitian within tolerance"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]), lowest=1)
-
-    def test_real_downcast_keeps_real_vectors(self):
-        a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
-        _, evecs = eigh(a)
-        assert not np.iscomplexobj(evecs)

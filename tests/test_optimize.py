@@ -31,19 +31,32 @@ def random_hermitian(dim, seed):
     return m + m.conj().T
 
 
+def random_sld(dim, seed):
+    """L = iK with K real antisymmetric: the form of a real input's SLD."""
+    m = np.random.default_rng(seed).normal(size=(dim, dim))
+    return 1j * (m - m.T)
+
+
+def complex_formula(L, ws):
+    """A_L = W o (L^2 / (2 omega0^2) + i [L, U] / omega0^2) in complex arithmetic."""
+    w0sq, W, u = ws.noise.omega0**2, ws.weights, ws.u
+    return W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
+
+
 class TestCostOperator:
     def test_zero_noise_reduces_to_squared(self):
         ws = BoundWorkspace(QUIET, 1, 2, 0.5)
-        L = random_hermitian(ws.dim, 0)
+        L = random_sld(ws.dim, 0)
         A = cost_operator(L, ws)
-        assert np.allclose(A, L @ L / (2.0 * QUIET.omega0**2), atol=1e-12 / QUIET.omega0**2)
+        assert np.allclose(A, (L @ L).real / (2.0 * QUIET.omega0**2),
+                           atol=1e-12 / QUIET.omega0**2)
 
     def test_trace_identity_vs_cost_functional(self):
         # Tr(rho_in A_L) + sigma2_lo == cost_functional(rho_in, L)
         sc = plus_scenario(k=2, T=0.5)
         ws = BoundWorkspace(PAR, 1, 2, 0.5)
         for seed in range(3):
-            L = random_hermitian(ws.dim, seed) / PAR.omega0
+            L = random_sld(ws.dim, seed) / PAR.omega0
             rng = np.random.default_rng(100 + seed)
             v = rng.normal(size=ws.dim) + 1j * rng.normal(size=ws.dim)
             v /= np.linalg.norm(v)
@@ -53,12 +66,19 @@ class TestCostOperator:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_hermitian_output(self):
-        ws = BoundWorkspace(PAR, 2, 1, 1.0)
-        A = cost_operator(random_hermitian(ws.dim, 5), ws)
-        # a general Hermitian L takes the complex branch
-        assert A.dtype == np.complex128
+        ws = BoundWorkspace(PAR, 2, 2, 1.0)
+        L = random_sld(ws.dim, 5)
+        A = cost_operator(L, ws)
+        assert A.dtype == np.float64
         # relative: the entries are ~1/omega0^2, far below allclose's atol
-        assert np.abs(A - A.conj().T).max() <= 1e-12 * np.abs(A).max()
+        assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
+        full = complex_formula(L, ws)
+        assert np.abs(A - full).max() <= 1e-14 * np.abs(full).max()
+
+    def test_general_hermitian_rejected(self):
+        ws = BoundWorkspace(PAR, 2, 1, 1.0)
+        with pytest.raises(ValueError, match="purely imaginary"):
+            cost_operator(random_hermitian(ws.dim, 5), ws)
 
     def test_real_input_sld_takes_real_branch(self):
         # a real input's SLD is iK with K real antisymmetric; A_L is then real
@@ -68,8 +88,7 @@ class TestCostOperator:
         assert not np.any(L.real)
         A = cost_operator(L, ws)
         assert A.dtype == np.float64
-        w0sq, W, u = PAR.omega0**2, ws.weights, ws.u
-        full = W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
+        full = complex_formula(L, ws)
         assert np.abs(A - full).max() <= 1e-14 * np.abs(full).max()
 
 
@@ -130,16 +149,16 @@ class TestSeeSaw:
 
     @pytest.mark.parametrize("start", ["twisted", "density"])
     def test_complex_start_runs_real_in_its_gauge(self, monkeypatch, start):
-        # psi0 = z |psi0|: the sweeps run from |psi0| on real inputs, match
-        # the |psi0| run, and the state comes back in the start's gauge
+        # psi0 = z |psi0|: the sweeps run on real inputs, match the |psi0|
+        # run, and the state comes back in the start's gauge.  A density
+        # probe's random start is real, so its z is a sign pattern.
         seed = 4
         if start == "twisted":
             probe = ProductProbe(coherent_step_state(2, np.pi / 2, np.pi / 3))
             psi0 = product_pure(probe.state, 3)
         else:
             probe = JointProbe(density=np.eye(27) / 27)
-            rng = np.random.default_rng(seed)
-            psi0 = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+            psi0 = np.random.default_rng(seed).standard_normal(27)
             psi0 /= np.linalg.norm(psi0)
         z = psi0 / np.abs(psi0)
         seen = []
@@ -154,6 +173,7 @@ class TestSeeSaw:
                                    seed=seed)
         assert len(seen) == rep.n_evals >= 2
         assert set(seen) == {np.dtype(np.float64)}
+        assert np.iscomplexobj(rep.state) == (start == "twisted")
         monkeypatch.undo()
         h = np.asarray(rep.history)
         assert np.all(np.diff(h) <= 1e-10 * free_lo_avar(PAR, 2.0))
@@ -191,15 +211,6 @@ class TestProductSearch:
         assert np.all(np.diff(h) <= 0.0 + 1e-300)
         assert rep.n_evals == len(h)
 
-    def test_phase_polish_cannot_beat_real_chart(self):
-        # the phases leave sigma2_q invariant; the full-chart polish must
-        # agree with the real-chart optimum to optimizer precision
-        sc = plus_scenario(n_atoms=2, k=1, T=1.0)
-        plain = optimize_product_state(sc, n_starts=4, seed=3, polish_phases=False)
-        polished = optimize_product_state(sc, n_starts=4, seed=3, polish_phases=True)
-        scale = qavar(sc).sigma2_lo
-        assert abs(polished.sigma2_q - plain.sigma2_q) <= 1e-8 * scale
-
     def test_coherent_family_single_parameter(self):
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
         rep = optimize_product_state(sc, n_starts=3, seed=0, family="coherent")
@@ -214,27 +225,15 @@ class TestProductSearch:
         assert sym.sigma2_q <= coh.sigma2_q * (1 + 1e-9)
 
     def test_single_start_honored(self):
-        rep = optimize_product_state(plus_scenario(k=1), n_starts=1, seed=0,
-                                     polish_phases=False, maxfev=40)
+        rep = optimize_product_state(plus_scenario(k=1), n_starts=1, seed=0, maxfev=40)
         assert np.isfinite(rep.sigma2_q)
         assert rep.n_evals <= 45
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_no_phase_polish_at_one_atom(self, k):
-        # at N = 1 the only phase is the per-step twist, a gauge of the bound
-        sc = plus_scenario(k=k, T=1.5 / k)
-        plain = optimize_product_state(sc, n_starts=2, seed=1, polish_phases=False)
-        polished = optimize_product_state(sc, n_starts=2, seed=1, polish_phases=True)
-        assert (polished.sigma2_q, polished.n_evals, polished.converged) == (
-            plain.sigma2_q, plain.n_evals, plain.converged)
 
     @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     def test_converged_is_false_when_maxfev_stops_a_run(self, family):
         sc = plus_scenario(k=2, T=0.5)
-        free = optimize_product_state(sc, n_starts=2, seed=0, family=family,
-                                      polish_phases=False)
-        capped = optimize_product_state(sc, n_starts=2, seed=0, family=family,
-                                        polish_phases=False, maxfev=5)
+        free = optimize_product_state(sc, n_starts=2, seed=0, family=family)
+        capped = optimize_product_state(sc, n_starts=2, seed=0, family=family, maxfev=5)
         assert free.converged
         assert not capped.converged
 
@@ -270,19 +269,17 @@ class TestInterrogationScan:
 
     def test_optimized_beats_fixed_plus(self):
         fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe=plus_step_state(1))
-        opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product",
-                                     n_starts=2, polish_phases=False)
+        opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product", n_starts=2)
         assert opt.sigma2_q <= fixed.sigma2_q * (1 + 1e-10)
         best = min(opt.evaluations, key=lambda e: e.sigma2_q)
         assert best.report is not None
 
     def test_warm_state_does_not_hurt(self):
         base = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product",
-                                      n_starts=2, polish_phases=False, seed=0)
+                                      n_starts=2, seed=0)
         best = min(base.evaluations, key=lambda e: e.sigma2_q)
         warm = optimize_interrogation(
-            PAR, 1, 1.0, 2, probe="optimize-product", n_starts=2,
-            polish_phases=False, seed=0,
+            PAR, 1, 1.0, 2, probe="optimize-product", n_starts=2, seed=0,
             warm_state=SymmetricState(1, best.report.state),
         )
         assert warm.sigma2_q <= base.sigma2_q * (1 + 1e-9)
@@ -311,10 +308,15 @@ class TestInterrogationScan:
 class TestBoundCurve:
     def test_grid_scan_shapes(self):
         scans = bound_curve(PAR, 1, [2.0, 1.0], 2, probe="optimize-product",
-                            n_starts=2, polish_phases=False, seed=0)
+                            n_starts=2, seed=0)
         assert [s.tau for s in scans] == [1.0, 2.0]
         for s in scans:
             assert 0.0 < s.sigma2_q <= s.sigma2_lo
+
+    def test_phase_polish_rejected_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="polish_phases must be False"):
+            bound_curve(PAR, 1, [1.0], 1, polish_phases=True)
 
 
 class TestExtrapolation:
@@ -350,3 +352,6 @@ class TestExtrapolation:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             extrapolate_long_term([1.0, 2.0], [1.0], PAR.omega0)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                extrapolate_long_term([1.0, 2.0, 4.0], [1.0, 0.5, 0.25], 1.0, m=m)
