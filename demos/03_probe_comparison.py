@@ -37,7 +37,7 @@ for name, probe, family in (
     ("symmetric", "optimize-product", "symmetric"),
 ):
     kwargs = {"family": family} if family else {}
-    scan = optimize_interrogation(par, N, tau, k_max, probe=probe, seed=3, **kwargs)
+    scan = optimize_interrogation(par, N, tau, k_max, probe=probe, **kwargs)
     rows.append((name, scan.k_opt, scan.sigma2_q * w0sq * tau))
 
 # joint see-saw runs per layout; keep the better one
@@ -45,7 +45,7 @@ best_joint = None
 for k in (1, 2):
     scen = Scenario(noise=par, n_atoms=N, k=k, T=tau / k,
                     probe=ProductProbe(plus_step_state(N)))
-    rep = optimize_joint_state(scen, seed=3)
+    rep = optimize_joint_state(scen)
     if best_joint is None or rep.sigma2_q < best_joint[1]:
         best_joint = (k, rep.sigma2_q, rep)
 rows.append(("joint", best_joint[0], best_joint[1] * w0sq * tau))
@@ -67,7 +67,7 @@ for i in sorted(set(show)):
 
 # the symmetric per-step optimum at k=2 is already nearly joint-optimal;
 # print its amplitudes in the shared-excitation basis
-scan = optimize_interrogation(par, N, tau, k_max, probe="optimize-product", seed=3)
+scan = optimize_interrogation(par, N, tau, k_max, probe="optimize-product")
 best = min(scan.evaluations, key=lambda e: e.sigma2_q)
 amps = best.report.state
 print()

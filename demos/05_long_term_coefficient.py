@@ -26,7 +26,7 @@ taus = [1.0, 1.5, 2.0, 2.5, 3.0]
 
 t0 = time.time()
 scans = bound_curve(par, N, taus, k_max, probe="optimize-product",
-                    family="coherent", n_starts=1, maxfev=40, seed=0)
+                    family="coherent", maxfev=40)
 w0sq = par.omega0**2
 
 print(f"N = {N}, k_max = {k_max}  [{time.time() - t0:.0f} s]")

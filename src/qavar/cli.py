@@ -152,8 +152,9 @@ FIELDS = (
                               f"one of {', '.join(FIXED_KINDS + OPT_KINDS)}"), REQUIRED, PROBED),
     Field("probe.amplitudes",
           Check(_is_pairs, "a list of atoms+1 [re, im] pairs",
-                lambda pairs: [[float(re), float(im)] for re, im in pairs]), None, PROBED),
-    Field("probe.family", one_of("symmetric", "coherent"), "symmetric", PROBED),
+                lambda pairs: [[float(re), float(im)] for re, im in pairs]), None,
+          ("bound", "bound-check")),
+    Field("probe.family", one_of("symmetric", "coherent"), "symmetric", ("optimize",)),
     Field("servo.gain", number(">", 0, 2), 0.5, SIMULATED),
     Field("servo.estimator", one_of("linear", "arcsine"), "linear", SIMULATED),
     Field("sim.T", number(">", 0), REQUIRED, SIMULATED),
@@ -364,21 +365,17 @@ def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]
               + ["seed", "status"])
     w0sq = cfg.noise.omega0**2
     taus = [float(t) for t in sorted(cfg.taus)]
-    child_seeds = np.random.SeedSequence(cfg.seed).spawn(len(taus))
     k_top = 0  # dimension grows with k, so the first k over the cap ends the sweep
     while k_top < cfg.k_max and _fits(cfg, k_top + 1):
         k_top += 1
 
-    def one(i: int) -> list[str]:
-        tau = taus[i]
+    def one(tau: float) -> list[str]:
         if k_top == 0:
             return [_fmt(tau)] + [""] * (len(header) - 3) + [
                 _fmt(cfg.seed), f"skipped: no k in 1..{cfg.k_max} fits dimension cap "
                 f"{cfg.dim_cap} for N={cfg.atoms}"]
-        scan = optimize_interrogation(
-            cfg.noise, cfg.atoms, tau, k_top, probe=cfg.probe,
-            seed=int(child_seeds[i].generate_state(1)[0]), family=cfg.probe_family,
-        )
+        scan = optimize_interrogation(cfg.noise, cfg.atoms, tau, k_top, probe=cfg.probe,
+                                      family=cfg.probe_family)
         row = [_fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
                _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * tau)]
         if optimized:
@@ -387,9 +384,9 @@ def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]
         return row + [_fmt(cfg.seed), "ok"]
 
     if threads <= 1 or len(taus) <= 1:
-        return header, [one(i) for i in range(len(taus))]
+        return header, [one(tau) for tau in taus]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return header, list(pool.map(one, range(len(taus))))
+        return header, list(pool.map(one, taus))
 
 
 def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:

@@ -6,11 +6,14 @@ Two state optimizers:
   the closed-form L solve with replacing the state by the ground eigenvector
   of the cost operator A_L; each half-step minimizes the same jointly convex
   functional, so the sigma2_q history is non-increasing.
-* `optimize_product_state`: Nelder-Mead over per-step pure states (input
-  rho0^(x)K).  `family` picks the chart: "symmetric" spans the real unit
-  vectors of the (N+1)-dimensional symmetric subspace by N angles,
-  "coherent" restricts to atom-level product states (spin-coherent, one
-  polar parameter).
+* `optimize_product_state`: one Nelder-Mead run over per-step pure states
+  (input rho0^(x)K).  `family` picks the chart: "symmetric" spans the real
+  unit vectors of the (N+1)-dimensional symmetric subspace by N angles and
+  starts from the scenario's probe (|+> unless warm-started), "coherent"
+  restricts to atom-level product states (spin-coherent, one polar
+  parameter) and starts at the equator.  Nothing is drawn at random: at
+  N <= 3, k <= 2 that one run matches the best of eight random-start runs
+  to 2e-13 relative (a reference kept in tests/test_optimize.py).
 
 Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
 v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
@@ -63,15 +66,6 @@ __all__ = [
 SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma2_lo
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
-# Up to this joint dimension the k-sweep's product search runs every start;
-# beyond it, two.  At D = 2187 (N = 2, k = 4, one BLAS thread) a product
-# evaluation costs ~0.25 s in four spin-flip x reversal blocks (|+>, GHZ, any
-# state with a_n = +-a_(N-n) bit for bit) and ~0.87 s in two reversal blocks
-# (every other product state, so almost every Nelder-Mead iterate), against
-# ~2.3 and ~4.7 ms at D = 243.  Below core.BLOCK_MIN_DIM, and for SLD
-# requests and joint inputs at any D, an evaluation is one (D, D) solve
-# (~2.6 s at 2187).
-FULL_SEARCH_MAX_DIM = 512
 
 
 @dataclass
@@ -227,8 +221,6 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
 
 def optimize_product_state(
     scenario: Scenario,
-    n_starts: int = 8,
-    seed: int = 0,
     family: str = "symmetric",
     maxfev: Optional[int] = None,
 ) -> OptimizeReport:
@@ -237,36 +229,32 @@ def optimize_product_state(
     family "symmetric": any per-step symmetric-subspace state, searched over
     the N-angle chart of real unit amplitudes (the real LAPACK path).  The
     phases leave sigma2_q invariant (see the module docstring), so the real
-    search covers every value the complex states reach.
-    family "coherent": atom-level product states, a single polar parameter.
+    search covers every value the complex states reach.  The run starts from
+    the scenario's probe when it is a ProductProbe (warm starting across a
+    tau or k sweep), else from |+>.
+    family "coherent": atom-level product states, a single polar parameter,
+    started at the equator.
 
-    The scenario's probe, when it is a ProductProbe, seeds the first
-    symmetric start (warm starting across a tau or k sweep).  History
-    records the best sigma2_q seen after each cost evaluation.  `converged`
-    is true only when every Nelder-Mead run ended on its tolerances, none on
-    maxfev.
+    One Nelder-Mead run.  History records the best sigma2_q seen after each
+    cost evaluation.  `converged` is the run's own `success`: false when it
+    stopped on maxfev.
     """
     N = scenario.n_atoms
     if family == "coherent":
         chart = lambda x: np.asarray(coherent_step_state(N, float(x[0]), 0.0).amplitudes)
-        starts, n_params, default_fev = [np.array([np.pi / 2.0])], 1, 60
+        x0, default_fev = np.array([np.pi / 2.0]), 60
     elif family == "symmetric":
         chart = lambda x: _amps_from_chart(x, N)
-        starts, n_params, default_fev = [], N, 80 * N
-        if isinstance(scenario.probe, ProductProbe) and scenario.probe.state.n_atoms == N:
-            starts.append(_chart_from_amps(scenario.probe.state.amplitudes, N))
-        starts.append(_chart_from_amps(plus_step_state(N).amplitudes, N))
+        probe = scenario.probe
+        start = (probe.state if isinstance(probe, ProductProbe) and probe.state.n_atoms == N
+                 else plus_step_state(N))
+        x0, default_fev = _chart_from_amps(start.amplitudes, N), 80 * N
     else:
         raise ValueError(f"unknown family {family!r}")
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    rng = np.random.default_rng(seed)
-    while len(starts) < n_starts:
-        starts.append(rng.uniform(0.05, np.pi - 0.05, size=n_params))
-    fev = maxfev if maxfev is not None else default_fev
     w0sq_tau = scenario.noise.omega0**2 * scenario.tau
     history: list[float] = []
     best = {"f": np.inf, "amps": None}
-    runs_ok: list[bool] = []
 
     def eval_amps(amps: np.ndarray) -> float:
         state = SymmetricState(n_atoms=N, amplitudes=amps / np.linalg.norm(amps))
@@ -277,13 +265,12 @@ def optimize_product_state(
         history.append(best["f"])
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 
-    for x0 in starts[: max(1, n_starts)]:
-        res = minimize(lambda x: eval_amps(chart(x)), x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-6, fatol=1e-10, maxfev=fev))
-        runs_ok.append(bool(res.success))
+    res = minimize(lambda x: eval_amps(chart(x)), x0, method="Nelder-Mead",
+                   options=dict(xatol=1e-6, fatol=1e-10,
+                                maxfev=maxfev if maxfev is not None else default_fev))
     return OptimizeReport(
         sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
-        history=history, converged=all(runs_ok), n_evals=len(history),
+        history=history, converged=bool(res.success), n_evals=len(history),
     )
 
 
@@ -296,9 +283,7 @@ def optimize_interrogation(
     tau: float,
     k_max: int,
     probe: ProbeSpec = "optimize-product",
-    seed: int = 0,
     family: str = "symmetric",
-    n_starts: int = 8,
     warm_state: Optional[SymmetricState] = None,
     maxfev: Optional[int] = None,
 ) -> InterrogationScan:
@@ -322,23 +307,16 @@ def optimize_interrogation(
     evaluations: list[KEvaluation] = []
     start = probe if isinstance(probe, SymmetricState) else (
         warm_state if probe == "optimize-product" else None)
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(k_max), start=1):
+    for k in range(1, k_max + 1):
         dim, T = joint_dim(n_atoms, k), tau / k
         init = start if start is not None else plus_step_state(n_atoms)
         scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(init))
-        k_seed = int(child.generate_state(1)[0])
         report = None
         if probe == "optimize-product":
-            report = optimize_product_state(
-                scen,
-                n_starts=n_starts if dim <= FULL_SEARCH_MAX_DIM else min(n_starts, 2),
-                seed=k_seed,
-                family=family,
-                maxfev=maxfev,
-            )
+            report = optimize_product_state(scen, family=family, maxfev=maxfev)
             start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
         elif probe == "optimize-joint":
-            report = optimize_joint_state(scen, seed=k_seed)
+            report = optimize_joint_state(scen)
         s2q = report.sigma2_q if report is not None else qavar(scen).sigma2_q
         evaluations.append(KEvaluation(k=k, T=T, dim=dim, sigma2_q=s2q, report=report))
     best = min(evaluations, key=lambda e: e.sigma2_q)
@@ -358,28 +336,33 @@ def bound_curve(
     taus: Sequence[float],
     k_max: int,
     probe: ProbeSpec = "optimize-product",
-    seed: int = 0,
     family: str = "symmetric",
-    n_starts: int = 8,
-    polish_phases: bool = False,
     maxfev: Optional[int] = None,
+    *,
+    seed: int = 0,
+    n_starts: int = 1,
+    polish_phases: bool = False,
 ) -> list[InterrogationScan]:
     """Interrogation scans over a tau grid, warm-starting the per-step probe
     across consecutive tau values (the optimum moves slowly along the grid).
 
-    `polish_phases` must be False: the product search has no phase polish,
-    because excitation-basis phases are a gauge of the bound (see the module
-    docstring).  True raises ValueError.
+    The keyword-only `seed`, `n_starts` and `polish_phases` are kept for old
+    callers and carry no choice: the search draws nothing at random, so
+    `seed` is unused; it makes one run, so `n_starts` must be 1; and it has
+    no phase polish, because excitation-basis phases are a gauge of the
+    bound (see the module docstring), so `polish_phases` must be False.
+    Any other value raises ValueError before any evaluation.
     """
+    if n_starts != 1:
+        raise ValueError(f"n_starts must be 1: the product search makes one run, got {n_starts}")
     if polish_phases:
         raise ValueError("polish_phases must be False: phases are a gauge of the bound")
     scans: list[InterrogationScan] = []
     warm = None
-    for i, tau in enumerate(sorted(taus)):
+    for tau in sorted(taus):
         scan = optimize_interrogation(
             noise, n_atoms, float(tau), k_max,
-            probe=probe, seed=seed + i,
-            family=family, n_starts=n_starts, warm_state=warm, maxfev=maxfev,
+            probe=probe, family=family, warm_state=warm, maxfev=maxfev,
         )
         scans.append(scan)
         if probe == "optimize-product":

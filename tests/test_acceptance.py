@@ -232,7 +232,7 @@ def test_05_long_term_coefficients(capsys):
     ok = True
     for label, N, family, fev, taus, target in jobs:
         scans = bound_curve(REF, N, taus, k_max=4, probe="optimize-product",
-                            seed=0, family=family, n_starts=1, maxfev=fev)
+                            family=family, maxfev=fev)
         fit = extrapolate_long_term([s.tau for s in scans],
                                     [s.sigma2_q for s in scans],
                                     REF.omega0, m=len(taus))

@@ -210,6 +210,27 @@ class TestReadmeConfigTable:
         assert {f.path for f in cli.FIELDS} <= keys
         assert keys - {f.path for f in cli.FIELDS} == {"mode"}
 
+    def test_modes_column_matches_fields(self):
+        text = README.read_text()
+        lines = text[text.index("| key | accepted values |"):].splitlines()
+        rows = list(takewhile(lambda line: line.startswith("|"), lines))[2:]
+        modes = {f.path: set(f.modes) for f in cli.FIELDS}
+        checked = set()
+        for row in rows:
+            cells = [cell.strip() for cell in row.split("|")[1:-1]]
+            named = set(re.findall(r"`([^`]+)`", cells[3]))
+            if cells[3] == "all":
+                listed = set(cli.MODES)
+            elif cells[3].startswith("all but "):
+                listed = set(cli.MODES) - named
+            else:
+                listed = named
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                if key in modes:
+                    assert listed == modes[key], key
+                    checked.add(key)
+        assert checked == set(modes)
+
 
 class TestLoAvarMode:
     def test_csv_matches_library(self, tmp_path):
@@ -301,6 +322,28 @@ class TestBoundMode:
         code, out = run_cli(tmp_path, doc, "bound")
         taus = [float(l.split(",")[0]) for l in out.read_text().splitlines()[4:]]
         assert taus == sorted(taus)
+
+
+class TestSeedIsInert:
+    """bound and optimize draw nothing at random: the master seed reaches
+    only the '# seed' line, the config hash and the seed column."""
+
+    @pytest.mark.parametrize("mode, probe", [
+        ("bound", {"kind": "plus"}),
+        ("optimize", {"kind": "optimize-product", "family": "symmetric"}),
+    ])
+    def test_seed_moves_only_its_own_tokens(self, tmp_path, mode, probe):
+        doc = {"noise": NOISE, "tau": [1.0, 1.5], "atoms": 2, "k_max": 2, "probe": probe}
+        outs = [run_cli(tmp_path, doc, mode, extra=["--seed", str(seed)], out=f"{seed}.csv")
+                for seed in (3, 4)]
+        assert [code for code, _ in outs] == [0, 0]
+        a, b = (out.read_text().splitlines() for _, out in outs)
+        assert a[0] == b[0] and a[3] == b[3]
+        assert a[1] != b[1] and (a[2], b[2]) == ("# seed 3", "# seed 4")
+        rows_a, rows_b = csv_rows(outs[0][1]), csv_rows(outs[1][1])
+        assert [r.pop("seed") for r in rows_a] == ["3", "3"]
+        assert [r.pop("seed") for r in rows_b] == ["4", "4"]
+        assert rows_a == rows_b
 
 
 class TestOptimizeMode:

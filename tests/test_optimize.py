@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from bound_reference import cost_functional
+from qavar import optimize
 from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
 from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
+    _amps_from_chart,
     bound_curve,
     cost_operator,
     extrapolate_long_term,
@@ -200,57 +203,125 @@ class TestSeeSaw:
 
 class TestProductSearch:
     def test_single_atom_prefers_equatorial(self):
-        rep = optimize_product_state(plus_scenario(), n_starts=4, seed=0)
+        rep = optimize_product_state(plus_scenario())
         mags = np.abs(rep.state)
         assert mags[0] == pytest.approx(np.sqrt(0.5), abs=5e-3)
         assert rep.sigma2_q <= qavar(plus_scenario()).sigma2_q * (1 + 1e-12)
 
     def test_history_is_running_minimum(self):
-        rep = optimize_product_state(plus_scenario(k=2, T=0.5), n_starts=3, seed=1)
+        rep = optimize_product_state(plus_scenario(k=2, T=0.5))
         h = np.asarray(rep.history)
         assert np.all(np.diff(h) <= 0.0 + 1e-300)
         assert rep.n_evals == len(h)
 
     def test_coherent_family_single_parameter(self):
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
-        rep = optimize_product_state(sc, n_starts=3, seed=0, family="coherent")
+        rep = optimize_product_state(sc, family="coherent")
         assert rep.kind == "product-coherent"
         # plus state is inside the family, so the search can only improve on it
         assert rep.sigma2_q <= qavar(sc).sigma2_q * (1 + 1e-12)
 
     def test_coherent_subset_of_symmetric(self):
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
-        coh = optimize_product_state(sc, n_starts=3, seed=0, family="coherent")
-        sym = optimize_product_state(sc, n_starts=6, seed=0, family="symmetric")
+        coh = optimize_product_state(sc, family="coherent")
+        sym = optimize_product_state(sc, family="symmetric")
         assert sym.sigma2_q <= coh.sigma2_q * (1 + 1e-9)
 
-    def test_single_start_honored(self):
-        rep = optimize_product_state(plus_scenario(k=1), n_starts=1, seed=0, maxfev=40)
+    def test_maxfev_bounds_the_evaluations(self):
+        # Nelder-Mead checks maxfev once per iteration; a shrink step can
+        # overshoot by at most the simplex's N + 1 vertices
+        sc = plus_scenario(n_atoms=2, k=2, T=0.5)
+        rep = optimize_product_state(sc, maxfev=7)
         assert np.isfinite(rep.sigma2_q)
-        assert rep.n_evals <= 45
+        assert 7 <= rep.n_evals <= 7 + 3
+        assert not rep.converged
 
     @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     def test_converged_is_false_when_maxfev_stops_a_run(self, family):
         sc = plus_scenario(k=2, T=0.5)
-        free = optimize_product_state(sc, n_starts=2, seed=0, family=family)
-        capped = optimize_product_state(sc, n_starts=2, seed=0, family=family, maxfev=5)
+        free = optimize_product_state(sc, family=family)
+        capped = optimize_product_state(sc, family=family, maxfev=5)
         assert free.converged
         assert not capped.converged
+
+    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
+    @pytest.mark.parametrize("maxfev", [None, 5])
+    def test_one_nelder_mead_run_per_search(self, monkeypatch, family, maxfev):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "minimize", counted)
+        rep = optimize_product_state(plus_scenario(n_atoms=2, k=2, T=0.5), family=family,
+                                     maxfev=maxfev)
+        assert len(runs) == 1
+        assert rep.converged == bool(runs[0].success)
+        assert rep.n_evals == runs[0].nfev
+
+    def test_symmetric_search_starts_from_the_probe(self, monkeypatch):
+        starts = []
+        monkeypatch.setattr(optimize, "minimize",
+                            lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
+        warm = SymmetricState(2, np.array([0.6, 0.0, 0.8], dtype=complex))
+        for probe in (warm, plus_step_state(2)):
+            optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
+                                            probe=ProductProbe(probe)), maxfev=5)
+            assert np.allclose(_amps_from_chart(starts[-1], 2), probe.amplitudes, atol=1e-12)
+        optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
+                                        probe=JointProbe(vector=np.eye(3)[0])), maxfev=5)
+        assert np.allclose(_amps_from_chart(starts[-1], 2), plus_step_state(2).amplitudes,
+                           atol=1e-12)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             optimize_product_state(plus_scenario(), family="bogus")
 
 
+def multistart_reference(scenario, family, n_starts=8, seed=0):
+    """Best sigma2_q of n_starts Nelder-Mead runs from random chart points.
+
+    The product search once ran this way; a single run from its fixed start
+    must not do worse.
+    """
+    N = scenario.n_atoms
+    ws = BoundWorkspace(scenario.noise, N, scenario.k, scenario.T)
+    if family == "coherent":
+        chart, n_params = lambda x: coherent_step_state(N, float(x[0]), 0.0).amplitudes, 1
+    else:
+        chart, n_params = lambda x: _amps_from_chart(x, N), N
+    scale = scenario.noise.omega0**2 * scenario.tau
+
+    def cost(x):
+        amps = np.asarray(chart(x))
+        state = SymmetricState(N, amps / np.linalg.norm(amps))
+        return ws.evaluate(product_pure(state, ws.n_steps)).sigma2_q * scale
+
+    rng = np.random.default_rng(seed)
+    runs = [minimize(cost, rng.uniform(0.05, np.pi - 0.05, n_params), method="Nelder-Mead",
+                     options=dict(xatol=1e-6, fatol=1e-10, maxfev=200 * n_params))
+            for _ in range(n_starts)]
+    return min(r.fun for r in runs) / scale
+
+
+@pytest.mark.parametrize("family", ["symmetric", "coherent"])
+@pytest.mark.parametrize("n_atoms, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("tau", [1.0, 3.0])
+def test_one_run_matches_multistart_reference(family, n_atoms, k, tau):
+    sc = plus_scenario(n_atoms=n_atoms, k=k, T=tau / k)
+    rep = optimize_product_state(sc, family=family)
+    assert rep.sigma2_q <= multistart_reference(sc, family) * (1 + 1e-9)
+
+
 class TestOrderingSandwich:
     def test_joint_beats_product_beats_fixed(self):
         sc = plus_scenario(k=2, T=0.5)
         fixed = qavar(sc).sigma2_q
-        product = optimize_product_state(sc, n_starts=4, seed=0)
+        product = optimize_product_state(sc)
         joint = optimize_joint_state(
             Scenario(noise=PAR, n_atoms=1, k=2, T=0.5,
                      probe=ProductProbe(SymmetricState(1, product.state))),
-            seed=0,
         )
         slack = 1e-10 * fixed
         assert product.sigma2_q <= fixed + slack
@@ -269,17 +340,16 @@ class TestInterrogationScan:
 
     def test_optimized_beats_fixed_plus(self):
         fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe=plus_step_state(1))
-        opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product", n_starts=2)
+        opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product")
         assert opt.sigma2_q <= fixed.sigma2_q * (1 + 1e-10)
         best = min(opt.evaluations, key=lambda e: e.sigma2_q)
         assert best.report is not None
 
     def test_warm_state_does_not_hurt(self):
-        base = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product",
-                                      n_starts=2, seed=0)
+        base = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product")
         best = min(base.evaluations, key=lambda e: e.sigma2_q)
         warm = optimize_interrogation(
-            PAR, 1, 1.0, 2, probe="optimize-product", n_starts=2, seed=0,
+            PAR, 1, 1.0, 2, probe="optimize-product",
             warm_state=SymmetricState(1, best.report.state),
         )
         assert warm.sigma2_q <= base.sigma2_q * (1 + 1e-9)
@@ -307,8 +377,7 @@ class TestInterrogationScan:
 
 class TestBoundCurve:
     def test_grid_scan_shapes(self):
-        scans = bound_curve(PAR, 1, [2.0, 1.0], 2, probe="optimize-product",
-                            n_starts=2, seed=0)
+        scans = bound_curve(PAR, 1, [2.0, 1.0], 2, probe="optimize-product")
         assert [s.tau for s in scans] == [1.0, 2.0]
         for s in scans:
             assert 0.0 < s.sigma2_q <= s.sigma2_lo
@@ -317,6 +386,16 @@ class TestBoundCurve:
         monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("ran"))
         with pytest.raises(ValueError, match="polish_phases must be False"):
             bound_curve(PAR, 1, [1.0], 1, polish_phases=True)
+        with pytest.raises(ValueError, match="n_starts must be 1"):
+            bound_curve(PAR, 1, [1.0], 1, n_starts=2)
+
+    def test_seed_does_not_move_the_scan(self):
+        a, b = (bound_curve(PAR, 2, [1.0, 1.5], 2, seed=seed) for seed in (3, 4))
+        assert [s.sigma2_q for s in a] == [s.sigma2_q for s in b]
+        for scan_a, scan_b in zip(a, b):
+            for ev_a, ev_b in zip(scan_a.evaluations, scan_b.evaluations, strict=True):
+                assert ev_a.report.history == ev_b.report.history
+                assert np.array_equal(ev_a.report.state, ev_b.report.state)
 
 
 class TestExtrapolation:
