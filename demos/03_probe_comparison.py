@@ -15,11 +15,7 @@ import numpy as np
 
 from qavar import (
     NoiseParams,
-    ProductProbe,
-    Scenario,
-    SymmetricState,
-    optimize_interrogation,
-    optimize_joint_state,
+    bound_curve,
     plus_step_state,
     ghz_step_state,
     free_lo_avar,
@@ -29,26 +25,17 @@ par = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
 N, tau, k_max = 2, 2.0, 2
 w0sq = par.omega0**2
 
-rows = []
+rows, reports = [], {}
 for name, probe, family in (
-    ("plus", plus_step_state(N), None),
-    ("ghz", ghz_step_state(N), None),
+    ("plus", plus_step_state(N), "symmetric"),
+    ("ghz", ghz_step_state(N), "symmetric"),
     ("coherent", "optimize-product", "coherent"),
     ("symmetric", "optimize-product", "symmetric"),
+    ("joint", "optimize-joint", "symmetric"),
 ):
-    kwargs = {"family": family} if family else {}
-    scan = optimize_interrogation(par, N, tau, k_max, probe=probe, **kwargs)
+    (scan,) = bound_curve(par, N, [tau], k_max, probe=probe, family=family)
     rows.append((name, scan.k_opt, scan.sigma2_q * w0sq * tau))
-
-# joint see-saw runs per layout; keep the better one
-best_joint = None
-for k in (1, 2):
-    scen = Scenario(noise=par, n_atoms=N, k=k, T=tau / k,
-                    probe=ProductProbe(plus_step_state(N)))
-    rep = optimize_joint_state(scen)
-    if best_joint is None or rep.sigma2_q < best_joint[1]:
-        best_joint = (k, rep.sigma2_q, rep)
-rows.append(("joint", best_joint[0], best_joint[1] * w0sq * tau))
+    reports[name] = scan.evaluations[scan.k_opt - 1].report
 
 print(f"N = {N}, tau = {tau} s, k up to {k_max}")
 print(f"free LO: c = {float(free_lo_avar(par, tau)) * w0sq * tau:.4f}")
@@ -57,7 +44,7 @@ print(f"{'probe':>10} {'k*':>3} {'c':>8}")
 for name, k, c in rows:
     print(f"{name:>10} {k:>3} {c:8.4f}")
 
-rep = best_joint[2]
+rep = reports["joint"]
 print()
 print(f"see-saw convergence ({rep.n_evals} sweeps, converged={rep.converged}):")
 h = np.array(rep.history) * w0sq * tau
@@ -67,9 +54,6 @@ for i in sorted(set(show)):
 
 # the symmetric per-step optimum at k=2 is already nearly joint-optimal;
 # print its amplitudes in the shared-excitation basis
-scan = optimize_interrogation(par, N, tau, k_max, probe="optimize-product")
-best = min(scan.evaluations, key=lambda e: e.sigma2_q)
-amps = best.report.state
 print()
 print("best symmetric per-step amplitudes (n excited = 0, 1, 2):")
-print(" ", np.array2string(amps, precision=4, suppress_small=True))
+print(" ", np.array2string(reports["symmetric"].state, precision=4, suppress_small=True))

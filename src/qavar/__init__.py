@@ -51,7 +51,6 @@ from .optimize import (
     bound_curve,
     cost_operator,
     extrapolate_long_term,
-    optimize_interrogation,
     optimize_joint_state,
     optimize_product_state,
 )
@@ -70,8 +69,7 @@ __all__ = [
     # optimize
     "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",
-    "optimize_product_state", "optimize_interrogation", "bound_curve",
-    "extrapolate_long_term",
+    "optimize_product_state", "bound_curve", "extrapolate_long_term",
     # clock
     "ServoConfig", "SimConfig", "FrequencyTrace", "AvarEstimate", "EnsembleAvar",
     "BoundCheckRow", "simulate_clock", "avar_series", "ensemble_avar",

@@ -1,6 +1,6 @@
 """Command-line front end: JSON config in, CSV out.
 
-    qavar <mode> --config <path> [--out <path>] [--seed <u64>] [--threads <n>]
+    qavar <mode> --config <path> [--out <path>] [--seed <u64>]
 
 Modes: bound, optimize, simulate, lo-avar, bound-check.  The config schema is
 the FIELDS table below (path, check, default, modes), applied strictly:
@@ -9,8 +9,10 @@ paths.  Output is deterministic: the same config and seeds give a
 byte-identical CSV, metadata lines ('# ...') carry the tool version, a hash
 of the resolved config, and the master seed.
 
-`dim_cap` is applied here only: a k sweep stops below it, and a bound-check
-tau over it is a skipped row.
+`bound` and `optimize` rows come from one `bound_curve` sweep over the
+sorted tau grid, so in `optimize` each tau's search starts from the previous
+tau's optimum.  `dim_cap` is applied here only: that sweep stops below it,
+and a bound-check tau over it is a skipped row.
 
 Exit codes: 0 success, 2 validation error, 3 resource limit (the dimension
 cap left no work, or memory ran out), 4 numerical failure.
@@ -23,7 +25,6 @@ import hashlib
 import json
 import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -34,7 +35,7 @@ from .clock import ServoConfig, SimConfig, bound_check, ensemble_avar
 from .core import joint_dim, layout_k
 from .hilbert import SymmetricState, ghz_step_state, plus_step_state
 from .noise import NoiseParams, free_lo_avar
-from .optimize import ProbeSpec, optimize_interrogation
+from .optimize import ProbeSpec, bound_curve
 
 __all__ = ["CliConfigError", "RunConfig", "validate", "run", "main"]
 
@@ -346,7 +347,7 @@ def _fmt_state(state: np.ndarray) -> str:
     return ";".join(f"{float(a.real)!r}:{float(a.imag)!r}" for a in state)
 
 
-def _rows_lo_avar(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
+def _rows_lo_avar(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     rows = [[_fmt(t), _fmt(free_lo_avar(cfg.noise, t)), "ok"] for t in map(float, cfg.taus)]
     return ["tau", "sigma2_lo", "status"], rows
 
@@ -356,40 +357,36 @@ def _fits(cfg: RunConfig, k: int) -> bool:
     return joint_dim(cfg.atoms, k) <= cfg.dim_cap
 
 
-def _rows_scan(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
-    """bound and optimize: one k sweep per tau, over the k that fit the cap;
-    optimize adds what the optimizer reports on the best k."""
+def _rows_scan(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
+    """bound and optimize: one `bound_curve` sweep over the sorted taus and
+    the k that fit the cap; optimize adds what the optimizer reports on the
+    best k."""
     optimized = cfg.mode == "optimize"
     header = (["tau", "k", "T", "sigma2_lo", "sigma2_q", "c_running"]
               + (["iterations", "converged", "state"] if optimized else [])
               + ["seed", "status"])
-    w0sq = cfg.noise.omega0**2
     taus = [float(t) for t in sorted(cfg.taus)]
     k_top = 0  # dimension grows with k, so the first k over the cap ends the sweep
     while k_top < cfg.k_max and _fits(cfg, k_top + 1):
         k_top += 1
-
-    def one(tau: float) -> list[str]:
-        if k_top == 0:
-            return [_fmt(tau)] + [""] * (len(header) - 3) + [
-                _fmt(cfg.seed), f"skipped: no k in 1..{cfg.k_max} fits dimension cap "
-                f"{cfg.dim_cap} for N={cfg.atoms}"]
-        scan = optimize_interrogation(cfg.noise, cfg.atoms, tau, k_top, probe=cfg.probe,
-                                      family=cfg.probe_family)
-        row = [_fmt(tau), _fmt(scan.k_opt), _fmt(scan.T_opt),
-               _fmt(scan.sigma2_lo), _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * tau)]
+    if k_top == 0:
+        return header, [[_fmt(tau)] + [""] * (len(header) - 3) + [
+            _fmt(cfg.seed), f"skipped: no k in 1..{cfg.k_max} fits dimension cap "
+            f"{cfg.dim_cap} for N={cfg.atoms}"] for tau in taus]
+    w0sq = cfg.noise.omega0**2
+    rows = []
+    for scan in bound_curve(cfg.noise, cfg.atoms, taus, k_top, probe=cfg.probe,
+                            family=cfg.probe_family):
+        row = [_fmt(scan.tau), _fmt(scan.k_opt), _fmt(scan.T_opt), _fmt(scan.sigma2_lo),
+               _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * scan.tau)]
         if optimized:
             rep = scan.evaluations[scan.k_opt - 1].report
             row += [_fmt(rep.n_evals), _fmt(rep.converged), _fmt_state(rep.state)]
-        return row + [_fmt(cfg.seed), "ok"]
-
-    if threads <= 1 or len(taus) <= 1:
-        return header, [one(tau) for tau in taus]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return header, list(pool.map(one, taus))
+        rows.append(row + [_fmt(cfg.seed), "ok"])
+    return header, rows
 
 
-def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
+def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     header = ["tau", "k", "T", "avar", "stderr", "n_pairs", "n_runs", "seed", "status"]
     taus = sorted(float(t) for t in cfg.taus)
     rows = [
@@ -400,7 +397,7 @@ def _rows_simulate(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[s
     return header, rows
 
 
-def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[list[str]]]:
+def _rows_bound_check(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     header = ["tau", "k", "T", "avar", "stderr", "sigma2_q", "violation", "seed", "status"]
     taus = sorted(float(t) for t in cfg.taus)
     rows = {}
@@ -420,7 +417,7 @@ def _rows_bound_check(cfg: RunConfig, threads: int) -> tuple[list[str], list[lis
     return header, [rows[t] for t in taus]
 
 
-def run(cfg: RunConfig, threads: int = 1) -> int:
+def run(cfg: RunConfig) -> int:
     """Execute a validated run and write the CSV. Returns the exit code."""
     dispatch = {
         "lo-avar": _rows_lo_avar,
@@ -430,7 +427,7 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
         "bound-check": _rows_bound_check,
     }
     try:
-        header, rows = dispatch[cfg.mode](cfg, threads)
+        header, rows = dispatch[cfg.mode](cfg)
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -476,8 +473,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the tau rows of bound and optimize")
     args = parser.parse_args(argv)
 
     try:
@@ -498,11 +493,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if args.threads < 1:
-        print("--threads: must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    code = run(cfg, threads=args.threads)
+    code = run(cfg)
     if code == EXIT_OK:
         print(f"wrote {cfg.out}")
     return code

@@ -21,9 +21,10 @@ commutes with the generator U.  So a product probe's bound depends only on
 |a_n|, and both families search real amplitudes only: the symmetric chart
 carries no phases and the coherent family fixes its azimuth at 0.
 
-`optimize_interrogation` sweeps k at fixed tau, `bound_curve` chains scans
-over a tau grid with warm starts, and `extrapolate_long_term` reads off the
-1/tau coefficient from the plateau of c(tau) = sigma2_q * omega0^2 * tau.
+`bound_curve` is the one tau x k sweep: at each tau it picks the best layout
+(k steps of T = tau/k), warm-starting the product search along both axes.
+`extrapolate_long_term` reads off the 1/tau coefficient from the plateau of
+c(tau) = sigma2_q * omega0^2 * tau.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "cost_operator",
     "optimize_joint_state",
     "optimize_product_state",
-    "optimize_interrogation",
     "bound_curve",
     "extrapolate_long_term",
 ]
@@ -231,7 +231,8 @@ def optimize_product_state(
     phases leave sigma2_q invariant (see the module docstring), so the real
     search covers every value the complex states reach.  The run starts from
     the scenario's probe when it is a ProductProbe (warm starting across a
-    tau or k sweep), else from |+>.
+    tau or k sweep), else from |+>.  A probe that does not fit the scenario
+    raises qavar's ValueError before any evaluation.
     family "coherent": atom-level product states, a single polar parameter,
     started at the equator.
 
@@ -246,11 +247,11 @@ def optimize_product_state(
     elif family == "symmetric":
         chart = lambda x: _amps_from_chart(x, N)
         probe = scenario.probe
-        start = (probe.state if isinstance(probe, ProductProbe) and probe.state.n_atoms == N
-                 else plus_step_state(N))
+        start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
         x0, default_fev = _chart_from_amps(start.amplitudes, N), 80 * N
     else:
         raise ValueError(f"unknown family {family!r}")
+    scenario.joint_input()  # rejects a probe that does not fit, as qavar does
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     w0sq_tau = scenario.noise.omega0**2 * scenario.tau
     history: list[float] = []
@@ -277,59 +278,6 @@ def optimize_product_state(
 ProbeSpec = Union[SymmetricState, str]  # "optimize-product" or "optimize-joint"
 
 
-def optimize_interrogation(
-    noise: NoiseParams,
-    n_atoms: int,
-    tau: float,
-    k_max: int,
-    probe: ProbeSpec = "optimize-product",
-    family: str = "symmetric",
-    warm_state: Optional[SymmetricState] = None,
-    maxfev: Optional[int] = None,
-) -> InterrogationScan:
-    """Sweep k = 1..k_max at fixed tau (T = tau/k) and pick the best layout.
-
-    probe is a fixed per-step SymmetricState or one of the optimizer modes
-    "optimize-product" / "optimize-joint"; anything else is rejected before
-    any evaluation.  Every k is evaluated, at joint dimension (N+1)^(2k-1),
-    so a caller with a resource limit passes the largest k it admits.  The
-    product optimizer starts each k from the previous k's optimum.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not isinstance(probe, SymmetricState) and probe not in ("optimize-product",
-                                                                "optimize-joint"):
-        raise ValueError("probe must be a per-step SymmetricState, 'optimize-product' or "
-                         f"'optimize-joint', got {probe!r}")
-
-    evaluations: list[KEvaluation] = []
-    start = probe if isinstance(probe, SymmetricState) else (
-        warm_state if probe == "optimize-product" else None)
-    for k in range(1, k_max + 1):
-        dim, T = joint_dim(n_atoms, k), tau / k
-        init = start if start is not None else plus_step_state(n_atoms)
-        scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(init))
-        report = None
-        if probe == "optimize-product":
-            report = optimize_product_state(scen, family=family, maxfev=maxfev)
-            start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
-        elif probe == "optimize-joint":
-            report = optimize_joint_state(scen)
-        s2q = report.sigma2_q if report is not None else qavar(scen).sigma2_q
-        evaluations.append(KEvaluation(k=k, T=T, dim=dim, sigma2_q=s2q, report=report))
-    best = min(evaluations, key=lambda e: e.sigma2_q)
-    return InterrogationScan(
-        tau=tau,
-        k_opt=best.k,
-        T_opt=best.T,
-        sigma2_q=best.sigma2_q,
-        sigma2_lo=float(free_lo_avar(noise, tau)),
-        evaluations=tuple(evaluations),
-    )
-
-
 def bound_curve(
     noise: NoiseParams,
     n_atoms: int,
@@ -343,31 +291,65 @@ def bound_curve(
     n_starts: int = 1,
     polish_phases: bool = False,
 ) -> list[InterrogationScan]:
-    """Interrogation scans over a tau grid, warm-starting the per-step probe
-    across consecutive tau values (the optimum moves slowly along the grid).
+    """The tau x k sweep: one InterrogationScan per tau, in sorted tau order.
+
+    At each tau every k = 1..k_max is evaluated (T = tau/k, joint dimension
+    (N+1)^(2k-1)), so a caller with a resource limit passes the largest k it
+    admits, and the scan keeps the best layout.  probe is a fixed per-step
+    SymmetricState or one of the optimizer modes "optimize-product" /
+    "optimize-joint".
+
+    Warm starts, "optimize-product" only (the optimum moves slowly along
+    both axes): each k starts from the optimum at k - 1, each tau's k = 1
+    from the previous tau's best state, and the first tau from |+>.  A
+    scan can therefore differ in its last digits from a run of its tau
+    alone.  The see-saw of "optimize-joint" starts every k from |+>.
 
     The keyword-only `seed`, `n_starts` and `polish_phases` are kept for old
     callers and carry no choice: the search draws nothing at random, so
     `seed` is unused; it makes one run, so `n_starts` must be 1; and it has
     no phase polish, because excitation-basis phases are a gauge of the
     bound (see the module docstring), so `polish_phases` must be False.
-    Any other value raises ValueError before any evaluation.
+    Any other value, a bad probe, k_max < 1 or a tau <= 0 raises ValueError
+    before any evaluation.
     """
+    if not isinstance(probe, SymmetricState) and probe not in ("optimize-product",
+                                                                "optimize-joint"):
+        raise ValueError("probe must be a per-step SymmetricState, 'optimize-product' or "
+                         f"'optimize-joint', got {probe!r}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    taus = sorted(float(t) for t in taus)
+    if taus and taus[0] <= 0:
+        raise ValueError(f"tau must be > 0, got {taus[0]}")
     if n_starts != 1:
         raise ValueError(f"n_starts must be 1: the product search makes one run, got {n_starts}")
     if polish_phases:
         raise ValueError("polish_phases must be False: phases are a gauge of the bound")
+
     scans: list[InterrogationScan] = []
-    warm = None
-    for tau in sorted(taus):
-        scan = optimize_interrogation(
-            noise, n_atoms, float(tau), k_max,
-            probe=probe, family=family, warm_state=warm, maxfev=maxfev,
-        )
-        scans.append(scan)
+    start = probe if isinstance(probe, SymmetricState) else plus_step_state(n_atoms)
+    for tau in taus:
+        evaluations: list[KEvaluation] = []
+        for k in range(1, k_max + 1):
+            T = tau / k
+            scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(start))
+            report = None
+            if probe == "optimize-product":
+                report = optimize_product_state(scen, family=family, maxfev=maxfev)
+                start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
+            elif probe == "optimize-joint":
+                report = optimize_joint_state(scen)
+            s2q = report.sigma2_q if report is not None else qavar(scen).sigma2_q
+            evaluations.append(KEvaluation(k=k, T=T, dim=joint_dim(n_atoms, k),
+                                           sigma2_q=s2q, report=report))
+        best = min(evaluations, key=lambda e: e.sigma2_q)
         if probe == "optimize-product":
-            best_report = scan.evaluations[scan.k_opt - 1].report
-            warm = SymmetricState(n_atoms=n_atoms, amplitudes=best_report.state)
+            start = SymmetricState(n_atoms=n_atoms, amplitudes=best.report.state)
+        scans.append(InterrogationScan(
+            tau=tau, k_opt=best.k, T_opt=best.T, sigma2_q=best.sigma2_q,
+            sigma2_lo=float(free_lo_avar(noise, tau)), evaluations=tuple(evaluations),
+        ))
     return scans
 
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import qavar.cli as cli
+from qavar.hilbert import plus_step_state
 from qavar.noise import NoiseParams, free_lo_avar
+from qavar.optimize import bound_curve
 
 NOISE = {"alpha": 2.0, "beta": 0.4, "gamma": 0.5, "omega0": 3.25e15}
 PAR = NoiseParams(**NOISE)
@@ -274,13 +276,6 @@ class TestBoundMode:
         assert float(row[3]) == 0.0  # sigma2_lo
         assert float(row[4]) == 0.0  # sigma2_q
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        doc = {"noise": NOISE, "tau": [1.0, 2.0], "atoms": 1, "k_max": 2,
-               "probe": {"kind": "plus"}}
-        _, a = run_cli(tmp_path, doc, "bound", out="a.csv")
-        _, b = run_cli(tmp_path, doc, "bound", extra=["--threads", "2"], out="b.csv")
-        assert a.read_bytes() == b.read_bytes()
-
     def test_all_skipped_is_resource_exit(self, tmp_path, capsys):
         doc = {"noise": NOISE, "tau": [4.0], "atoms": 2, "k_max": 4,
                "probe": {"kind": "plus"}, "dim_cap": 2}
@@ -302,19 +297,20 @@ class TestBoundMode:
 
     def test_sweep_stops_below_cap_without_visiting_k_max(self, tmp_path, monkeypatch):
         # D = 2, 8, 32, 128 at N = 1: the library is handed k = 3, never 10^6
+        # in one bound_curve call over every tau
         seen = []
-        real = cli.optimize_interrogation
+        real = cli.bound_curve
 
-        def recorder(noise, n_atoms, tau, k_max, **kw):
-            seen.append(k_max)
-            return real(noise, n_atoms, tau, k_max, **kw)
+        def recorder(noise, n_atoms, taus, k_max, **kw):
+            seen.append((list(taus), k_max))
+            return real(noise, n_atoms, taus, k_max, **kw)
 
-        monkeypatch.setattr(cli, "optimize_interrogation", recorder)
-        doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "k_max": 10**6,
+        monkeypatch.setattr(cli, "bound_curve", recorder)
+        doc = {"noise": NOISE, "tau": [2.0, 1.0, 1.5], "atoms": 1, "k_max": 10**6,
                "probe": {"kind": "plus"}, "dim_cap": 100}
         code, _ = run_cli(tmp_path, doc, "bound")
         assert code == 0
-        assert seen == [3]
+        assert seen == [([1.0, 1.5, 2.0], 3)]
 
     def test_rows_sorted_by_tau(self, tmp_path):
         doc = {"noise": NOISE, "tau": [2.0, 0.5, 1.0], "atoms": 1, "k_max": 1,
@@ -380,6 +376,31 @@ class TestOptimizeMode:
         assert None not in row.values()
         assert row["seed"] == "4"
         assert row["status"] == "skipped: no k in 1..2 fits dimension cap 2 for N=2"
+
+
+class TestRowsComeFromBoundCurve:
+    @pytest.mark.parametrize("mode, probe", [
+        ("bound", {"kind": "plus"}),
+        ("optimize", {"kind": "optimize-product"}),
+        ("optimize", {"kind": "optimize-joint"}),
+    ])
+    def test_rows_equal_the_scans_token_for_token(self, tmp_path, mode, probe):
+        doc = {"noise": NOISE, "tau": [1.5, 1.0], "atoms": 1, "k_max": 2, "probe": probe}
+        code, out = run_cli(tmp_path, doc, mode)
+        assert code == 0
+        spec = plus_step_state(1) if mode == "bound" else probe["kind"]
+        want = []
+        for scan in bound_curve(PAR, 1, [1.0, 1.5], 2, probe=spec):
+            row = {"tau": scan.tau, "k": scan.k_opt, "T": scan.T_opt,
+                   "sigma2_lo": scan.sigma2_lo, "sigma2_q": scan.sigma2_q,
+                   "c_running": scan.sigma2_q * PAR.omega0**2 * scan.tau}
+            if mode == "optimize":
+                rep = scan.evaluations[scan.k_opt - 1].report
+                row.update(iterations=rep.n_evals, converged=rep.converged,
+                           state=cli._fmt_state(rep.state))
+            want.append({key: cli._fmt(v) for key, v in row.items()}
+                        | {"seed": "0", "status": "ok"})
+        assert csv_rows(out) == want
 
 
 class TestSimulateAndCheckModes:
@@ -501,6 +522,13 @@ class TestMainEntry:
         assert code == 3
         assert "resource: Unable to allocate 22.4 GiB" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_threads_option_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL["bound"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_out_from_config(self, tmp_path):
         out_path = tmp_path / "from_config.csv"

@@ -14,7 +14,6 @@ from qavar.optimize import (
     bound_curve,
     cost_operator,
     extrapolate_long_term,
-    optimize_interrogation,
     optimize_joint_state,
     optimize_product_state,
 )
@@ -190,15 +189,19 @@ class TestSeeSaw:
     @pytest.mark.parametrize("vector, message", [
         (np.full(26, 1 / np.sqrt(26)), "joint vector length 26, expected 27"),
         (np.full(27, 0.2), "joint vector not normalized"),
+        (None, "probe has 1 atoms, scenario 2"),
     ])
     def test_bad_joint_vector_rejected_before_any_sweep(self, monkeypatch, vector, message):
-        sc = Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=JointProbe(vector=vector))
+        # vector None: a one-atom product probe in a two-atom scenario
+        probe = ProductProbe(plus_step_state(1)) if vector is None else JointProbe(vector=vector)
+        sc = Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=probe)
         with pytest.raises(ValueError, match=message) as from_qavar:
             qavar(sc)
         monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("swept"))
-        with pytest.raises(ValueError) as from_seesaw:
-            optimize_joint_state(sc)
-        assert str(from_seesaw.value) == str(from_qavar.value)
+        for optimizer in (optimize_joint_state, optimize_product_state):
+            with pytest.raises(ValueError) as raised:
+                optimizer(sc)
+            assert str(raised.value) == str(from_qavar.value)
 
 
 class TestProductSearch:
@@ -329,8 +332,10 @@ class TestOrderingSandwich:
 
 
 class TestInterrogationScan:
+    """One tau's scan, out of bound_curve."""
+
     def test_fixed_probe_sweep(self):
-        scan = optimize_interrogation(PAR, 1, 2.0, 3, probe=plus_step_state(1))
+        scan = bound_curve(PAR, 1, [2.0], 3, probe=plus_step_state(1))[0]
         assert len(scan.evaluations) == 3
         assert scan.sigma2_q == min(e.sigma2_q for e in scan.evaluations)
         assert scan.k_opt * scan.T_opt == pytest.approx(2.0, rel=1e-12)
@@ -339,30 +344,41 @@ class TestInterrogationScan:
             assert e.dim == 2 ** (2 * e.k - 1)
 
     def test_optimized_beats_fixed_plus(self):
-        fixed = optimize_interrogation(PAR, 1, 1.0, 2, probe=plus_step_state(1))
-        opt = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product")
+        fixed = bound_curve(PAR, 1, [1.0], 2, probe=plus_step_state(1))[0]
+        opt = bound_curve(PAR, 1, [1.0], 2, probe="optimize-product")[0]
         assert opt.sigma2_q <= fixed.sigma2_q * (1 + 1e-10)
         best = min(opt.evaluations, key=lambda e: e.sigma2_q)
         assert best.report is not None
 
-    def test_warm_state_does_not_hurt(self):
-        base = optimize_interrogation(PAR, 1, 1.0, 2, probe="optimize-product")
-        best = min(base.evaluations, key=lambda e: e.sigma2_q)
-        warm = optimize_interrogation(
-            PAR, 1, 1.0, 2, probe="optimize-product",
-            warm_state=SymmetricState(1, best.report.state),
-        )
-        assert warm.sigma2_q <= base.sigma2_q * (1 + 1e-9)
+    def test_each_tau_starts_from_the_previous_optimum(self, monkeypatch):
+        starts = []
+        monkeypatch.setattr(optimize, "minimize",
+                            lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
+        first, chained = bound_curve(PAR, 2, [1.5, 1.0], 2)
+        alone = bound_curve(PAR, 2, [1.5], 2)[0]
+        assert chained.sigma2_q <= alone.sigma2_q * (1 + 1e-9)
+        # searches in call order: tau 1.0 at k = 1, 2, tau 1.5 at k = 1, 2, then
+        # tau 1.5 alone at k = 1, 2; each k > 1 starts from the optimum at k - 1
+        plus = plus_step_state(2).amplitudes
+        want = [plus, first.evaluations[0].report.state,
+                first.evaluations[first.k_opt - 1].report.state,
+                chained.evaluations[0].report.state,
+                plus, alone.evaluations[0].report.state]
+        assert len(starts) == len(want)
+        for x0, amps in zip(starts, want):
+            assert np.allclose(_amps_from_chart(x0, 2), np.abs(amps), atol=1e-12)
 
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            optimize_interrogation(PAR, 1, -1.0, 2)
-        with pytest.raises(ValueError):
-            optimize_interrogation(PAR, 1, 1.0, 0)
+    def test_bad_args(self, monkeypatch):
+        monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("ran"))
+        for taus in ([1.0, -1.0], [0.0]):
+            with pytest.raises(ValueError, match="tau must be > 0"):
+                bound_curve(PAR, 1, taus, 2)
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            bound_curve(PAR, 1, [1.0], 0)
         with pytest.raises(ValueError, match="probe"):
-            optimize_interrogation(PAR, 1, 1.0, 1, probe="bogus")
+            bound_curve(PAR, 1, [1.0], 1, probe="bogus")
         with pytest.raises(ValueError, match="probe"):
-            optimize_interrogation(PAR, 1, 1.0, 1, probe="plus")
+            bound_curve(PAR, 1, [1.0], 1, probe="plus")
 
     def test_joint_probe_rejected_before_any_evaluation(self, monkeypatch):
         # a JointProbe fixes k through its dimension, so it cannot sweep k
@@ -371,7 +387,7 @@ class TestInterrogationScan:
         probe = JointProbe(vector=np.array([1.0, 1.0]) / np.sqrt(2.0))
         with pytest.raises(ValueError, match="SymmetricState, 'optimize-product' or "
                                              "'optimize-joint'"):
-            optimize_interrogation(PAR, 1, 2.0, 2, probe=probe)
+            bound_curve(PAR, 1, [2.0], 2, probe=probe)
         assert calls == []
 
 
