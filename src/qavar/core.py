@@ -26,13 +26,21 @@ information of rho_bar under the generator U (Braunstein & Caves, PRL 72,
 in the eigenbasis rho_bar = sum_r lam_r |r><r|, with lam >= 0 and 0/0 = 0.
 `BoundWorkspace.evaluate` is the one place this bound is computed.
 
-Two exact symmetries split that eigensolve for the pure inputs that carry
-them.  Step reversal P, (n_1..n_K) -> (n_K..n_1): G is a symmetric Toeplitz
+Every excitation-basis phase of a pure input is a gauge: with v = Z |v|,
+Z = diag(z), rho_bar(v) = Z rho_bar(|v|) Z^dag and Z commutes with U, so
+the spectrum and the QFI are those of |v| and the SLD moves to
+Z L(|v|) Z^dag.  `BoundWorkspace.evaluate` therefore solves x = |v|, and
+every eigensolve is real.  Mixed inputs are never needed: rho_bar is linear
+in rho_in and the QFI is convex, so sigma2_q is concave in rho_in and its
+minimum is reached at a pure state.
+
+Two exact symmetries split that eigensolve for the inputs that carry them.
+Step reversal P, (n_1..n_K) -> (n_K..n_1): G is a symmetric Toeplitz
 matrix (the LO noise is stationary), so (Pa - Pb)^T G (Pa - Pb) =
 (a - b)^T G (a - b) and W commutes with P.  Spin flip F, n_j -> N - n_j at
 every step, maps a - b to -(a - b), so W commutes with F as well.  With
-v[Pa] = v[a] (every product probe) rho_bar commutes with P; with also
-v[Fa] = +-v[a] (|+>, GHZ, every step state with a_n = +-a_(N-n)) it
+x[Pa] = x[a] (every product probe) rho_bar commutes with P; with also
+x[Fa] = x[a] (|+>, GHZ, every step state with a_n = +-a_(N-n)) it
 commutes with the group {1, P, F, PF}.  rho_bar is then block diagonal in
 the group's characters: two blocks or four (1134 and 1053, or 574, 520, 560
 and 533, instead of D = 2187 at N = 2, k = 4).  U is not: H is neither
@@ -45,9 +53,8 @@ diagonal <r|U|r>, whose (lam_r - lam_r)^2 weight is 0, so the QFI stays as
 it is; and U' couples an F-even block only to an F-odd one, so the
 four-block sum has no within-block terms.  (U itself differs from U' only
 by that diagonal, so the blocks use u as it is.)  `BoundWorkspace.evaluate`
-takes the largest exact symmetry of a pure input, tested bit for bit, when
-no SLD is asked for and D >= BLOCK_MIN_DIM; everything else takes one
-(D, D) solve.
+takes the largest exact symmetry of x, tested bit for bit, when no SLD is
+asked for and D >= BLOCK_MIN_DIM; everything else takes one (D, D) solve.
 """
 
 from __future__ import annotations
@@ -111,17 +118,9 @@ class ProductProbe:
 
 @dataclass(frozen=True)
 class JointProbe:
-    """Arbitrary joint input over all K steps (entangled across steps).
+    """Arbitrary pure joint input over all K steps (entangled across steps)."""
 
-    Exactly one of `vector` (pure) or `density` must be given.
-    """
-
-    vector: Optional[np.ndarray] = None
-    density: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if (self.vector is None) == (self.density is None):
-            raise ValueError("JointProbe needs exactly one of vector or density")
+    vector: np.ndarray
 
 
 Probe = Union[ProductProbe, JointProbe]
@@ -162,8 +161,7 @@ class Scenario:
         return joint_dim(self.n_atoms, self.k)
 
     def joint_input(self) -> np.ndarray:
-        """The checked joint input: a pure vector (D,) or a density (D, D)."""
-        dim = self.dim
+        """The checked joint input, a pure vector (D,)."""
         probe = self.probe
         if isinstance(probe, ProductProbe):
             if probe.state.n_atoms != self.n_atoms:
@@ -171,23 +169,13 @@ class Scenario:
                     f"probe has {probe.state.n_atoms} atoms, scenario {self.n_atoms}"
                 )
             return product_pure(probe.state, self.n_steps)
-        if probe.vector is not None:
-            v = np.asarray(probe.vector).reshape(-1)
-            if v.shape != (dim,):
-                raise ValueError(f"joint vector length {v.shape[0]}, expected {dim}")
-            nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-10:
-                raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
-            return v
-        m = np.asarray(probe.density)
-        if m.shape != (dim, dim):
-            raise ValueError(f"joint density shape {m.shape}, expected {(dim, dim)}")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-            raise ValueError("joint density is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError(f"joint density trace {np.trace(m).real!r}, expected 1")
-        return m
+        v = np.asarray(probe.vector).reshape(-1)
+        if v.shape != (self.dim,):
+            raise ValueError(f"joint vector length {v.shape[0]}, expected {self.dim}")
+        nrm = np.linalg.norm(v)
+        if abs(nrm - 1.0) > 1e-10:
+            raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
+        return v
 
 
 @dataclass(frozen=True)
@@ -214,8 +202,17 @@ def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.exp(-0.5 * quad)
 
 
+def _phase_gauge(v: np.ndarray) -> np.ndarray:
+    """z = v / |v|, 1 where v = 0, so v = z |v|; real if v's imaginary part is 0."""
+    v = v if np.any(np.imag(v)) else np.real(v)
+    mag = np.abs(v)
+    z = np.ones(v.shape, dtype=np.result_type(v, float))
+    np.divide(v, mag, out=z, where=mag > 0.0)
+    return z
+
+
 def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |Ut_rs|^2, with 0/0 = 0.
+    """sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) Ut_rs^2 for a real Ut, with 0/0 = 0.
 
     Also returns the (lam_r - lam_s) / (lam_r + lam_s) table the SLD is built from.
     """
@@ -225,7 +222,7 @@ def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[flo
     # memory; lam >= 0, so the sums left undivided are the 0s of 0/0 = 0
     np.divide(diff, ratio, out=ratio, where=ratio > 0.0)
     diff *= ratio
-    diff *= (Ut.conj() * Ut).real
+    diff *= Ut * Ut
     return float(np.sum(diff)), ratio
 
 
@@ -242,16 +239,12 @@ class _OrbitBlocks:
 
     Block i spans |O, i> = |O|^(-1/2) sum_(a in O) chi_i(h_a) |a>, h_a any
     element with h_a r = a, over the orbits whose stabilizer chi_i is 1 on.
-    A pure v with v[h a] = chi_c(h) v[a] enters it as x = v[r], and W
-    commutes with the group, so (x x^dag) * W_i with
+    A real x with x[h a] = x[a] enters it as x[r], and W commutes with the
+    group, so (x x^T) * W_i with
 
         W_i[O, O'] = sqrt(|O| |O'|) / |G| sum_h chi_i(h) W[r, h r']
 
-    is rho_bar's block i ^ c: the two differ only in orbits where chi_c is
-    not 1 on the stabilizer, and there v, and so x, is 0.  Such a zero row is
-    a kernel vector of its block, orthogonal to the other blocks'
-    eigenvectors of nonzero eigenvalue, so it adds nothing to the sum and
-    one set of block weights serves every input character.  U couples block
+    is rho_bar's block i.  U couples block
     i to block i' only within an orbit, by c_(i^i')(O).  Where u minus a
     constant is odd under the generators in the bitmask `odd` (the shift to
     U' in the module docstring), c_(i^i') is 0 unless chi_(i^i') is -1 on
@@ -287,17 +280,16 @@ class _OrbitBlocks:
                     self.pairs.append((i, j, np.flatnonzero(both[member[i]]),
                                        np.flatnonzero(both[member[j]]), coef[i ^ j, both]))
 
-    def pair_sum(self, v: np.ndarray) -> float:
+    def pair_sum(self, x: np.ndarray) -> float:
         """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i')."""
         spectra = []
         for idx, Wb in zip(self.index, self.block_weights):
-            x = v[idx]
-            lam, V = eigh(np.outer(x, x.conj()) * Wb)
+            lam, V = eigh(np.outer(x[idx], x[idx]) * Wb)
             spectra.append((np.maximum(lam, 0.0), V))
         total = 0.0
         for i, j, rows_i, rows_j, coef in self.pairs:
             (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
-            Ut = V_i[rows_i].conj().T @ (coef[:, None] * V_j[rows_j])
+            Ut = V_i[rows_i].T @ (coef[:, None] * V_j[rows_j])
             total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, Ut)[0]
         return total
 
@@ -307,7 +299,7 @@ class BoundWorkspace:
 
     Precomputes the kernels, the (D, D) dephasing weights and the generator
     diagonal u = A H (u_a = a^T H) once; each `evaluate` call then costs one
-    Hermitian eigensolve of rho_bar, or one per symmetry block, plus a few
+    real symmetric eigensolve of rho_bar, or one per symmetry block, plus a few
     products.  The orbit table and block weights of each symmetry group are
     built on first use.
     """
@@ -333,36 +325,33 @@ class BoundWorkspace:
             self._groups[flip] = _OrbitBlocks(self.weights, self.u, gens, 0b10 if flip else 0)
         return self._groups[flip]
 
-    def evaluate(
-        self,
-        rho_in: np.ndarray,
-        want_sld: bool = False,
-    ) -> QavarResult:
-        """Bound for a joint input matrix (D, D) or pure vector (D,).
+    def evaluate(self, v: np.ndarray, want_sld: bool = False) -> QavarResult:
+        """Bound for a pure joint input vector v of shape (D,).
 
-        The correction is the eigenbasis quantum Fisher information
-        F_Q[rho_bar; U] / (2 omega0^2) (Braunstein & Caves, PRL 72, 3439
-        (1994)).  With rho_bar = V diag(lam) V^dag and U~ = V^dag diag(u) V,
+        The phases of v are a gauge (see the module docstring), so the
+        eigensolves run on x = |v|, in real arithmetic.  The correction is
+        the eigenbasis quantum Fisher information F_Q[rho_bar; U] /
+        (2 omega0^2) (Braunstein & Caves, PRL 72, 3439 (1994)).  With
+        rho_bar(x) = V diag(lam) V^T and U~ = V^T diag(u) V,
 
-            correction = sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) |U~_rs|^2 / omega0^2
-            L          = V (2i (lam_r - lam_s) / (lam_r + lam_s) U~_rs) V^dag
+            correction = sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) U~_rs^2 / omega0^2
+            L(x)       = V (2i (lam_r - lam_s) / (lam_r + lam_s) U~_rs) V^T
 
+        and the SLD of v is L(v) = Z L(x) Z^dag, Z = diag(_phase_gauge(v)).
         Eigenvalues are clamped to lam >= 0 (rho_bar is PSD; the eigensolver
         returns kernel eigenvalues of either sign at roundoff level) and the
         pairs with lam_r + lam_s = 0 contribute 0.  Each weight is bounded by
         lam_r + lam_s and each SLD entry by 2 |U~_rs|, so no cut-off is needed.
         The correction's roundoff is absolute, of order eps * sigma2_lo, so
         sigma2_q is exact to roundoff even where the correction is tiny.
-        A complex input whose imaginary part is all zero is taken as real,
-        before the outer product, so real inputs stay on the real LAPACK path.
 
-        A pure input of dimension D >= BLOCK_MIN_DIM with no SLD request is
-        solved in the blocks of its largest exact symmetry (see the module
-        docstring), tested bit for bit: v[Pa] == v[a] and v[Fa] == +-v[a]
-        gives the four blocks of {1, P, F, PF}; v[Pa] == v[a] alone (every
-        product probe: `product_pure` makes it exact) the two of {1, P}.
-        rho_bar is block diagonal there, so its spectrum is the union of the
-        blocks' and the sum splits into block pairs (i, i'):
+        With D >= BLOCK_MIN_DIM and no SLD request, x is solved in the
+        blocks of its largest exact symmetry (see the module docstring),
+        tested bit for bit: x[Pa] == x[a] and x[Fa] == x[a] gives the four
+        blocks of {1, P, F, PF}; x[Pa] == x[a] alone (every product probe:
+        `product_pure` makes it exact) the two of {1, P}.  rho_bar is block
+        diagonal there, so its spectrum is the union of the blocks' and the
+        sum splits into block pairs (i, i'):
 
             correction = sum_(i <= i') (1 + [i != i']) S(i, i') / omega0^2
 
@@ -370,30 +359,25 @@ class BoundWorkspace:
         Under {1, P} that is S(ee) + S(oo) + 2 S(eo); under {1, P, F, PF}
         only the four pairs of an F-even and an F-odd block remain (the U'
         shift).  The clamp and the roundoff statement hold block by block.
-        Densities, other vectors, SLD requests and D below the floor take
-        the full (D, D) solve; the see-saw asks for the SLD, and its
-        iterates are not symmetric.
+        Other vectors, SLD requests and D below the floor take the full
+        (D, D) solve; the see-saw asks for the SLD, and its iterates are not
+        symmetric.
         """
-        rho_in = np.asarray(rho_in)
-        if np.iscomplexobj(rho_in) and not np.any(rho_in.imag):
-            rho_in = rho_in.real
+        v = np.asarray(v)
+        if v.shape != (self.dim,):
+            raise ValueError(f"input shape {v.shape}, expected {(self.dim,)}")
+        x = np.abs(v)
         sld = None
-        if (rho_in.shape == (self.dim,) and not want_sld and self.dim >= BLOCK_MIN_DIM
-                and np.array_equal(rho_in, rho_in[self._rev])):
-            flipped = rho_in[self._flip]
-            flip = np.array_equal(rho_in, flipped) or np.array_equal(rho_in, -flipped)
-            total = self._blocks(flip).pair_sum(rho_in)
+        if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._rev]):
+            total = self._blocks(np.array_equal(x, x[self._flip])).pair_sum(x)
         else:
-            if rho_in.ndim == 1:
-                rho_in = np.outer(rho_in, rho_in.conj())
-            if rho_in.shape != (self.dim, self.dim):
-                raise ValueError(f"input shape {rho_in.shape}, expected {(self.dim, self.dim)}")
-            lam, V = eigh(rho_in * self.weights)
+            lam, V = eigh(np.outer(x, x) * self.weights)
             lam = np.maximum(lam, 0.0)
-            Ut = V.conj().T @ (self.u[:, None] * V)
+            Ut = V.T @ (self.u[:, None] * V)
             total, ratio = _pair_sum(lam, lam, Ut)
             if want_sld:
-                sld = 1j * (V @ (2.0 * ratio * Ut) @ V.conj().T)
+                z = _phase_gauge(v)
+                sld = 1j * (V @ (2.0 * ratio * Ut) @ V.T) * np.outer(z, z.conj())
         correction = total / self.noise.omega0**2
         s2lo = self.kernels.sigma2_lo
         return QavarResult(

@@ -149,12 +149,11 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
     Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|),
     symmetrizes, and solves with the divide-and-conquer driver.  The input's
-    dtype picks the path: real input takes the ~4x faster real one.  Callers
-    decide the real downcast; `BoundWorkspace.evaluate` takes a complex-typed
-    input with an all-zero imaginary part as real before it forms rho_bar.
-    With `lowest` > 0 only the `lowest` smallest eigenpairs are computed, by
-    the MRRR driver (one pair of a 243 x 243 real matrix in ~2.8 ms against
-    ~7.2 ms for all of them, one BLAS thread).
+    dtype picks the path: real input takes the ~4x faster real one, and
+    every caller in the package hands over a real matrix.  With `lowest` > 0
+    only the `lowest` smallest eigenpairs are computed, by the MRRR driver
+    (one pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms for all
+    of them, one BLAS thread).
 
     Returns eigenvalues ascending and orthonormal eigenvectors as columns.
     """

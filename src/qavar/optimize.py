@@ -2,10 +2,12 @@
 
 Two state optimizers:
 
-* `optimize_joint_state`: see-saw over arbitrary joint inputs.  Alternates
-  the closed-form L solve with replacing the state by the ground eigenvector
-  of the cost operator A_L; each half-step minimizes the same jointly convex
-  functional, so the sigma2_q history is non-increasing.
+* `optimize_joint_state`: see-saw over arbitrary pure joint inputs.
+  Alternates the closed-form L solve with replacing the state by the
+  ground eigenvector of the cost operator A_L.  Both half-steps minimize
+  the same functional, so the sigma2_q history is non-increasing.  That
+  functional is affine in rho_in and convex in L but not jointly convex,
+  so a converged see-saw is a local optimum.
 * `optimize_product_state`: one Nelder-Mead run over per-step pure states
   (input rho0^(x)K).  `family` picks the chart: "symmetric" spans the real
   unit vectors of the (N+1)-dimensional symmetric subspace by N angles and
@@ -40,6 +42,7 @@ from .core import (
     ProductProbe,
     Scenario,
     joint_dim,
+    _phase_gauge,
     qavar,
 )
 from .hilbert import (
@@ -115,8 +118,9 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     """A_L with Tr(rho_in A_L) = cost(rho_in, L) - sigma2_lo, for L = iK.
 
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
-    + Tr(L^2 rho_bar)/(2 omega0^2) is jointly convex and equals sigma2_q at
-    the SLD.  With W the dephasing weights and U = diag(u), u_a = a^T H:
+    + Tr(L^2 rho_bar)/(2 omega0^2) is affine in rho_in and convex in L (not
+    jointly convex) and equals sigma2_q at the SLD.  With W the dephasing
+    weights and U = diag(u), u_a = a^T H:
 
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
 
@@ -140,35 +144,25 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
 
 
 def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
-    """See-saw minimization over arbitrary joint input states.
+    """See-saw minimization over arbitrary pure joint input states.
 
-    The scenario's checked joint input seeds the iteration; a density probe
-    gives no pure state, so it starts from a random real one drawn from
-    `seed` (its phases would be a gauge, see below).
+    The scenario's checked joint input starts the iteration.  `seed` is kept
+    for old callers and is unused: the see-saw draws nothing at random.
     Convergence is declared when sigma2_q changes by less than
     SEESAW_TOL * sigma2_lo between sweeps, within SEESAW_MAX_ITER sweeps.
 
-    The see-saw runs in its start's phase gauge.  A start psi0 with a
-    nonzero imaginary part is split as psi0 = Z |psi0|, Z = diag(z) with
-    z = psi0 / |psi0| (1 where psi0 = 0).  Then rho_bar(psi0) =
+    The see-saw runs in its start's phase gauge.  The start is split as
+    psi0 = Z |psi0|, Z = diag(_phase_gauge(psi0)).  Then rho_bar(psi0) =
     Z rho_bar(|psi0|) Z^dag, and Z commutes with the diagonal generator U,
     so the SLD, A_L and A_L's ground state of every iterate transform by Z
     alike.  The iteration therefore runs from |psi0| with every iterate
-    real (the real LAPACK path and the real cost operator), and the
-    returned state is z * psi, the optimum in the start's gauge.  Each
-    sweep computes only the lowest eigenpair of A_L.
+    real (the real cost operator), and the returned state is Z psi, the
+    optimum in the start's gauge.  Each sweep computes only the lowest
+    eigenpair of A_L.
     """
-    psi = scenario.joint_input()
-    if psi.ndim == 2:
-        rng = np.random.default_rng(seed)
-        psi = rng.standard_normal(scenario.dim)
-        psi /= np.linalg.norm(psi)
-    gauge = None
-    if np.iscomplexobj(psi) and np.any(psi.imag):
-        mag = np.abs(psi)
-        gauge = np.ones(psi.shape, dtype=complex)
-        np.divide(psi, mag, out=gauge, where=mag > 0.0)
-        psi = mag
+    start = scenario.joint_input()
+    gauge = _phase_gauge(start)
+    psi = np.abs(start)
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     history: list[float] = []
     converged = False
@@ -184,7 +178,7 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
         psi = np.ascontiguousarray(V[:, 0])
     return OptimizeReport(
         sigma2_q=history[-1],
-        state=psi if gauge is None else gauge * psi,
+        state=gauge * psi,
         kind="joint",
         history=history,
         converged=converged,
@@ -303,7 +297,10 @@ def bound_curve(
     both axes): each k starts from the optimum at k - 1, each tau's k = 1
     from the previous tau's best state, and the first tau from |+>.  A
     scan can therefore differ in its last digits from a run of its tau
-    alone.  The see-saw of "optimize-joint" starts every k from |+>.
+    alone.  The see-saw of "optimize-joint" starts every k from |+>, and it
+    is a local method (see the module docstring), so its sigma2_q is
+    guaranteed only to be at most that of |+> at the same (tau, k), not at
+    most the product optimum.
 
     The keyword-only `seed`, `n_starts` and `polish_phases` are kept for old
     callers and carry no choice: the search draws nothing at random, so

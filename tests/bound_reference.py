@@ -13,7 +13,7 @@ and no library code calls them:
 
 import numpy as np
 
-from qavar.core import JointProbe, ProductProbe, Scenario, dephasing_weights
+from qavar.core import ProductProbe, Scenario, dephasing_weights
 from qavar.hilbert import multi_index_table, product_pure
 from qavar.noise import kernel_set
 
@@ -21,14 +21,12 @@ SUPPORT_TOL = 1e-12
 
 
 def joint_density(scenario: Scenario) -> np.ndarray:
-    """The scenario's joint input as a (D, D) density matrix."""
+    """The scenario's pure joint input v as the (D, D) density matrix v v^dag."""
     probe = scenario.probe
     if isinstance(probe, ProductProbe):
         v = product_pure(probe.state, scenario.n_steps)
-    elif isinstance(probe, JointProbe) and probe.vector is not None:
-        v = np.asarray(probe.vector, dtype=complex)
     else:
-        return np.asarray(probe.density, dtype=complex)
+        v = np.asarray(probe.vector, dtype=complex)
     return np.outer(v, v.conj())
 
 
@@ -68,14 +66,20 @@ def eigen_sum(rb: np.ndarray, rp: np.ndarray, omega0: float,
     """Correction Tr(rho_bar L^2)/(2 omega0^2) = sum |rho_bar'_rs|^2 / (lam_r + lam_s).
 
     Pairs with lam_r + lam_s <= support_tol * lam_max are left out; each is
-    worth at most (lam_r + lam_s) |U~_rs|^2 / omega0^2.
+    worth at most (lam_r + lam_s) |U~_rs|^2 / omega0^2.  So the default cut
+    biases the sum low where rho_bar is nearly pure: the pairs it drops are
+    worth up to 4e-12 sigma2_lo at N = 3, k = 3, T = 0.2.  A draw widened
+    into that regime needs a smaller support_tol, not a looser tolerance.
     """
     _, P, denom, mask = _support_pairs(rb, rp, support_tol)
     return float(np.sum(np.abs(P[mask]) ** 2 / denom[mask])) / omega0**2
 
 
 def cost_functional(rho_in: np.ndarray, L: np.ndarray, scenario: Scenario) -> float:
-    """Jointly convex certificate: sigma2_q(rho_in) at the SLD, above it elsewhere."""
+    """Certificate: sigma2_q(rho_in) at the SLD, above it elsewhere.
+
+    Affine in rho_in and convex in L, but not jointly convex.
+    """
     rho_in = np.asarray(rho_in)
     if rho_in.ndim == 1:
         rho_in = np.outer(rho_in, rho_in.conj())

@@ -168,13 +168,9 @@ def random_suite():
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             probe = JointProbe(vector=v / np.linalg.norm(v))
         else:
-            # rank-2 mixture keeps the general density path exercised
-            v1 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            v1 /= np.linalg.norm(v1)
-            v2 /= np.linalg.norm(v2)
-            den = 0.7 * np.outer(v1, v1.conj()) + 0.3 * np.outer(v2, v2.conj())
-            probe = JointProbe(density=den)
+            # a signed real vector: its SLD takes evaluate's sign rotation
+            v = rng.normal(size=dim)
+            probe = JointProbe(vector=v / np.linalg.norm(v))
         scen = Scenario(noise=par, n_atoms=N, k=k, T=T, probe=probe)
         rows.append((scen, qavar(scen)))
     return rows

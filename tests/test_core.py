@@ -173,15 +173,6 @@ class TestQavar:
             qavar(sc).sigma2_q, rel=1e-14
         )
 
-    def test_joint_probe_density_matches_vector(self):
-        v = product_pure(plus_step_state(1), 3)
-        rho = np.outer(v, v.conj())
-        a = qavar(Scenario(noise=PAR, n_atoms=1, k=2, T=0.5,
-                           probe=JointProbe(vector=v)))
-        b = qavar(Scenario(noise=PAR, n_atoms=1, k=2, T=0.5,
-                           probe=JointProbe(density=rho)))
-        assert a.sigma2_q == pytest.approx(b.sigma2_q, rel=1e-12)
-
     def test_phase_twist_invariance(self):
         # per-step excitation-phase rotations commute with the dephasing
         # channel and with the generator, so the bound cannot move
@@ -210,18 +201,11 @@ class TestQavar:
         assert a.sigma2_q == pytest.approx(b.sigma2_q, rel=1e-12)
 
     def test_probe_validation(self):
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError, match="vector"):
             JointProbe()
         with pytest.raises(ValueError, match="normalized"):
             qavar(Scenario(noise=PAR, n_atoms=1, k=1, T=1.0,
                            probe=JointProbe(vector=np.array([1.0, 1.0]))))
-        with pytest.raises(ValueError, match="Hermitian"):
-            qavar(Scenario(noise=PAR, n_atoms=1, k=1, T=1.0,
-                           probe=JointProbe(density=np.array([[0.5, 0.4],
-                                                              [0.0, 0.5]]))))
-        with pytest.raises(ValueError, match="trace"):
-            qavar(Scenario(noise=PAR, n_atoms=1, k=1, T=1.0,
-                           probe=JointProbe(density=np.eye(2))))
         with pytest.raises(ValueError, match="atoms"):
             qavar(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
                            probe=ProductProbe(plus_step_state(1))))
@@ -300,6 +284,37 @@ def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
         assert abs(twisted.sigma2_q - plain.sigma2_q) <= 1e-14 * plain.sigma2_lo
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n_atoms=st.integers(1, 2),
+    k=st.integers(1, 2),
+    T=st.floats(0.2, 2.0),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**31),
+)
+def test_bound_concave_in_the_input_property(n_atoms, k, T, p, seed):
+    """No mixture of two pure inputs beats the mixture of their bounds.
+
+    rho_bar is linear in rho_in and the QFI is convex, so sigma2_q is
+    concave in rho_in and its minimum over inputs is reached at a pure
+    state: the library takes pure inputs only and loses nothing.  The
+    mixture's rho_bar is built here and summed by the reference; the two
+    pure values come from the library.
+    """
+    rng = np.random.default_rng(seed)
+    dim = joint_dim(n_atoms, k)
+    vs = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    scens = [Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T, probe=JointProbe(vector=v))
+             for v in vs]
+    pure = [qavar(sc) for sc in scens]
+    mix = p * np.outer(vs[0], vs[0].conj()) + (1.0 - p) * np.outer(vs[1], vs[1].conj())
+    rb = mix * dephasing_weights(kernel_set(PAR, T, k).G, n_atoms)
+    s2lo = pure[0].sigma2_lo
+    mixed = s2lo - eigen_sum(rb, rho_prime(scens[0], rb), PAR.omega0)
+    assert mixed >= p * pure[0].sigma2_q + (1.0 - p) * pure[1].sigma2_q - 1e-12 * s2lo
+
+
 class TestCostFunctional:
     def test_parabola_through_known_points(self):
         sc = plus_scenario(k=2, T=0.5)
@@ -376,9 +391,11 @@ class TestWorkspaceReuse:
         assert r1.sigma2_q == pytest.approx(r2.sigma2_q, rel=1e-14)
 
     def test_rejects_wrong_shape(self):
+        # the input is a pure vector (D,); a (D, D) matrix is rejected too
         ws = BoundWorkspace(PAR, 1, 2, 0.5)
-        with pytest.raises(ValueError, match="shape"):
-            ws.evaluate(np.eye(4))
+        for bad in (np.eye(4), np.eye(8) / 8, np.ones(7) / np.sqrt(7)):
+            with pytest.raises(ValueError, match="shape"):
+                ws.evaluate(bad)
 
 
 def _step_state(kind, n_atoms, rng):
@@ -502,6 +519,39 @@ class TestParityDispatch:
                 assert sizes == want
 
 
+class TestRealEigensolves:
+    @pytest.mark.parametrize("probe, want_sld, n_solves", [
+        ("small", False, 1),   # complex product probe, D = 8 < BLOCK_MIN_DIM
+        ("complex", False, 2),  # generic complex product probe: two blocks
+        ("even", False, 4),    # a_n = a_(N-n), phi_n = phi_(N-n): four blocks
+        ("joint", False, 1),
+        ("joint", True, 1),
+    ])
+    def test_every_eigensolve_is_real(self, monkeypatch, probe, want_sld, n_solves):
+        # evaluate solves |v|, so no complex input reaches a complex eigensolve
+        seen = []
+        solve = scipy.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        rng = np.random.default_rng(5)
+        n_atoms, k = (1, 2) if probe == "small" else (2, 3)
+        ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
+        if probe == "joint":
+            v = rng.normal(size=ws.dim) + 1j * rng.normal(size=ws.dim)
+            v /= np.linalg.norm(v)
+        else:
+            state = _step_state("complex" if probe == "small" else probe, n_atoms, rng)
+            v = product_pure(state, ws.n_steps)
+        assert np.any(v.imag)
+        res = ws.evaluate(v, want_sld=want_sld)
+        assert seen == [np.dtype(np.float64)] * n_solves
+        assert 0.0 <= res.sigma2_q <= res.sigma2_lo
+
+
 class TestLayout:
     def test_joint_dim_and_cap(self):
         assert joint_dim(2, 3) == 243
@@ -516,25 +566,20 @@ class TestLayout:
 
 
 def _probe(kind, n_atoms, dim, rng):
-    """Test input of the given kind: real, complex, mixed (rank 2) or ghz."""
+    """Test input of the given kind: real (signed), complex or ghz."""
     if kind == "ghz":
         return ProductProbe(ghz_step_state(n_atoms))
-    if kind == "real":
-        v = rng.normal(size=dim)
-        return JointProbe(vector=v / np.linalg.norm(v))
-    vs = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    v = rng.normal(size=dim)
     if kind == "complex":
-        return JointProbe(vector=vs[0])
-    return JointProbe(density=0.7 * np.outer(vs[0], vs[0].conj())
-                      + 0.3 * np.outer(vs[1], vs[1].conj()))
+        v = v + 1j * rng.normal(size=dim)
+    return JointProbe(vector=v / np.linalg.norm(v))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     n_atoms=st.integers(1, 2),
     k=st.integers(1, 3),
-    kind=st.sampled_from(["real", "complex", "mixed", "ghz"]),
+    kind=st.sampled_from(["real", "complex", "ghz"]),
     T=st.floats(0.2, 1.2),
     seed=st.integers(0, 2**31),
 )
@@ -543,7 +588,13 @@ def test_qfi_path_matches_reference_property(n_atoms, k, kind, T, seed):
 
     The QFI form's roundoff is absolute, of order eps * sigma2_lo (it takes
     lam_r - lam_s from the spectrum, where the reference takes rho_bar'_rs
-    from the entrywise definition), hence the absolute term.
+    from the entrywise definition), hence the absolute term.  The reference
+    sum leaves out the pairs below its default support cut, which biases it
+    low where rho_bar is nearly pure (up to 4e-12 sigma2_lo at N = 3, k = 3,
+    T = 0.2; see `eigen_sum`).  In this draw, N <= 2 and T >= 0.2, the
+    dropped pairs measured at most 2% of the tolerance (T = 0.2 to 0.5, all
+    three kinds); a wider draw needs a smaller support_tol, not a looser
+    tolerance.
     """
     dim = (n_atoms + 1) ** (2 * k - 1)
     sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=T,

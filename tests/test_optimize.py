@@ -139,8 +139,8 @@ class TestSeeSaw:
         assert rep.state.dtype == np.float64
 
     def test_real_and_complex_starts_agree(self):
-        # a per-step phase twist leaves sigma2_q invariant but makes every
-        # iterate complex; both starts must reach the same optimum alike
+        # a per-step phase twist leaves sigma2_q invariant; both starts must
+        # reach the same optimum alike, each returned in its own phase gauge
         real = optimize_joint_state(plus_scenario(n_atoms=2, k=2, T=1.0))
         twisted = optimize_joint_state(Scenario(
             noise=PAR, n_atoms=2, k=2, T=1.0,
@@ -149,19 +149,18 @@ class TestSeeSaw:
         assert twisted.sigma2_q == pytest.approx(real.sigma2_q, rel=1e-10)
         assert twisted.n_evals == real.n_evals
 
-    @pytest.mark.parametrize("start", ["twisted", "density"])
+    @pytest.mark.parametrize("start", ["twisted", "signed"])
     def test_complex_start_runs_real_in_its_gauge(self, monkeypatch, start):
         # psi0 = z |psi0|: the sweeps run on real inputs, match the |psi0|
-        # run, and the state comes back in the start's gauge.  A density
-        # probe's random start is real, so its z is a sign pattern.
-        seed = 4
+        # run, and the state comes back in the start's gauge.  A signed
+        # real start's z is a sign pattern.
         if start == "twisted":
             probe = ProductProbe(coherent_step_state(2, np.pi / 2, np.pi / 3))
             psi0 = product_pure(probe.state, 3)
         else:
-            probe = JointProbe(density=np.eye(27) / 27)
-            psi0 = np.random.default_rng(seed).standard_normal(27)
+            psi0 = np.random.default_rng(4).standard_normal(27)
             psi0 /= np.linalg.norm(psi0)
+            probe = JointProbe(vector=psi0)
         z = psi0 / np.abs(psi0)
         seen = []
         evaluate = BoundWorkspace.evaluate
@@ -171,8 +170,7 @@ class TestSeeSaw:
             return evaluate(ws, rho_in, want_sld)
 
         monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
-        rep = optimize_joint_state(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=probe),
-                                   seed=seed)
+        rep = optimize_joint_state(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0, probe=probe))
         assert len(seen) == rep.n_evals >= 2
         assert set(seen) == {np.dtype(np.float64)}
         assert np.iscomplexobj(rep.state) == (start == "twisted")
