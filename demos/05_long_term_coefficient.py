@@ -8,9 +8,11 @@ and c is the single number that summarizes how stable a clock on this LO
 can possibly be.  The pipeline below sweeps tau, optimizes the per-step
 probe and the window layout at each point, and extrapolates the plateau.
 
-Runs in about a minute.  Push k_max and the grid further out and c keeps
-creeping down toward its limit; k_max = 4 with tau up to ~3 s lands near
-1.30 for one atom on this LO.
+Runs in a second or two: the only flip-symmetric spin-coherent state is
+|+>, so each (tau, k) point costs two bound evaluations, |+> and its
+certificate.  Push k_max and the grid further out and c keeps creeping
+down toward its limit; k_max = 4 with tau up to ~3 s lands near 1.30 for
+one atom on this LO.
 """
 
 import time

@@ -79,7 +79,8 @@ class RunConfig:
 
 
 def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number that float() can hold (json also reads Infinity and NaN)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x: Any) -> bool:

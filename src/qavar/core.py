@@ -173,7 +173,7 @@ class Scenario:
         if v.shape != (self.dim,):
             raise ValueError(f"joint vector length {v.shape[0]}, expected {self.dim}")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
         return v
 

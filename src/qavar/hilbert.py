@@ -46,7 +46,7 @@ class SymmetricState:
                 f"expected {self.n_atoms + 1} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
             raise ValueError(f"amplitudes not normalized (|.| = {norm!r})")
         amps = amps.copy()
         amps.setflags(write=False)

@@ -8,20 +8,21 @@ Two state optimizers:
   the same functional, so the sigma2_q history is non-increasing.  That
   functional is affine in rho_in and convex in L but not jointly convex,
   so a converged see-saw is a local optimum.
-* `optimize_product_state`: one Nelder-Mead run over per-step pure states
-  (input rho0^(x)K).  `family` picks the chart: "symmetric" spans the real
-  unit vectors of the (N+1)-dimensional symmetric subspace by N angles and
-  starts from the scenario's probe (|+> unless warm-started), "coherent"
-  restricts to atom-level product states (spin-coherent, one polar
-  parameter) and starts at the equator.  Nothing is drawn at random: at
-  N <= 3, k <= 2 that one run matches the best of eight random-start runs
-  to 2e-13 relative (a reference kept in tests/test_optimize.py).
+* `optimize_product_state`: identical per-step pure states (input
+  rho0^(x)K), searched only among the flip-symmetric ones, a_n = a_(N-n):
+  one Nelder-Mead run over N//2 angles ("symmetric"), or the equator |+>,
+  the only flip-symmetric spin-coherent state ("coherent").  Such states
+  are stationary by symmetry, and every optimum of the unrestricted search
+  was one; a curvature certificate checks that each is a minimum.  At
+  N <= 4, k <= 2 the run matches the best of eight unrestricted random-start
+  runs to 1e-9 relative (a reference kept in tests/test_optimize.py).
 
 Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
 v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
 commutes with the generator U.  So a product probe's bound depends only on
-|a_n|, and both families search real amplitudes only: the symmetric chart
-carries no phases and the coherent family fixes its azimuth at 0.
+|a_n|, and the search runs on real amplitudes.  Signs are phases too, so the
+odd states a_n = -a_(N-n) need no search of their own: their |a| is an even
+state with a_(N/2) = 0.
 
 `bound_curve` is the one tau x k sweep: at each tau it picks the best layout
 (k steps of T = tau/k), warm-starting the product search along both axes.
@@ -69,6 +70,7 @@ __all__ = [
 SEESAW_TOL = 1e-10  # see-saw stop: sigma2_q change per sweep, relative to sigma2_lo
 SEESAW_MAX_ITER = 300
 FLAT_TOL = 0.05  # largest relative spread of a c(tau) tail still called flat
+CERT_STEP = 1e-3  # product-search certificate: step off the optimum per flip-odd direction
 
 
 @dataclass
@@ -187,30 +189,24 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
 
 
 def _amps_from_chart(x: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Hyperspherical chart: N angles -> N+1 real unit amplitudes.
+    """Mirrored hyperspherical chart: N//2 angles -> N+1 real unit amplitudes.
 
-    Complex-typed, like `SymmetricState.amplitudes` and the coherent
-    chart's output, so both charts share `eval_amps`' arithmetic.
+    The angles give a unit vector b over the magnitudes n <= N/2, and a_n =
+    b_n / sqrt(2) where n < N - n (a pair), a_(N/2) = b_(N/2), so sum a_n^2 =
+    |b|^2 = 1.  The upper half is a copy, so a_n == a_(N-n) bit for bit.
     """
-    amps = np.empty(n_atoms + 1, dtype=complex)
-    rolling = 1.0
-    for j in range(n_atoms):
-        amps[j] = rolling * np.cos(x[j])
-        rolling = rolling * np.sin(x[j])
-    amps[n_atoms] = rolling
-    return amps
+    b = np.append(np.cos(x), 1.0) * np.cumprod(np.append(1.0, np.sin(x)))
+    b /= np.sqrt(np.where(2 * np.arange(b.size) < n_atoms, 2.0, 1.0))
+    return np.concatenate([b, b[n_atoms - b.size::-1]])
 
 
 def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Inverse of _amps_from_chart on |amps|: the N angles."""
+    """Inverse of _amps_from_chart on the flip-averaged magnitudes (|a_n| + |a_(N-n)|) / 2."""
+    half = n_atoms // 2
     mags = np.abs(amps)
-    angles = np.empty(n_atoms)
-    rolling = 1.0
-    for j in range(n_atoms):
-        c = np.clip(mags[j] / rolling if rolling > 1e-14 else 1.0, -1.0, 1.0)
-        angles[j] = np.arccos(c)
-        rolling = max(rolling * np.sin(angles[j]), 0.0)
-    return angles
+    pair = np.sqrt(np.where(2 * np.arange(half + 1) < n_atoms, 2.0, 1.0))
+    b = (mags + mags[::-1])[:half + 1] * pair  # any positive scale: arctan2 takes ratios
+    return np.array([np.arctan2(np.linalg.norm(b[j + 1:]), b[j]) for j in range(half)])
 
 
 def optimize_product_state(
@@ -220,30 +216,24 @@ def optimize_product_state(
 ) -> OptimizeReport:
     """Optimize an identical per-step pure probe (input rho0^(x)K).
 
-    family "symmetric": any per-step symmetric-subspace state, searched over
-    the N-angle chart of real unit amplitudes (the real LAPACK path).  The
-    phases leave sigma2_q invariant (see the module docstring), so the real
-    search covers every value the complex states reach.  The run starts from
-    the scenario's probe when it is a ProductProbe (warm starting across a
-    tau or k sweep), else from |+>.  A probe that does not fit the scenario
-    raises qavar's ValueError before any evaluation.
-    family "coherent": atom-level product states, a single polar parameter,
-    started at the equator.
+    family "symmetric": one Nelder-Mead run over the mirrored chart's N//2
+    angles, capped by `maxfev` (scipy's 200 per angle when None) and started
+    from the flip-averaged scenario probe if it is a ProductProbe (the warm
+    start of a tau or k sweep), else from |+>.  With no angle (N = 1) and for
+    family "coherent" the search is one evaluation of |+>.  Every search
+    point is exactly P- and F-symmetric, so it takes `evaluate`'s four blocks.
+    A probe that does not fit the scenario raises qavar's ValueError first.
 
-    One Nelder-Mead run.  History records the best sigma2_q seen after each
-    cost evaluation.  `converged` is the run's own `success`: false when it
-    stopped on maxfev.
+    The certificate: sigma2_q is even in each flip-odd direction, so it
+    evaluates the optimum a* stepped by CERT_STEP along each, a* +
+    CERT_STEP (e_n - e_(N-n)) for n < N - n (polar angle pi/2 + CERT_STEP
+    for "coherent").  History records the best sigma2_q after each
+    evaluation, certificate points included, and the report holds the best
+    point of all.  `converged`: the run succeeded and no certificate point
+    fell below the optimum.
     """
     N = scenario.n_atoms
-    if family == "coherent":
-        chart = lambda x: np.asarray(coherent_step_state(N, float(x[0]), 0.0).amplitudes)
-        x0, default_fev = np.array([np.pi / 2.0]), 60
-    elif family == "symmetric":
-        chart = lambda x: _amps_from_chart(x, N)
-        probe = scenario.probe
-        start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
-        x0, default_fev = _chart_from_amps(start.amplitudes, N), 80 * N
-    else:
+    if family not in ("symmetric", "coherent"):
         raise ValueError(f"unknown family {family!r}")
     scenario.joint_input()  # rejects a probe that does not fit, as qavar does
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
@@ -260,12 +250,24 @@ def optimize_product_state(
         history.append(best["f"])
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 
-    res = minimize(lambda x: eval_amps(chart(x)), x0, method="Nelder-Mead",
-                   options=dict(xatol=1e-6, fatol=1e-10,
-                                maxfev=maxfev if maxfev is not None else default_fev))
+    success = True
+    if family == "symmetric" and N >= 2:
+        probe = scenario.probe
+        start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
+        success = minimize(lambda x: eval_amps(_amps_from_chart(x, N)),
+                           _chart_from_amps(start.amplitudes, N), method="Nelder-Mead",
+                           options=dict(xatol=1e-6, fatol=1e-10, maxfev=maxfev)).success
+    else:
+        eval_amps(plus_step_state(N).amplitudes)
+    optimum, a_opt, e = best["f"], best["amps"].real, np.eye(N + 1)
+    if family == "coherent":
+        eval_amps(coherent_step_state(N, np.pi / 2.0 + CERT_STEP, 0.0).amplitudes)
+    for n in range((N + 1) // 2 if family == "symmetric" else 0):
+        eval_amps(a_opt + CERT_STEP * (e[n] - e[N - n]))
     return OptimizeReport(
         sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
-        history=history, converged=bool(res.success), n_evals=len(history),
+        history=history, converged=bool(success) and best["f"] == optimum,
+        n_evals=len(history),
     )
 
 

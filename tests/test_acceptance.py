@@ -1,10 +1,11 @@
 """End-to-end acceptance battery.
 
 Ten numbered checks, one printed PASS/FAIL line each (the prints bypass
-pytest capture so the run reads as a checklist).  The two pipeline checks
-dominate the wall time: the long-term coefficient reproduction (number 5)
-runs three full optimize + k-sweep + extrapolate pipelines at k_max = 4,
-and the servo comparison (number 7) simulates 200 clock runs.
+pytest capture so the run reads as a checklist).  The long-term coefficient
+reproduction (number 5) is the slowest: it runs three full optimize +
+k-sweep + extrapolate pipelines at k_max = 4, and the N = 2, k = 4 layouts
+(D = 2187) take most of that.  The servo comparison (number 7) simulates
+200 clock runs.
 """
 
 import time

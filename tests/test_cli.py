@@ -494,6 +494,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "noise.alpha" in err and "bogus" in err
 
+    @pytest.mark.parametrize("mode, doc, path", [
+        ("bound", dict(MINIMAL["bound"], noise=dict(NOISE, alpha=float("inf"))), "noise.alpha"),
+        ("simulate", dict(MINIMAL["simulate"],
+                          tau={"start": 0.5, "stop": float("inf"), "points": 3}), "tau.stop"),
+        ("lo-avar", dict(MINIMAL["lo-avar"], tau=[1.0, float("inf")]), "tau"),
+        ("bound", dict(MINIMAL["bound"], probe={
+            "kind": "amplitudes", "amplitudes": [[float("nan"), 0.0], [0.5, 0.0]]}),
+         "probe.amplitudes"),
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, mode, doc, path):
+        # json.dumps writes Infinity and NaN, and json.loads reads them back
+        code, out = run_cli(tmp_path, doc, mode)
+        assert code == 2 and not out.exists()
+        assert f"config error: {path}: must be" in capsys.readouterr().err
+
     def test_bad_json_exit(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -206,6 +206,9 @@ class TestQavar:
         with pytest.raises(ValueError, match="normalized"):
             qavar(Scenario(noise=PAR, n_atoms=1, k=1, T=1.0,
                            probe=JointProbe(vector=np.array([1.0, 1.0]))))
+        with pytest.raises(ValueError, match="normalized"):
+            qavar(Scenario(noise=PAR, n_atoms=1, k=1, T=1.0,
+                           probe=JointProbe(vector=np.array([np.nan, 1.0]))))
         with pytest.raises(ValueError, match="atoms"):
             qavar(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
                            probe=ProductProbe(plus_step_state(1))))

@@ -25,6 +25,11 @@ class TestSymmetricState:
         with pytest.raises(ValueError, match="normalized"):
             SymmetricState(n_atoms=1, amplitudes=np.array([1.0, 1.0]))
 
+    def test_rejects_nan_amplitude(self):
+        # a NaN norm fails every comparison, so the check must be written to fail on it
+        with pytest.raises(ValueError, match="normalized"):
+            SymmetricState(n_atoms=1, amplitudes=np.array([np.nan, 0.5]))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             SymmetricState(n_atoms=2, amplitudes=np.array([1.0, 0.0]))

@@ -1,16 +1,20 @@
 """Optimizer tests: cost operator, see-saw, product search, k sweep, plateau."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from bound_reference import cost_functional
-from qavar import optimize
-from qavar.core import BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
+from qavar import core, optimize
+from qavar.core import BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
 from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
+    CERT_STEP,
     _amps_from_chart,
+    _chart_from_amps,
     bound_curve,
     cost_operator,
     extrapolate_long_term,
@@ -229,21 +233,36 @@ class TestProductSearch:
         assert sym.sigma2_q <= coh.sigma2_q * (1 + 1e-9)
 
     def test_maxfev_bounds_the_evaluations(self):
-        # Nelder-Mead checks maxfev once per iteration; a shrink step can
-        # overshoot by at most the simplex's N + 1 vertices
+        # scipy's counting wrapper refuses every call past maxfev, so the run
+        # makes exactly 7; the certificate adds its one point at N = 2
         sc = plus_scenario(n_atoms=2, k=2, T=0.5)
         rep = optimize_product_state(sc, maxfev=7)
         assert np.isfinite(rep.sigma2_q)
-        assert 7 <= rep.n_evals <= 7 + 3
+        assert rep.n_evals == 7 + 1
         assert not rep.converged
 
     @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     def test_converged_is_false_when_maxfev_stops_a_run(self, family):
-        sc = plus_scenario(k=2, T=0.5)
+        # "coherent" makes no Nelder-Mead run, so maxfev has nothing to stop
+        sc = plus_scenario(n_atoms=2, k=2, T=0.5)
         free = optimize_product_state(sc, family=family)
         capped = optimize_product_state(sc, family=family, maxfev=5)
         assert free.converged
-        assert not capped.converged
+        assert capped.converged == (family == "coherent")
+
+    @pytest.mark.parametrize("family, n_atoms", [("symmetric", 1), ("coherent", 1),
+                                                 ("coherent", 3)])
+    def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch, family, n_atoms):
+        # N = 1 has no free angle, and "coherent" has no flip-symmetric state but |+>:
+        # one evaluation of |+>, then the certificate
+        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        sc = plus_scenario(n_atoms=n_atoms, k=2, T=0.5)
+        for maxfev in (None, 1):
+            rep = optimize_product_state(sc, family=family, maxfev=maxfev)
+            assert rep.converged
+            assert rep.n_evals == 2
+            assert rep.sigma2_q == qavar(sc).sigma2_q
+            assert np.array_equal(rep.state, plus_step_state(n_atoms).amplitudes)
 
     @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     @pytest.mark.parametrize("maxfev", [None, 5])
@@ -257,19 +276,84 @@ class TestProductSearch:
         monkeypatch.setattr(optimize, "minimize", counted)
         rep = optimize_product_state(plus_scenario(n_atoms=2, k=2, T=0.5), family=family,
                                      maxfev=maxfev)
+        if family == "coherent":  # |+> and its certificate point, no run
+            assert runs == [] and rep.n_evals == 2 and rep.converged
+            return
         assert len(runs) == 1
+        assert runs[0].x.shape == (1,)  # N//2 angles
         assert rep.converged == bool(runs[0].success)
-        assert rep.n_evals == runs[0].nfev
+        assert rep.n_evals == runs[0].nfev + 1  # one certificate point at N = 2
+
+    @pytest.mark.parametrize("n_atoms", range(1, 8))
+    def test_mirrored_chart(self, n_atoms):
+        x = np.random.default_rng(n_atoms).uniform(0.0, np.pi / 2, n_atoms // 2)
+        amps = _amps_from_chart(x, n_atoms)
+        assert np.array_equal(amps, amps[::-1])
+        assert np.linalg.norm(amps) == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(_chart_from_amps(amps, n_atoms), x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_atoms, k, family, maxfev", [
+        (2, 3, "symmetric", 5), (4, 2, "symmetric", 8), (2, 3, "coherent", None)])
+    def test_search_points_take_four_blocks_and_certificate_points_two(
+            self, monkeypatch, n_atoms, k, family, maxfev):
+        calls, per_eval = [], []
+        eigh, evaluate = core.eigh, BoundWorkspace.evaluate
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def spy(ws, v, want_sld=False):
+            before = len(calls)
+            result = evaluate(ws, v, want_sld)
+            per_eval.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(core, "eigh", counted_eigh)
+        monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
+        sc = plus_scenario(n_atoms=n_atoms, k=k, T=2.0 / k)
+        assert sc.dim >= BLOCK_MIN_DIM
+        rep = optimize_product_state(sc, family=family, maxfev=maxfev)
+        n_cert = 1 if family == "coherent" else (n_atoms + 1) // 2
+        assert per_eval == [4] * (rep.n_evals - n_cert) + [2] * n_cert
+        assert rep.n_evals == (maxfev or 1) + n_cert
+
+    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
+    def test_certificate_reports_a_lower_point_off_the_flip_symmetric_set(
+            self, monkeypatch, family):
+        # an evaluate that lowers sigma2_q wherever |v| is not spin-flip symmetric
+        evaluate, lowered = BoundWorkspace.evaluate, []
+
+        def tilted(ws, v, want_sld=False):
+            result = evaluate(ws, v, want_sld)
+            x = np.abs(v)
+            if np.array_equal(x, x[::-1]):  # the flip maps index a to D - 1 - a
+                return result
+            lowered.append(result.sigma2_q * (1.0 - 1e-3))
+            return dataclasses.replace(result, sigma2_q=lowered[-1])
+
+        monkeypatch.setattr(BoundWorkspace, "evaluate", tilted)
+        sc = plus_scenario(n_atoms=2, k=2, T=1.0)
+        rep = optimize_product_state(sc, family=family)
+        assert len(lowered) == 1
+        assert not rep.converged
+        assert rep.sigma2_q == lowered[0] == rep.history[-1] < rep.history[-2]
+        # the certificate point: a* + h (e_0 - e_2), or the polar angle pi/2 + h
+        mags = np.abs(rep.state)
+        step = 2.0 * CERT_STEP if family == "symmetric" else np.sin(CERT_STEP)
+        assert abs(mags[0] - mags[2]) == pytest.approx(step, rel=1e-3)
 
     def test_symmetric_search_starts_from_the_probe(self, monkeypatch):
+        # the start is the probe's flip-averaged magnitudes, renormalized
         starts = []
         monkeypatch.setattr(optimize, "minimize",
                             lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
         warm = SymmetricState(2, np.array([0.6, 0.0, 0.8], dtype=complex))
-        for probe in (warm, plus_step_state(2)):
+        for probe, want in ((warm, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)),
+                            (plus_step_state(2), plus_step_state(2).amplitudes)):
             optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
                                             probe=ProductProbe(probe)), maxfev=5)
-            assert np.allclose(_amps_from_chart(starts[-1], 2), probe.amplitudes, atol=1e-12)
+            assert np.allclose(_amps_from_chart(starts[-1], 2), want, atol=1e-12)
         optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
                                         probe=JointProbe(vector=np.eye(3)[0])), maxfev=5)
         assert np.allclose(_amps_from_chart(starts[-1], 2), plus_step_state(2).amplitudes,
@@ -280,18 +364,29 @@ class TestProductSearch:
             optimize_product_state(plus_scenario(), family="bogus")
 
 
+def full_chart(x, n_atoms):
+    """Hyperspherical chart: N angles -> N+1 real unit amplitudes, no symmetry imposed."""
+    amps = np.empty(n_atoms + 1)
+    rolling = 1.0
+    for j in range(n_atoms):
+        amps[j] = rolling * np.cos(x[j])
+        rolling = rolling * np.sin(x[j])
+    amps[n_atoms] = rolling
+    return amps
+
+
 def multistart_reference(scenario, family, n_starts=8, seed=0):
     """Best sigma2_q of n_starts Nelder-Mead runs from random chart points.
 
-    The product search once ran this way; a single run from its fixed start
-    must not do worse.
+    The product search once ran this way, over every real step state (N
+    angles) or every polar angle; the flip-symmetric search must not do worse.
     """
     N = scenario.n_atoms
     ws = BoundWorkspace(scenario.noise, N, scenario.k, scenario.T)
     if family == "coherent":
         chart, n_params = lambda x: coherent_step_state(N, float(x[0]), 0.0).amplitudes, 1
     else:
-        chart, n_params = lambda x: _amps_from_chart(x, N), N
+        chart, n_params = lambda x: full_chart(x, N), N
     scale = scenario.noise.omega0**2 * scenario.tau
 
     def cost(x):
@@ -307,11 +402,13 @@ def multistart_reference(scenario, family, n_starts=8, seed=0):
 
 
 @pytest.mark.parametrize("family", ["symmetric", "coherent"])
-@pytest.mark.parametrize("n_atoms, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n_atoms, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2),
+                                        (4, 1), (4, 2)])
 @pytest.mark.parametrize("tau", [1.0, 3.0])
 def test_one_run_matches_multistart_reference(family, n_atoms, k, tau):
     sc = plus_scenario(n_atoms=n_atoms, k=k, T=tau / k)
     rep = optimize_product_state(sc, family=family)
+    assert rep.converged
     assert rep.sigma2_q <= multistart_reference(sc, family) * (1 + 1e-9)
 
 
