@@ -2,9 +2,9 @@
 
 Two atoms, tau = 2 s, layouts k = 1 and k = 2.  The candidates:
 
-  plus       every atom in |+>, no entanglement
+  plus       every atom in |+>, no entanglement: the best spin-coherent
+             (atom-level product) per-step state here
   ghz        per-step GHZ
-  coherent   best spin-coherent per-step state (atom-level product)
   symmetric  best symmetric per-step state (per-step entanglement allowed)
   joint      see-saw over arbitrary states of all 2k-1 windows
 
@@ -26,14 +26,13 @@ N, tau, k_max = 2, 2.0, 2
 w0sq = par.omega0**2
 
 rows, reports = [], {}
-for name, probe, family in (
-    ("plus", plus_step_state(N), "symmetric"),
-    ("ghz", ghz_step_state(N), "symmetric"),
-    ("coherent", "optimize-product", "coherent"),
-    ("symmetric", "optimize-product", "symmetric"),
-    ("joint", "optimize-joint", "symmetric"),
+for name, probe in (
+    ("plus", plus_step_state(N)),
+    ("ghz", ghz_step_state(N)),
+    ("symmetric", "optimize-product"),
+    ("joint", "optimize-joint"),
 ):
-    (scan,) = bound_curve(par, N, [tau], k_max, probe=probe, family=family)
+    (scan,) = bound_curve(par, N, [tau], k_max, probe=probe)
     rows.append((name, scan.k_opt, scan.sigma2_q * w0sq * tau))
     reports[name] = scan.evaluations[scan.k_opt - 1].report
 

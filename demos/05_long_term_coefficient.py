@@ -8,11 +8,11 @@ and c is the single number that summarizes how stable a clock on this LO
 can possibly be.  The pipeline below sweeps tau, optimizes the per-step
 probe and the window layout at each point, and extrapolates the plateau.
 
-Runs in a second or two: the only flip-symmetric spin-coherent state is
-|+>, so each (tau, k) point costs two bound evaluations, |+> and its
-certificate.  Push k_max and the grid further out and c keeps creeping
-down toward its limit; k_max = 4 with tau up to ~3 s lands near 1.30 for
-one atom on this LO.
+Runs in a second or two: one atom's flip-symmetric step state has no free
+angle, so the search at each (tau, k) point costs two bound evaluations,
+|+> and its certificate.  Push k_max and the grid further out and c keeps
+creeping down toward its limit; k_max = 4 with tau up to ~3 s lands near
+1.30 for one atom on this LO.
 """
 
 import time
@@ -27,8 +27,7 @@ k_max = 3
 taus = [1.0, 1.5, 2.0, 2.5, 3.0]
 
 t0 = time.time()
-scans = bound_curve(par, N, taus, k_max, probe="optimize-product",
-                    family="coherent", maxfev=40)
+scans = bound_curve(par, N, taus, k_max, probe="optimize-product")
 w0sq = par.omega0**2
 
 print(f"N = {N}, k_max = {k_max}  [{time.time() - t0:.0f} s]")

@@ -73,7 +73,6 @@ class RunConfig:
     atoms: int = 0
     k_max: int = 0
     probe: Optional[ProbeSpec] = None
-    probe_family: Optional[str] = None
     sim: Optional[SimConfig] = None
     n_runs: int = 0
 
@@ -156,7 +155,6 @@ FIELDS = (
           Check(_is_pairs, "a list of atoms+1 [re, im] pairs",
                 lambda pairs: [[float(re), float(im)] for re, im in pairs]), None,
           ("bound", "bound-check")),
-    Field("probe.family", one_of("symmetric", "coherent"), "symmetric", ("optimize",)),
     Field("servo.gain", number(">", 0, 2), 0.5, SIMULATED),
     Field("servo.estimator", one_of("linear", "arcsine"), "linear", SIMULATED),
     Field("sim.T", number(">", 0), REQUIRED, SIMULATED),
@@ -276,8 +274,6 @@ def validate(
             amps = np.array([complex(re, im) for re, im in pairs])
             if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
                 err("probe.amplitudes: not normalized within 1e-10")
-    if "probe.family" in given and kind != "optimize-product":
-        err("probe.family: only allowed with kind 'optimize-product'")
 
     sim_T, n_steps = values.get("sim.T"), values.get("sim.n_steps")
     if sim_T is not None and taus is not None:
@@ -303,8 +299,6 @@ def validate(
             (resolved.setdefault(head, {}) if head else resolved)[key] = value
     resolved.update(tau=[float(t) for t in taus], seeds=[seed])
     resolved.pop("out", None)
-    if kind != "optimize-product":
-        resolved.get("probe", {}).pop("family", None)
 
     probe = kind
     if kind == "amplitudes":
@@ -325,7 +319,6 @@ def validate(
         atoms=atoms,
         k_max=values.get("k_max", 0),
         probe=probe,
-        probe_family=values.get("probe.family"),
         sim=sim,
         n_runs=values.get("sim.n_runs", 0),
     )
@@ -376,8 +369,7 @@ def _rows_scan(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
             f"{cfg.dim_cap} for N={cfg.atoms}"] for tau in taus]
     w0sq = cfg.noise.omega0**2
     rows = []
-    for scan in bound_curve(cfg.noise, cfg.atoms, taus, k_top, probe=cfg.probe,
-                            family=cfg.probe_family):
+    for scan in bound_curve(cfg.noise, cfg.atoms, taus, k_top, probe=cfg.probe):
         row = [_fmt(scan.tau), _fmt(scan.k_opt), _fmt(scan.T_opt), _fmt(scan.sigma2_lo),
                _fmt(scan.sigma2_q), _fmt(scan.sigma2_q * w0sq * scan.tau)]
         if optimized:

@@ -10,12 +10,13 @@ Two state optimizers:
   so a converged see-saw is a local optimum.
 * `optimize_product_state`: identical per-step pure states (input
   rho0^(x)K), searched only among the flip-symmetric ones, a_n = a_(N-n):
-  one Nelder-Mead run over N//2 angles ("symmetric"), or the equator |+>,
-  the only flip-symmetric spin-coherent state ("coherent").  Such states
-  are stationary by symmetry, and every optimum of the unrestricted search
-  was one; a curvature certificate checks that each is a minimum.  At
-  N <= 4, k <= 2 the run matches the best of eight unrestricted random-start
-  runs to 1e-9 relative (a reference kept in tests/test_optimize.py).
+  one Nelder-Mead run over N//2 angles.  Such states are stationary by
+  symmetry, and every optimum of the unrestricted search was one; a
+  curvature certificate checks that each is a minimum.  The best
+  spin-coherent probe, |+> (the only flip-symmetric one), needs no search.
+  At N <= 4, k <= 2 the run (and |+>) match the best of eight random-start
+  runs over all real (all spin-coherent) states to 1e-9 relative (a
+  reference kept in tests/test_optimize.py).
 
 Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
 v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
@@ -48,7 +49,6 @@ from .core import (
 )
 from .hilbert import (
     SymmetricState,
-    coherent_step_state,
     eigh,
     plus_step_state,
     product_pure,
@@ -79,7 +79,6 @@ class OptimizeReport:
 
     sigma2_q: float
     state: np.ndarray
-    kind: str
     history: list[float]
     converged: bool
     n_evals: int
@@ -181,7 +180,6 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     return OptimizeReport(
         sigma2_q=history[-1],
         state=gauge * psi,
-        kind="joint",
         history=history,
         converged=converged,
         n_evals=len(history),
@@ -209,32 +207,25 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.array([np.arctan2(np.linalg.norm(b[j + 1:]), b[j]) for j in range(half)])
 
 
-def optimize_product_state(
-    scenario: Scenario,
-    family: str = "symmetric",
-    maxfev: Optional[int] = None,
-) -> OptimizeReport:
-    """Optimize an identical per-step pure probe (input rho0^(x)K).
+def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> OptimizeReport:
+    """Optimize an identical flip-symmetric per-step pure probe (input rho0^(x)K).
 
-    family "symmetric": one Nelder-Mead run over the mirrored chart's N//2
-    angles, capped by `maxfev` (scipy's 200 per angle when None) and started
-    from the flip-averaged scenario probe if it is a ProductProbe (the warm
-    start of a tau or k sweep), else from |+>.  With no angle (N = 1) and for
-    family "coherent" the search is one evaluation of |+>.  Every search
-    point is exactly P- and F-symmetric, so it takes `evaluate`'s four blocks.
-    A probe that does not fit the scenario raises qavar's ValueError first.
+    One Nelder-Mead run over the mirrored chart's N//2 angles, capped by
+    `maxfev` (scipy's 200 per angle when None) and started from the
+    flip-averaged scenario probe if it is a ProductProbe (the warm start of
+    a tau or k sweep), else from |+>.  With no angle (N = 1) the search is
+    one evaluation of |+>.  Every search point is exactly P- and
+    F-symmetric, so it takes `evaluate`'s four blocks.  A probe that does
+    not fit the scenario raises qavar's ValueError first.
 
     The certificate: sigma2_q is even in each flip-odd direction, so it
     evaluates the optimum a* stepped by CERT_STEP along each, a* +
-    CERT_STEP (e_n - e_(N-n)) for n < N - n (polar angle pi/2 + CERT_STEP
-    for "coherent").  History records the best sigma2_q after each
-    evaluation, certificate points included, and the report holds the best
-    point of all.  `converged`: the run succeeded and no certificate point
-    fell below the optimum.
+    CERT_STEP (e_n - e_(N-n)) for n < N - n.  History records the best
+    sigma2_q after each evaluation, certificate points included, and the
+    report holds the best point of all.  `converged`: the run succeeded and
+    no certificate point fell below the optimum.
     """
     N = scenario.n_atoms
-    if family not in ("symmetric", "coherent"):
-        raise ValueError(f"unknown family {family!r}")
     scenario.joint_input()  # rejects a probe that does not fit, as qavar does
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
     w0sq_tau = scenario.noise.omega0**2 * scenario.tau
@@ -251,7 +242,7 @@ def optimize_product_state(
         return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
 
     success = True
-    if family == "symmetric" and N >= 2:
+    if N >= 2:
         probe = scenario.probe
         start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
         success = minimize(lambda x: eval_amps(_amps_from_chart(x, N)),
@@ -260,14 +251,11 @@ def optimize_product_state(
     else:
         eval_amps(plus_step_state(N).amplitudes)
     optimum, a_opt, e = best["f"], best["amps"].real, np.eye(N + 1)
-    if family == "coherent":
-        eval_amps(coherent_step_state(N, np.pi / 2.0 + CERT_STEP, 0.0).amplitudes)
-    for n in range((N + 1) // 2 if family == "symmetric" else 0):
+    for n in range((N + 1) // 2):
         eval_amps(a_opt + CERT_STEP * (e[n] - e[N - n]))
     return OptimizeReport(
-        sigma2_q=best["f"], state=best["amps"], kind=f"product-{family}",
-        history=history, converged=bool(success) and best["f"] == optimum,
-        n_evals=len(history),
+        sigma2_q=best["f"], state=best["amps"], history=history,
+        converged=bool(success) and best["f"] == optimum, n_evals=len(history),
     )
 
 
@@ -280,9 +268,9 @@ def bound_curve(
     taus: Sequence[float],
     k_max: int,
     probe: ProbeSpec = "optimize-product",
-    family: str = "symmetric",
     maxfev: Optional[int] = None,
     *,
+    family: str = "symmetric",
     seed: int = 0,
     n_starts: int = 1,
     polish_phases: bool = False,
@@ -304,11 +292,12 @@ def bound_curve(
     guaranteed only to be at most that of |+> at the same (tau, k), not at
     most the product optimum.
 
-    The keyword-only `seed`, `n_starts` and `polish_phases` are kept for old
-    callers and carry no choice: the search draws nothing at random, so
-    `seed` is unused; it makes one run, so `n_starts` must be 1; and it has
-    no phase polish, because excitation-basis phases are a gauge of the
-    bound (see the module docstring), so `polish_phases` must be False.
+    The keyword-only `family`, `seed`, `n_starts` and `polish_phases` are
+    kept for old callers and carry no choice: the search has one family, so
+    `family` must be "symmetric"; it draws nothing at random, so `seed` is
+    unused; it makes one run, so `n_starts` must be 1; and it has no phase
+    polish, because excitation-basis phases are a gauge of the bound (see
+    the module docstring), so `polish_phases` must be False.
     Any other value, a bad probe, k_max < 1 or a tau <= 0 raises ValueError
     before any evaluation.
     """
@@ -321,6 +310,8 @@ def bound_curve(
     taus = sorted(float(t) for t in taus)
     if taus and taus[0] <= 0:
         raise ValueError(f"tau must be > 0, got {taus[0]}")
+    if family != "symmetric":
+        raise ValueError(f"family must be 'symmetric': the search has one, got {family!r}")
     if n_starts != 1:
         raise ValueError(f"n_starts must be 1: the product search makes one run, got {n_starts}")
     if polish_phases:
@@ -335,7 +326,7 @@ def bound_curve(
             scen = Scenario(noise=noise, n_atoms=n_atoms, k=k, T=T, probe=ProductProbe(start))
             report = None
             if probe == "optimize-product":
-                report = optimize_product_state(scen, family=family, maxfev=maxfev)
+                report = optimize_product_state(scen, maxfev=maxfev)
                 start = SymmetricState(n_atoms=n_atoms, amplitudes=report.state)
             elif probe == "optimize-joint":
                 report = optimize_joint_state(scen)

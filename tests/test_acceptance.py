@@ -2,10 +2,10 @@
 
 Ten numbered checks, one printed PASS/FAIL line each (the prints bypass
 pytest capture so the run reads as a checklist).  The long-term coefficient
-reproduction (number 5) is the slowest: it runs three full optimize +
-k-sweep + extrapolate pipelines at k_max = 4, and the N = 2, k = 4 layouts
-(D = 2187) take most of that.  The servo comparison (number 7) simulates
-200 clock runs.
+reproduction (number 5) is the slowest: it runs three k-sweep +
+extrapolate pipelines at k_max = 4, two with the fixed |+> probe and one
+with the product search, and the N = 2, k = 4 layouts (D = 2187) take most
+of that.  The servo comparison (number 7) simulates 200 clock runs.
 """
 
 import time
@@ -219,17 +219,18 @@ def test_04_single_step_closed_form(capsys):
 def test_05_long_term_coefficients(capsys):
     # Frozen grids: each tau window sits where the k_max = 4 sweep is near
     # its plateau, before the capped-k lift takes over.
+    # |+> is the best atom-level product probe (see test_optimize.py); the
+    # flip-symmetric search adds per-step entanglement.
     jobs = [
-        ("N=1", 1, "coherent", 40, [2.25, 2.5, 2.75, 3.0, 3.25], 1.33),
-        ("N=2 product", 2, "coherent", 40, [1.5, 2.0, 2.5, 3.0], 0.78),
-        ("N=2 entangled", 2, "symmetric", 60, [1.5, 2.0, 2.5, 3.0], 0.73),
+        ("N=1", 1, plus_step_state(1), [2.25, 2.5, 2.75, 3.0, 3.25], 1.33),
+        ("N=2 product", 2, plus_step_state(2), [1.5, 2.0, 2.5, 3.0], 0.78),
+        ("N=2 entangled", 2, "optimize-product", [1.5, 2.0, 2.5, 3.0], 0.73),
     ]
     t0 = time.time()
     results = []
     ok = True
-    for label, N, family, fev, taus, target in jobs:
-        scans = bound_curve(REF, N, taus, k_max=4, probe="optimize-product",
-                            family=family, maxfev=fev)
+    for label, N, probe, taus, target in jobs:
+        scans = bound_curve(REF, N, taus, k_max=4, probe=probe, maxfev=60)
         fit = extrapolate_long_term([s.tau for s in scans],
                                     [s.sigma2_q for s in scans],
                                     REF.omega0, m=len(taus))

@@ -176,7 +176,7 @@ class TestConfigHash:
 
     MINIMAL_DIGESTS = {
         "bound": "f1643eb80da0ca3403074489ebbbbb9b09a0557b5f3f61cf54a7c3ea477ec16f",
-        "optimize": "3100fa2176f9be2c3e45cfb234a8dd7d89989613555093466a6f03605c7f7b21",
+        "optimize": "8b57a9c8268de67d213cdaf5b33e069f51d79b4db6833f3d99ea7ad02ea598a7",
         "simulate": "900653f14ea6ad57697a63913d1855d90775bb375b1423a3ea9503a3e9a6066a",
         "lo-avar": "e1fe87bff5a42510d00b54261c1ce242e7bb25c1aa95f04358da26daef62d95d",
         "bound-check": "3e3bcec7c261781fb60a295e8c0055d3bf224c1d280250c8d4130eb66f4892f7",
@@ -190,7 +190,7 @@ class TestConfigHash:
     def test_optimize_product_digest(self):
         cfg = cli.validate(json.loads((CONFIG_DIR / "optimize_product.json").read_text()))
         assert config_hash(cfg) == (
-            "d6abc87e0f009030f7dcf8aec3a7ce1a7551c91ad8a79e889b9c4cfa593ea711")
+            "a1d6fa3339d46c594d0d107be69b60e92d6a2537abd5f48da97f2cbde8ee276b")
 
     def test_integer_spellings_hash_like_floats(self):
         ints = dict(MINIMAL["simulate"], noise=dict(NOISE, alpha=2), tau=[1],
@@ -326,7 +326,7 @@ class TestSeedIsInert:
 
     @pytest.mark.parametrize("mode, probe", [
         ("bound", {"kind": "plus"}),
-        ("optimize", {"kind": "optimize-product", "family": "symmetric"}),
+        ("optimize", {"kind": "optimize-product"}),
     ])
     def test_seed_moves_only_its_own_tokens(self, tmp_path, mode, probe):
         doc = {"noise": NOISE, "tau": [1.0, 1.5], "atoms": 2, "k_max": 2, "probe": probe}
@@ -345,8 +345,7 @@ class TestSeedIsInert:
 class TestOptimizeMode:
     def test_optimize_writes_state_and_is_deterministic(self, tmp_path):
         doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "k_max": 1,
-               "probe": {"kind": "optimize-product", "family": "coherent"},
-               "seeds": [3]}
+               "probe": {"kind": "optimize-product"}, "seeds": [3]}
         _, a = run_cli(tmp_path, doc, "optimize", out="a.csv")
         _, b = run_cli(tmp_path, doc, "optimize", out="b.csv")
         assert a.read_bytes() == b.read_bytes()
@@ -537,6 +536,13 @@ class TestMainEntry:
         assert code == 3
         assert "resource: Unable to allocate 22.4 GiB" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_probe_family_is_an_unknown_key(self, tmp_path, capsys):
+        probe = {"kind": "optimize-product", "family": "symmetric"}
+        doc = dict(MINIMAL["optimize"], probe=probe)
+        code, out = run_cli(tmp_path, doc, "optimize")
+        assert code == 2 and not out.exists()
+        assert "config error: probe.family: unknown key" in capsys.readouterr().err
 
     def test_threads_option_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL["bound"])

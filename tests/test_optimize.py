@@ -105,7 +105,6 @@ class TestSeeSaw:
         slack = 1e-10 * max(free_lo_avar(PAR, 1.0), 0.0)
         assert np.all(np.diff(h) <= slack)
         assert rep.converged
-        assert rep.kind == "joint"
 
     def test_beats_or_matches_initial_probe(self):
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
@@ -219,18 +218,10 @@ class TestProductSearch:
         assert np.all(np.diff(h) <= 0.0 + 1e-300)
         assert rep.n_evals == len(h)
 
-    def test_coherent_family_single_parameter(self):
-        sc = plus_scenario(n_atoms=2, k=1, T=1.0)
-        rep = optimize_product_state(sc, family="coherent")
-        assert rep.kind == "product-coherent"
-        # plus state is inside the family, so the search can only improve on it
-        assert rep.sigma2_q <= qavar(sc).sigma2_q * (1 + 1e-12)
-
     def test_coherent_subset_of_symmetric(self):
+        # |+>, the best spin-coherent probe, is a point of the flip-symmetric search
         sc = plus_scenario(n_atoms=2, k=1, T=1.0)
-        coh = optimize_product_state(sc, family="coherent")
-        sym = optimize_product_state(sc, family="symmetric")
-        assert sym.sigma2_q <= coh.sigma2_q * (1 + 1e-9)
+        assert optimize_product_state(sc).sigma2_q <= qavar(sc).sigma2_q * (1 + 1e-9)
 
     def test_maxfev_bounds_the_evaluations(self):
         # scipy's counting wrapper refuses every call past maxfev, so the run
@@ -241,32 +232,24 @@ class TestProductSearch:
         assert rep.n_evals == 7 + 1
         assert not rep.converged
 
-    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
-    def test_converged_is_false_when_maxfev_stops_a_run(self, family):
-        # "coherent" makes no Nelder-Mead run, so maxfev has nothing to stop
+    def test_converged_is_false_when_maxfev_stops_a_run(self):
         sc = plus_scenario(n_atoms=2, k=2, T=0.5)
-        free = optimize_product_state(sc, family=family)
-        capped = optimize_product_state(sc, family=family, maxfev=5)
-        assert free.converged
-        assert capped.converged == (family == "coherent")
+        assert optimize_product_state(sc).converged
+        assert not optimize_product_state(sc, maxfev=5).converged
 
-    @pytest.mark.parametrize("family, n_atoms", [("symmetric", 1), ("coherent", 1),
-                                                 ("coherent", 3)])
-    def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch, family, n_atoms):
-        # N = 1 has no free angle, and "coherent" has no flip-symmetric state but |+>:
-        # one evaluation of |+>, then the certificate
+    def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch):
+        # N = 1 has no free angle: one evaluation of |+>, then the certificate
         monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
-        sc = plus_scenario(n_atoms=n_atoms, k=2, T=0.5)
+        sc = plus_scenario(n_atoms=1, k=2, T=0.5)
         for maxfev in (None, 1):
-            rep = optimize_product_state(sc, family=family, maxfev=maxfev)
+            rep = optimize_product_state(sc, maxfev=maxfev)
             assert rep.converged
             assert rep.n_evals == 2
             assert rep.sigma2_q == qavar(sc).sigma2_q
-            assert np.array_equal(rep.state, plus_step_state(n_atoms).amplitudes)
+            assert np.array_equal(rep.state, plus_step_state(1).amplitudes)
 
-    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
     @pytest.mark.parametrize("maxfev", [None, 5])
-    def test_one_nelder_mead_run_per_search(self, monkeypatch, family, maxfev):
+    def test_one_nelder_mead_run_per_search(self, monkeypatch, maxfev):
         runs = []
 
         def counted(*args, **kwargs):
@@ -274,11 +257,7 @@ class TestProductSearch:
             return runs[-1]
 
         monkeypatch.setattr(optimize, "minimize", counted)
-        rep = optimize_product_state(plus_scenario(n_atoms=2, k=2, T=0.5), family=family,
-                                     maxfev=maxfev)
-        if family == "coherent":  # |+> and its certificate point, no run
-            assert runs == [] and rep.n_evals == 2 and rep.converged
-            return
+        rep = optimize_product_state(plus_scenario(n_atoms=2, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
         assert runs[0].x.shape == (1,)  # N//2 angles
         assert rep.converged == bool(runs[0].success)
@@ -292,10 +271,9 @@ class TestProductSearch:
         assert np.linalg.norm(amps) == pytest.approx(1.0, rel=1e-15)
         assert np.allclose(_chart_from_amps(amps, n_atoms), x, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n_atoms, k, family, maxfev", [
-        (2, 3, "symmetric", 5), (4, 2, "symmetric", 8), (2, 3, "coherent", None)])
+    @pytest.mark.parametrize("n_atoms, k, maxfev", [(2, 3, 5), (4, 2, 8)])
     def test_search_points_take_four_blocks_and_certificate_points_two(
-            self, monkeypatch, n_atoms, k, family, maxfev):
+            self, monkeypatch, n_atoms, k, maxfev):
         calls, per_eval = [], []
         eigh, evaluate = core.eigh, BoundWorkspace.evaluate
 
@@ -313,14 +291,12 @@ class TestProductSearch:
         monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
         sc = plus_scenario(n_atoms=n_atoms, k=k, T=2.0 / k)
         assert sc.dim >= BLOCK_MIN_DIM
-        rep = optimize_product_state(sc, family=family, maxfev=maxfev)
-        n_cert = 1 if family == "coherent" else (n_atoms + 1) // 2
+        rep = optimize_product_state(sc, maxfev=maxfev)
+        n_cert = (n_atoms + 1) // 2
         assert per_eval == [4] * (rep.n_evals - n_cert) + [2] * n_cert
-        assert rep.n_evals == (maxfev or 1) + n_cert
+        assert rep.n_evals == maxfev + n_cert
 
-    @pytest.mark.parametrize("family", ["symmetric", "coherent"])
-    def test_certificate_reports_a_lower_point_off_the_flip_symmetric_set(
-            self, monkeypatch, family):
+    def test_certificate_reports_a_lower_point_off_the_flip_symmetric_set(self, monkeypatch):
         # an evaluate that lowers sigma2_q wherever |v| is not spin-flip symmetric
         evaluate, lowered = BoundWorkspace.evaluate, []
 
@@ -334,14 +310,13 @@ class TestProductSearch:
 
         monkeypatch.setattr(BoundWorkspace, "evaluate", tilted)
         sc = plus_scenario(n_atoms=2, k=2, T=1.0)
-        rep = optimize_product_state(sc, family=family)
+        rep = optimize_product_state(sc)
         assert len(lowered) == 1
         assert not rep.converged
         assert rep.sigma2_q == lowered[0] == rep.history[-1] < rep.history[-2]
-        # the certificate point: a* + h (e_0 - e_2), or the polar angle pi/2 + h
+        # the certificate point: a* + h (e_0 - e_2)
         mags = np.abs(rep.state)
-        step = 2.0 * CERT_STEP if family == "symmetric" else np.sin(CERT_STEP)
-        assert abs(mags[0] - mags[2]) == pytest.approx(step, rel=1e-3)
+        assert abs(mags[0] - mags[2]) == pytest.approx(2.0 * CERT_STEP, rel=1e-3)
 
     def test_symmetric_search_starts_from_the_probe(self, monkeypatch):
         # the start is the probe's flip-averaged magnitudes, renormalized
@@ -360,8 +335,9 @@ class TestProductSearch:
                            atol=1e-12)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            optimize_product_state(plus_scenario(), family="bogus")
+        # one family, so not even the old default is a keyword
+        with pytest.raises(TypeError, match="family"):
+            optimize_product_state(plus_scenario(), family="symmetric")
 
 
 def full_chart(x, n_atoms):
@@ -375,15 +351,16 @@ def full_chart(x, n_atoms):
     return amps
 
 
-def multistart_reference(scenario, family, n_starts=8, seed=0):
+def multistart_reference(scenario, optimum, n_starts=8, seed=0):
     """Best sigma2_q of n_starts Nelder-Mead runs from random chart points.
 
     The product search once ran this way, over every real step state (N
-    angles) or every polar angle; the flip-symmetric search must not do worse.
+    angles) or every polar angle.  The "symmetric" optimum must not do worse
+    than the first, and the "coherent" one, |+>, than the second.
     """
     N = scenario.n_atoms
     ws = BoundWorkspace(scenario.noise, N, scenario.k, scenario.T)
-    if family == "coherent":
+    if optimum == "coherent":
         chart, n_params = lambda x: coherent_step_state(N, float(x[0]), 0.0).amplitudes, 1
     else:
         chart, n_params = lambda x: full_chart(x, N), N
@@ -401,15 +378,30 @@ def multistart_reference(scenario, family, n_starts=8, seed=0):
     return min(r.fun for r in runs) / scale
 
 
-@pytest.mark.parametrize("family", ["symmetric", "coherent"])
+@pytest.mark.parametrize("optimum", ["symmetric", "coherent"])
 @pytest.mark.parametrize("n_atoms, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2),
                                         (4, 1), (4, 2)])
 @pytest.mark.parametrize("tau", [1.0, 3.0])
-def test_one_run_matches_multistart_reference(family, n_atoms, k, tau):
+def test_one_run_matches_multistart_reference(optimum, n_atoms, k, tau):
+    # "symmetric": the one search against every real step state; "coherent":
+    # the fixed |+>, with no search at all, against every polar angle
     sc = plus_scenario(n_atoms=n_atoms, k=k, T=tau / k)
-    rep = optimize_product_state(sc, family=family)
-    assert rep.converged
-    assert rep.sigma2_q <= multistart_reference(sc, family) * (1 + 1e-9)
+    if optimum == "symmetric":
+        rep = optimize_product_state(sc)
+        assert rep.converged
+        s2q = rep.sigma2_q
+    else:
+        s2q = qavar(sc).sigma2_q
+    assert s2q <= multistart_reference(sc, optimum) * (1 + 1e-9)
+
+
+def test_plus_is_a_polar_minimum_at_check_5_layout():
+    # N = 2, k = 4, tau = 2: tilting |+> off the equator raises the bound (the
+    # spin flip maps the polar angle theta to pi - theta, so one side suffices)
+    sc = plus_scenario(n_atoms=2, k=4, T=0.5)
+    tilted = dataclasses.replace(
+        sc, probe=ProductProbe(coherent_step_state(2, np.pi / 2 + CERT_STEP, 0.0)))
+    assert qavar(tilted).sigma2_q > qavar(sc).sigma2_q
 
 
 class TestOrderingSandwich:
@@ -499,6 +491,8 @@ class TestBoundCurve:
             bound_curve(PAR, 1, [1.0], 1, polish_phases=True)
         with pytest.raises(ValueError, match="n_starts must be 1"):
             bound_curve(PAR, 1, [1.0], 1, n_starts=2)
+        with pytest.raises(ValueError, match="family must be 'symmetric'"):
+            bound_curve(PAR, 1, [1.0], 1, family="coherent")
 
     def test_seed_does_not_move_the_scan(self):
         a, b = (bound_curve(PAR, 2, [1.0, 1.5], 2, seed=seed) for seed in (3, 4))
