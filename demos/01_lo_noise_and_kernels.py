@@ -4,16 +4,17 @@ The LO frequency noise is exponentially correlated plus white:
 
     R(t) = alpha exp(-gamma |t|) + beta delta(t)
 
-Everything downstream consumes it through two closed-form objects: the
-covariance matrix of consecutive Ramsey phases (block_kernel) and the
-covariances between each phase and the two-window frequency difference
-(cross_kernel).  This script prints both, then checks the free-running
-Allan variance formula against a sampled trace.
+Everything downstream consumes it through one closed-form object, the
+covariance matrix of consecutive Ramsey phases (block_kernel).  kernel_set
+reads the bound's two kernels off it: the covariance G of the probe phases
+and the covariances H between each phase and the two-window frequency
+difference.  This script prints the matrix and H, then checks the
+free-running Allan variance formula against a sampled trace.
 """
 
 import numpy as np
 
-from qavar import NoiseParams, block_kernel, cross_kernel, free_lo_avar, lo_phases, avar_series
+from qavar import NoiseParams, block_kernel, free_lo_avar, kernel_set, lo_phases, avar_series
 
 par = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
 T = 0.5
@@ -26,7 +27,7 @@ print(G)
 print()
 
 for k in (1, 2, 3):
-    H = cross_kernel(par, T, k)
+    H = kernel_set(par, T, k).H
     print(f"k = {k}: H_i = Cov(theta_i, w), {2 * k - 1} probe windows:")
     print(" ", H)
 print()

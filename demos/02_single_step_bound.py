@@ -6,8 +6,7 @@ from qavar import (
     NoiseParams,
     ProductProbe,
     Scenario,
-    block_kernel,
-    cross_kernel,
+    kernel_set,
     plus_step_state,
     qavar,
 )
@@ -22,8 +21,8 @@ print(f"{'T [s]':>8} {'sigma2_LO':>12} {'sigma2_Q':>12} {'removed':>9} {'closed 
 for T in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0):
     scen = Scenario(noise=par, n_atoms=1, k=1, T=T, probe=ProductProbe(plus_step_state(1)))
     res = qavar(scen)
-    g11 = block_kernel(par, T, 1)[0, 0]
-    h1 = cross_kernel(par, T, 1)[0]
+    ks = kernel_set(par, T, 1)
+    g11, h1 = ks.G[0, 0], ks.H[0]
     closed = res.sigma2_lo - np.exp(-g11) * h1**2 / (2 * par.omega0**2)
     frac = res.correction / res.sigma2_lo
     print(f"{T:8.2f} {res.sigma2_lo:12.3e} {res.sigma2_q:12.3e} {frac:8.1%} {closed:12.3e}")

@@ -38,7 +38,6 @@ from .noise import (
     KernelSet,
     NoiseParams,
     block_kernel,
-    cross_kernel,
     free_lo_avar,
     kernel_set,
     lo_phases,
@@ -58,8 +57,8 @@ from .optimize import (
 __all__ = [
     "__version__",
     # noise
-    "NoiseParams", "KernelSet", "block_kernel", "cross_kernel",
-    "free_lo_avar", "kernel_set", "lo_phases",
+    "NoiseParams", "KernelSet", "block_kernel", "free_lo_avar", "kernel_set",
+    "lo_phases",
     # hilbert
     "SymmetricState", "multi_index_table", "product_pure", "plus_step_state",
     "coherent_step_state", "ghz_step_state",

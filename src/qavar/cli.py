@@ -21,6 +21,7 @@ cap left no work, or memory ran out), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import operator
@@ -435,26 +436,16 @@ def run(cfg: RunConfig) -> int:
 
     canonical = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
-    lines = [
-        f"# qavar {__version__}",
-        f"# config-hash {digest}",
-        f"# seed {cfg.seed}",
-        ",".join(header),
-    ]
-    lines += [",".join(_csv_escape(tok) for tok in row) for row in rows]
     with open(cfg.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# qavar {__version__}\n# config-hash {digest}\n# seed {cfg.seed}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
     if rows and all(row[-1] != "ok" for row in rows):
         print(f"all {len(rows)} rows skipped by the dimension cap", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK
-
-
-def _csv_escape(tok: str) -> str:
-    if any(ch in tok for ch in ',"\n'):
-        return '"' + tok.replace('"', '""') + '"'
-    return tok
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -75,8 +75,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
 

@@ -102,8 +102,8 @@ def joint_dim(n_atoms: int, k: int) -> int:
 
 def layout_k(tau: float, T: float) -> int:
     """The k with tau = k T; raises ValueError unless k is a positive integer."""
-    ratio = tau / T
-    k = int(round(ratio))
+    ratio = float(tau) / float(T)  # Python floats overflow to inf without a warning
+    k = int(round(ratio)) if np.isfinite(ratio) else 0
     if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"tau={tau} is not a positive integer multiple of T={T}")
     return k
@@ -145,8 +145,8 @@ class Scenario:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
 
     @property
     def tau(self) -> float:
@@ -342,8 +342,13 @@ class BoundWorkspace:
         returns kernel eigenvalues of either sign at roundoff level) and the
         pairs with lam_r + lam_s = 0 contribute 0.  Each weight is bounded by
         lam_r + lam_s and each SLD entry by 2 |U~_rs|, so no cut-off is needed.
-        The correction's roundoff is absolute, of order eps * sigma2_lo, so
-        sigma2_q is exact to roundoff even where the correction is tiny.
+        The correction's roundoff is absolute, up to a few hundred
+        eps * sigma2_lo.  With one BLAS thread: 3.0e-14 sigma2_lo between the
+        block and full paths, and 6.2e-14 / 9.2e-14 between them and the
+        reference eigen-sum of tests/bound_reference.py, at N = 3, k = 3,
+        T = 3 for a random real step state; 2.6e-14 sigma2_lo between a
+        twisted and a plain product probe at N = 2, k = 3, T = 2.  sigma2_q
+        is exact to that level even where the correction is tiny.
 
         With D >= BLOCK_MIN_DIM and no SLD request, x is solved in the
         blocks of its largest exact symmetry (see the module docstring),

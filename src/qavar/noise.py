@@ -6,18 +6,23 @@ autocovariance
     R(t) = alpha * exp(-gamma |t|) + beta * delta(t)
 
 (Ornstein-Uhlenbeck plus white frequency noise, angular units).  Everything
-downstream needs only block integrals of R:
+downstream needs only block integrals of R.  One matrix holds them: the
+covariance ``C`` of the Ramsey phases ``theta_i = int ω dt`` over 2k
+consecutive interrogation windows of length T (``block_kernel``), which
+tile two adjacent averaging windows of length ``tau = k T``.
+``kernel_set`` reads the bound's kernels off it:
 
-* ``G[i, j]``  covariance of the Ramsey phases ``theta_i = int ω dt`` over
-  consecutive interrogation windows of length T,
-* ``H[i]``     covariance of ``theta_i`` with the normalized two-window
-  frequency difference ``w`` whose variance defines the Allan variance at
-  averaging time ``tau = k T``,
-* ``sigma2_lo(tau)``  the fractional Allan variance of the free-running LO.
+* ``G = C[:K, :K]``  the covariance of the K = 2k - 1 probe phases,
+* ``H[i]``  the covariance of ``theta_i`` with the normalized two-window
+  frequency difference ``w = (sum_(j > k) theta_j - sum_(j <= k)
+  theta_j) / tau``, whose variance defines the Allan variance at averaging
+  time tau: the signed sum of row i of C, divided by tau.
 
-The delta part of R is never discretized; it enters each closed form exactly
-(``beta * T`` on G's diagonal, ``±beta/k`` in H).  ``lo_phases`` samples the
-Ramsey phases themselves, exactly, for the clock simulator.
+``free_lo_avar`` gives that variance in closed form, the fractional Allan
+variance ``sigma2_lo(tau)`` of the free-running LO.  The delta part of R is
+never discretized; it enters each closed form exactly (``beta * T`` on C's
+diagonal, hence ``±beta/k`` in H).  ``lo_phases`` samples the Ramsey phases
+themselves, exactly, for the clock simulator.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ __all__ = [
     "NoiseParams",
     "KernelSet",
     "block_kernel",
-    "cross_kernel",
     "free_lo_avar",
     "kernel_set",
     "lo_phases",
@@ -97,68 +101,28 @@ def _phi2(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _block_cov_sequence(params: NoiseParams, T: float, m_max: int) -> np.ndarray:
-    """Return g[m] = Cov(theta_i, theta_{i+m}) for m = 0 .. m_max.
-
-    g[0] = (2 alpha / gamma^2)(gamma T - 1 + e^{-gamma T}) + beta T
-    g[m] = (alpha / gamma^2) e^{-gamma (m-1) T} (1 - e^{-gamma T})^2,  m >= 1
-
-    The white term appears only at lag 0 (disjoint windows meet on a set of
-    measure zero).
-    """
-    a, b, g = params.alpha, params.beta, params.gamma
-    out = np.empty(m_max + 1)
-    out[0] = 2.0 * a / g**2 * _phi2(g * T) + b * T
-    if m_max >= 1:
-        m = np.arange(1, m_max + 1)
-        one_minus_e = -np.expm1(-g * T)
-        out[1:] = a / g**2 * np.exp(-g * (m - 1) * T) * one_minus_e**2
-    return out
-
-
 def block_kernel(params: NoiseParams, T: float, K: int) -> np.ndarray:
     """Covariance matrix of the K consecutive Ramsey phases theta_1..theta_K.
 
-    Parameters
-    ----------
-    params : NoiseParams
-    T : interrogation window length, s (> 0)
-    K : number of windows (>= 1)
+    The symmetric Toeplitz matrix of g[m] = Cov(theta_i, theta_{i+m}):
 
-    Returns
-    -------
-    (K, K) symmetric Toeplitz positive-semidefinite array, units rad^2.
+        g[0] = (2 alpha / gamma^2)(gamma T - 1 + e^{-gamma T}) + beta T
+        g[m] = (alpha / gamma^2) e^{-gamma (m-1) T} (1 - e^{-gamma T})^2,  m >= 1
+
+    The white term appears only at lag 0 (disjoint windows meet on a set of
+    measure zero).  T (s) must be > 0 and finite, K >= 1; the result is a
+    (K, K) positive-semidefinite array, units rad^2.
     """
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be > 0 and finite, got {T}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    g = _block_cov_sequence(params, T, K - 1)
-    return toeplitz(g)
-
-
-def cross_kernel(params: NoiseParams, T: float, k: int) -> np.ndarray:
-    """Covariances H_i = Cov(theta_i, w) for the K = 2k - 1 probe windows.
-
-    w = (1/tau) * (int_tau^2tau ω dt - int_0^tau ω dt) with tau = k T is the
-    normalized frequency difference between the two adjacent averaging
-    windows.  Both windows tile into k blocks of length T, so each H_i is an
-    exact signed sum of block covariances; no numerical integration is
-    involved.
-    """
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    tau = k * T
-    g = _block_cov_sequence(params, T, 2 * k - 1)
-    K = 2 * k - 1
-    H = np.empty(K)
-    for i in range(1, K + 1):
-        plus = sum(g[abs(i - j)] for j in range(k + 1, 2 * k + 1))
-        minus = sum(g[abs(i - j)] for j in range(1, k + 1))
-        H[i - 1] = (plus - minus) / tau
-    return H
+    a, b, g = params.alpha, params.beta, params.gamma
+    seq = np.empty(K)
+    seq[0] = 2.0 * a / g**2 * _phi2(g * T) + b * T
+    m = np.arange(1, K)
+    seq[1:] = a / g**2 * np.exp(-g * (m - 1) * T) * (-np.expm1(-g * T)) ** 2
+    return toeplitz(seq)
 
 
 def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.ndarray:
@@ -169,11 +133,11 @@ def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.nda
                      / (omega0^2 tau^2)
 
     which is the two-window variance identity evaluated in closed form.
-    Accepts scalar or array tau (> 0).
+    Accepts scalar or array tau (> 0 and finite).
     """
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr <= 0):
-        raise ValueError("tau must be > 0")
+    if not np.all((0.0 < tau_arr) & (tau_arr < np.inf)):
+        raise ValueError("tau must be > 0 and finite")
     a, b, g, w0 = params.alpha, params.beta, params.gamma, params.omega0
     # 2*phi2(x) - (1-e^{-x})^2 rewritten for stability at small gamma*tau
     x = g * tau_arr
@@ -183,13 +147,23 @@ def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.nda
 
 
 def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
-    """Bundle G, H, sigma2_lo and w_var for a (T, k) interrogation layout."""
-    G = block_kernel(params, T, 2 * k - 1)
-    H = cross_kernel(params, T, k)
-    tau = k * T
-    s2 = float(free_lo_avar(params, tau))
+    """G, H, sigma2_lo and w_var for a (T, k) interrogation layout.
+
+    G and H are blocks of C = block_kernel(params, T, 2k), the covariance of
+    the 2k windows that tile the two averaging windows of length tau = k T.
+    G = C[:K, :K] with K = 2k - 1, and since w = (1/tau) (int_tau^2tau ω dt -
+    int_0^tau ω dt) = (1/tau) (sum_(j > k) theta_j - sum_(j <= k) theta_j),
+
+        H_i = Cov(theta_i, w) = (sum_(j > k) C[i, j] - sum_(j <= k) C[i, j]) / tau,
+
+    an exact signed sum of block covariances, with no numerical integration.
+    """
+    C = block_kernel(params, T, 2 * k)
+    K = 2 * k - 1
+    H = (C[:K, k:].sum(axis=1) - C[:K, :k].sum(axis=1)) / (k * T)
+    s2 = float(free_lo_avar(params, k * T))
     return KernelSet(
-        K=2 * k - 1, G=G, H=H, sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
+        K=K, G=C[:K, :K], H=H, sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
     )
 
 

@@ -223,8 +223,11 @@ def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> 
     CERT_STEP (e_n - e_(N-n)) for n < N - n.  History records the best
     sigma2_q after each evaluation, certificate points included, and the
     report holds the best point of all.  `converged`: the run succeeded and
-    no certificate point fell below the optimum.
+    no certificate point fell below the optimum.  A `maxfev` < 1 raises
+    ValueError: the run would evaluate nothing.
     """
+    if maxfev is not None and maxfev < 1:
+        raise ValueError(f"maxfev must be >= 1 or None, got {maxfev}")
     N = scenario.n_atoms
     scenario.joint_input()  # rejects a probe that does not fit, as qavar does
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
@@ -298,8 +301,8 @@ def bound_curve(
     unused; it makes one run, so `n_starts` must be 1; and it has no phase
     polish, because excitation-basis phases are a gauge of the bound (see
     the module docstring), so `polish_phases` must be False.
-    Any other value, a bad probe, k_max < 1 or a tau <= 0 raises ValueError
-    before any evaluation.
+    Any other value, a bad probe, k_max < 1 or a tau that is not > 0 and
+    finite raises ValueError before any evaluation.
     """
     if not isinstance(probe, SymmetricState) and probe not in ("optimize-product",
                                                                 "optimize-joint"):
@@ -308,8 +311,9 @@ def bound_curve(
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     taus = sorted(float(t) for t in taus)
-    if taus and taus[0] <= 0:
-        raise ValueError(f"tau must be > 0, got {taus[0]}")
+    bad = [t for t in taus if not 0.0 < t < np.inf]
+    if bad:
+        raise ValueError(f"tau must be > 0 and finite, got {bad[0]}")
     if family != "symmetric":
         raise ValueError(f"family must be 'symmetric': the search has one, got {family!r}")
     if n_starts != 1:

@@ -29,11 +29,11 @@ from qavar import (
     avar_series,
     block_kernel,
     bound_curve,
-    cross_kernel,
     dephasing_weights,
     extrapolate_long_term,
     free_lo_avar,
     ghz_step_state,
+    kernel_set,
     optimize_joint_state,
     plus_step_state,
     product_pure,
@@ -89,7 +89,7 @@ def test_01_kernels_match_quadrature(capsys):
                 - sum(q[abs(i - j)] for j in range(1, k + 1))
                 for i in range(1, 2 * k)
             ]) / tau
-            H = cross_kernel(par, T, k)
+            H = kernel_set(par, T, k).H
             worst = max(worst, float(np.max(np.abs(H - H_quad) / np.abs(H_quad))))
     ok = worst <= 1e-9
     msg = _line(capsys, 1, "kernel closed forms vs 2D quadrature", ok,
@@ -206,7 +206,7 @@ def test_04_single_step_closed_form(capsys):
                             probe=ProductProbe(plus_step_state(1)))
             got = qavar(scen).sigma2_q
             g11 = block_kernel(par, T, 1)[0, 0]
-            h1 = cross_kernel(par, T, 1)[0]
+            h1 = kernel_set(par, T, 1).H[0]
             want = free_lo_avar(par, T) - np.exp(-g11) * h1**2 / (2 * par.omega0**2)
             worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-10

@@ -134,6 +134,13 @@ class TestValidation:
         assert ("config error: tau: 30.0 needs 2k = 120 steps, more than sim.n_steps=100"
                 in capsys.readouterr().err)
 
+    def test_overflowing_tau_over_T_is_a_config_error(self, tmp_path, capsys):
+        # tau / sim.T overflows to inf, which has no integer k
+        doc = dict(MINIMAL["simulate"], tau=[1e308], sim=dict(SIM, T=1e-308))
+        code, out = run_cli(tmp_path, doc, "simulate")
+        assert code == 2 and not out.exists()
+        assert "config error: tau: 1e+308 is not a positive integer multiple" in capsys.readouterr().err
+
     def test_defaults_pinned(self):
         doc = {"mode": "simulate", "noise": NOISE, "tau": [1.0], "atoms": 1,
                "sim": {"T": 0.5, "n_steps": 100, "n_runs": 2}}

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from mc_reference import sample_joint
+from qavar import ProductProbe, Scenario, SimConfig, bound_curve, plus_step_state
 from qavar.noise import (
     NoiseParams,
     block_kernel,
-    cross_kernel,
     free_lo_avar,
     kernel_set,
     lo_phases,
@@ -105,11 +105,11 @@ class TestBlockKernel:
 class TestCrossKernel:
     def test_length_is_2k_minus_1(self):
         for k in (1, 2, 5):
-            assert cross_kernel(PAR, 0.5, k).shape == (2 * k - 1,)
+            assert kernel_set(PAR, 0.5, k).H.shape == (2 * k - 1,)
 
     def test_matches_quadrature(self):
         T, k = 0.8, 2
-        H = cross_kernel(PAR, T, k)
+        H = kernel_set(PAR, T, k).H
         for i in range(1, 2 * k):
             assert H[i - 1] == pytest.approx(
                 quad_cross_kernel(PAR, T, k, i), rel=1e-9, abs=1e-12
@@ -117,23 +117,23 @@ class TestCrossKernel:
 
     def test_white_only_examples(self):
         white = NoiseParams(alpha=0.0, beta=0.4, gamma=1.0, omega0=1.0)
-        H1 = cross_kernel(white, 1.0, 1)
+        H1 = kernel_set(white, 1.0, 1).H
         assert np.allclose(H1, [-0.4])
-        H2 = cross_kernel(white, 1.0, 2)
+        H2 = kernel_set(white, 1.0, 2).H
         assert np.allclose(H2, [-0.2, -0.2, 0.2])
 
     def test_inner_reflection_antisymmetry(self):
         # time reversal of the 2k-block layout flips w; the stored vector
         # drops window 2k, so the antisymmetry survives on entries 2..2k-1
         for k in (2, 3, 4):
-            H = cross_kernel(PAR, 0.6, k)
+            H = kernel_set(PAR, 0.6, k).H
             inner = H[1:]
             assert np.allclose(inner, -inner[::-1], atol=1e-18)
 
     def test_k1_identity_with_lo_avar(self):
         # Var(w) at k=1: w = (theta_2 - theta_1)/T, and H_1 = Cov(theta_1, w)
         for T in (0.3, 1.0, 2.5):
-            H = cross_kernel(PAR, T, 1)
+            H = kernel_set(PAR, T, 1).H
             lo = free_lo_avar(PAR, T)
             assert -H[0] == pytest.approx(lo * PAR.omega0**2 * T, rel=1e-12)
 
@@ -247,3 +247,18 @@ class TestValidation:
             kernel_set(PAR, -1.0, 2)
         with pytest.raises(ValueError):
             kernel_set(PAR, 1.0, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", [
+        lambda x: Scenario(noise=PAR, n_atoms=1, k=1, T=x,
+                           probe=ProductProbe(plus_step_state(1))),
+        lambda x: SimConfig(noise=PAR, n_atoms=1, T=x, n_steps=10),
+        lambda x: block_kernel(PAR, x, 2),
+        lambda x: kernel_set(PAR, x, 2),
+        lambda x: free_lo_avar(PAR, x),
+        lambda x: bound_curve(PAR, 1, [x], 1),
+    ], ids=["Scenario", "SimConfig", "block_kernel", "kernel_set", "free_lo_avar",
+            "bound_curve"])
+    def test_non_finite_T_or_tau_rejected(self, entry, value):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            entry(value)

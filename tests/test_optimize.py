@@ -248,6 +248,15 @@ class TestProductSearch:
             assert rep.sigma2_q == qavar(sc).sigma2_q
             assert np.array_equal(rep.state, plus_step_state(1).amplitudes)
 
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    @pytest.mark.parametrize("maxfev", [0, -1])
+    def test_maxfev_below_one_is_rejected_before_any_evaluation(self, monkeypatch, n_atoms, maxfev):
+        calls = []
+        monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="maxfev must be >= 1"):
+            optimize_product_state(plus_scenario(n_atoms=n_atoms, k=2, T=0.5), maxfev=maxfev)
+        assert calls == []
+
     @pytest.mark.parametrize("maxfev", [None, 5])
     def test_one_nelder_mead_run_per_search(self, monkeypatch, maxfev):
         runs = []
