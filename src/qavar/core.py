@@ -174,7 +174,7 @@ class Scenario:
             raise ValueError(f"joint vector length {v.shape[0]}, expected {self.dim}")
         nrm = np.linalg.norm(v)
         if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN
-            raise ValueError(f"joint vector not normalized (|.| = {nrm!r})")
+            raise ValueError(f"joint vector not normalized (|.| = {float(nrm)!r})")
         return v
 
 
@@ -305,6 +305,8 @@ class BoundWorkspace:
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
+        if n_atoms < 1:
+            raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
         self.noise = noise
         self.n_atoms = n_atoms
         self.k = k

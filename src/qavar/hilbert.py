@@ -47,7 +47,7 @@ class SymmetricState:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN
-            raise ValueError(f"amplitudes not normalized (|.| = {norm!r})")
+            raise ValueError(f"amplitudes not normalized (|.| = {float(norm)!r})")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -148,9 +148,10 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Hermitian eigendecomposition.
 
     Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|),
-    symmetrizes, and solves with the divide-and-conquer driver.  The input's
-    dtype picks the path: real input takes the ~4x faster real one, and
-    every caller in the package hands over a real matrix.  With `lowest` > 0
+    symmetrizes, and solves with the divide-and-conquer driver; a
+    non-finite entry raises np.linalg.LinAlgError.  The input's dtype picks
+    the path: real input takes the ~4x faster real one, and every caller in
+    the package hands over a real matrix.  With `lowest` > 0
     only the `lowest` smallest eigenpairs are computed, by the MRRR driver
     (one pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms for all
     of them, one BLAS thread).
@@ -158,14 +159,16 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues ascending and orthonormal eigenvectors as columns.
     """
     a = np.asarray(a)
+    # The initial 0 gives a 0 x 0 input (an empty parity block) a maximum.
+    scale = np.abs(a).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
     # Built in Fortran order and handed over to be overwritten, so LAPACK
     # works on this buffer instead of a transposed copy.
     sym = np.add(a, a.conj().T, order="F")
     sym *= 0.5
     # sym is exactly Hermitian, so sym.T.conj() is sym read in C order and
-    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.  The
-    # initial 0 gives a 0 x 0 input (an empty parity block) a maximum.
-    scale = np.abs(a).max(initial=0.0)
+    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.
     if 2.0 * np.abs(a - sym.T.conj()).max(initial=0.0) > HERMITIAN_TOL * scale:
         raise ValueError("matrix not Hermitian within tolerance")
     if lowest > 0:

@@ -22,12 +22,12 @@ tile two adjacent averaging windows of length ``tau = k T``.
 variance ``sigma2_lo(tau)`` of the free-running LO.  The delta part of R is
 never discretized; it enters each closed form exactly (``beta * T`` on C's
 diagonal, hence ``±beta/k`` in H).  ``lo_phases`` samples the Ramsey phases
-themselves, exactly, for the clock simulator.
+themselves, exactly, for the clock simulator, from moments read off C's OU part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -58,14 +58,14 @@ class NoiseParams:
     omega0: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not (self.beta >= 0.0):
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (self.gamma > 0.0):
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.omega0 > 0.0):
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
+        if not 0.0 < self.omega0 < np.inf:
+            raise ValueError(f"omega0 must be > 0 and finite, got {self.omega0}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,13 @@ def block_kernel(params: NoiseParams, T: float, K: int) -> np.ndarray:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     a, b, g = params.alpha, params.beta, params.gamma
+    s = a / g**2  # ZeroDivisionError where gamma^2 underflows to 0
+    if s == np.inf:
+        raise OverflowError(f"alpha / gamma^2 overflows (alpha = {a}, gamma = {g})")
     seq = np.empty(K)
-    seq[0] = 2.0 * a / g**2 * _phi2(g * T) + b * T
+    seq[0] = 2.0 * s * _phi2(g * T) + b * T
     m = np.arange(1, K)
-    seq[1:] = a / g**2 * np.exp(-g * (m - 1) * T) * (-np.expm1(-g * T)) ** 2
+    seq[1:] = s * np.exp(-g * (m - 1) * T) * (-np.expm1(-g * T)) ** 2
     return toeplitz(seq)
 
 
@@ -158,6 +161,8 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
 
     an exact signed sum of block covariances, with no numerical integration.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     C = block_kernel(params, T, 2 * k)
     K = 2 * k - 1
     H = (C[:K, k:].sum(axis=1) - C[:K, :k].sum(axis=1)) / (k * T)
@@ -167,26 +172,25 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
     )
 
 
-def _ou_step_moments(alpha: float, gamma: float, T: float):
-    """Conditional (I, x_end) | x_start moments for one OU window.
+def _ou_step_moments(params: NoiseParams, T: float):
+    """Moments of one OU window's (I, x_end) given x_start, I = int_0^T x dt.
 
-    I = int_0^T x dt.  Returns the linear coefficients on x_start and the
-    2x2 conditional covariance factored for sampling.
+    With g0, g1 lags 0 and 1 of C's OU part (block_kernel at beta = 0) and
+    e = exp(-gamma T), Cov(I, x_start) = alpha (1 - e) / gamma gives
+    g1 = Cov(I, x_start)^2 / alpha (x is stationary, Var x = alpha), so
+
+        E[I | x_start] = (1 - e) / gamma x_start,  E[x_end | x_start] = e x_start,
+        Var(I | x_start) = g0 - g1,  Cov(I, x_end | x_start) = gamma g1,
+        Var(x_end | x_start) = alpha (1 - e^2).
+
+    Returns the mean coefficients and the Cholesky factor [[a, 0], [b, c]].
     """
-    e = np.exp(-gamma * T)
-    coef_i = (1.0 - e) / gamma
-    coef_x = e
-    if alpha == 0.0:
-        return coef_i, coef_x, 0.0, 0.0, 0.0
-    var_i = (2.0 * alpha / gamma) * (
-        T - 2.0 * (1.0 - e) / gamma + (1.0 - e * e) / (2.0 * gamma)
-    )
-    var_x = alpha * (1.0 - e * e)
-    cov = (alpha / gamma) * (1.0 - e) ** 2
-    a = np.sqrt(max(var_i, 0.0))
-    b = cov / a if a > 0.0 else 0.0
-    c = np.sqrt(max(var_x - b * b, 0.0))
-    return coef_i, coef_x, a, b, c
+    g0, g1 = block_kernel(replace(params, beta=0.0), T, 2)[0]
+    gamma = params.gamma
+    a = np.sqrt(max(g0 - g1, 0.0))
+    b = gamma * g1 / a if a > 0.0 else 0.0
+    c = np.sqrt(max(-params.alpha * np.expm1(-2.0 * gamma * T) - b * b, 0.0))
+    return -np.expm1(-gamma * T) / gamma, np.exp(-gamma * T), a, b, c
 
 
 def lo_phases(
@@ -203,7 +207,7 @@ def lo_phases(
     rng is the caller's stream; this draws n x 3 standard normals from it,
     then one more for the stationary start when alpha > 0.
     """
-    coef_i, coef_x, a, b, c = _ou_step_moments(params.alpha, params.gamma, T)
+    coef_i, coef_x, a, b, c = _ou_step_moments(params, T)
     z = rng.standard_normal((n, 3))
     starts = np.zeros(n)
     if params.alpha > 0.0:

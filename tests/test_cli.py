@@ -223,7 +223,9 @@ class TestReadmeConfigTable:
         text = README.read_text()
         lines = text[text.index("| key | accepted values |"):].splitlines()
         rows = list(takewhile(lambda line: line.startswith("|"), lines))[2:]
-        modes = {f.path: set(f.modes) for f in cli.FIELDS}
+        modes: dict[str, set] = {}
+        for f in cli.FIELDS:  # probe.kind has one row per mode group
+            modes.setdefault(f.path, set()).update(f.modes)
         checked = set()
         for row in rows:
             cells = [cell.strip() for cell in row.split("|")[1:-1]]
@@ -532,6 +534,22 @@ class TestMainEntry:
         code, _ = run_cli(tmp_path, doc, "lo-avar")
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, noise, what", [
+        ("lo-avar", {"gamma": 1e-200}, "division by zero"),
+        ("bound", {"gamma": 1e-200}, "division by zero"),
+        ("simulate", {"gamma": 1e-200}, "division by zero"),
+        ("simulate", {"gamma": 1e-158}, "alpha / gamma^2 overflows"),
+        ("bound", {"alpha": 1e308}, "alpha / gamma^2 overflows"),
+    ])
+    def test_kernel_overflow_is_numerical_failure(self, tmp_path, capsys, mode, noise, what):
+        # gamma^2 underflows to 0 (1e-200) or to a subnormal (1e-158), or
+        # alpha is so large that the kernels' alpha / gamma^2 overflows
+        doc = dict(MINIMAL[mode], noise=dict(NOISE, **noise))
+        code, out = run_cli(tmp_path, doc, mode)
+        assert code == 4 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and what in err
 
     def test_memory_error_is_resource_exit(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(*_):

@@ -393,6 +393,17 @@ class TestWorkspaceReuse:
         r2 = qavar(plus_scenario(k=2, T=0.5))
         assert r1.sigma2_q == pytest.approx(r2.sigma2_q, rel=1e-14)
 
+    @pytest.mark.parametrize("n_atoms, k, message", [
+        (0, 2, "n_atoms must be >= 1, got 0"),
+        (-1, 2, "n_atoms must be >= 1, got -1"),
+        (-3, 2, "n_atoms must be >= 1, got -3"),
+        (1, 0, "k must be >= 1, got 0"),
+        (1, -1, "k must be >= 1, got -1"),
+    ])
+    def test_rejects_bad_layout(self, n_atoms, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BoundWorkspace(PAR, n_atoms, k, 1.0)
+
     def test_rejects_wrong_shape(self):
         # the input is a pure vector (D,); a (D, D) matrix is rejected too
         ws = BoundWorkspace(PAR, 1, 2, 0.5)

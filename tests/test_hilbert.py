@@ -162,6 +162,13 @@ class TestEigh:
             eigh(a)
         assert np.array_equal(eigh(np.zeros((3, 3)))[0], np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            eigh(a)
+
     def test_empty_matrix(self):
         # the odd step-reversal block at k = 1 has no mirror pairs
         evals, evecs = eigh(np.zeros((0, 0)))

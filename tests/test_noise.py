@@ -7,6 +7,8 @@ added analytically.  See the quadrature helpers below, which are kept in
 the test so the frozen values stay reproducible.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mc_reference import sample_joint
 from qavar import ProductProbe, Scenario, SimConfig, bound_curve, plus_step_state
 from qavar.noise import (
     NoiseParams,
+    _ou_step_moments,
     block_kernel,
     free_lo_avar,
     kernel_set,
@@ -232,6 +235,20 @@ class TestLoPhases:
         assert theta.tobytes() == (np.sqrt(0.4 * 0.5) * z[:, 2]).tobytes()
         assert rng.standard_normal() == ref.standard_normal()
 
+    @pytest.mark.parametrize("gamma_T", [5e-13, 5e-9, 5e-7, 5e-6, 5e-5, 5e-4, 0.25, 5.0])
+    def test_step_moments_imply_block_kernel(self, gamma_T):
+        # one window of the sampler: theta = coef_i x + a z0, x' = coef_x x
+        # + b z0 + c z1 with x stationary, so the phases it draws have
+        # covariance lags 0..2 of C's OU part and x' keeps Var x = alpha
+        T = 0.5
+        p = replace(PAR, gamma=gamma_T / T)
+        coef_i, coef_x, a, b, c = _ou_step_moments(p, T)
+        lag1 = coef_i * (coef_i * coef_x * p.alpha + a * b)
+        implied = [coef_i**2 * p.alpha + a**2, lag1, coef_x * lag1]
+        want = block_kernel(replace(p, beta=0.0), T, 3)[0]
+        np.testing.assert_allclose(implied, want, rtol=1e-12, atol=0.0)
+        assert coef_x**2 * p.alpha + b**2 + c**2 == pytest.approx(p.alpha, rel=1e-12)
+
 
 class TestValidation:
     def test_bad_params_rejected(self):
@@ -242,11 +259,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseParams(alpha=1.0, beta=0.4, gamma=0.5, omega0=-2.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "omega0"])
+    def test_infinite_params_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be .* and finite, got inf"):
+            replace(PAR, **{field: float("inf")})
+
     def test_kernel_set_bad_args(self):
         with pytest.raises(ValueError):
             kernel_set(PAR, -1.0, 2)
-        with pytest.raises(ValueError):
-            kernel_set(PAR, 1.0, 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                kernel_set(PAR, 1.0, k)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("entry", [
