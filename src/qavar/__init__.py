@@ -23,7 +23,6 @@ from .core import (
     ProductProbe,
     QavarResult,
     Scenario,
-    dephasing_weights,
     qavar,
 )
 from .hilbert import (
@@ -64,7 +63,7 @@ __all__ = [
     "coherent_step_state", "ghz_step_state",
     # core
     "ProductProbe", "JointProbe", "Scenario", "QavarResult", "BoundWorkspace",
-    "dephasing_weights", "qavar",
+    "qavar",
     # optimize
     "OptimizeReport", "KEvaluation", "InterrogationScan",
     "PlateauFit", "cost_operator", "optimize_joint_state",

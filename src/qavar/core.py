@@ -54,7 +54,7 @@ it is; and U' couples an F-even block only to an F-odd one, so the
 four-block sum has no within-block terms.  (U itself differs from U' only
 by that diagonal, so the blocks use u as it is.)  `BoundWorkspace.evaluate`
 takes the largest exact symmetry of x, tested bit for bit, when no SLD is
-asked for and D >= BLOCK_MIN_DIM; everything else takes one (D, D) solve.
+asked for and D >= BLOCK_MIN_DIM, and the trivial group {1} otherwise.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ __all__ = [
     "BoundWorkspace",
     "joint_dim",
     "layout_k",
-    "dephasing_weights",
     "qavar",
 ]
 
@@ -189,17 +188,19 @@ class QavarResult:
     sld: Optional[np.ndarray]
 
 
-def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Entrywise Gaussian dephasing factors exp(-1/2 (a-b)^T G (a-b)).
+def _difference_table(G: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """tab[d] = exp(-1/2 d^T G d) over d in [-N, N]^K, and the D codes c_a.
 
-    G is the (K, K) phase covariance; works for any K, not only 2k - 1.
+    tab is flat in base 2N + 1, d_1 first; c_a reads a in that base, so
+    W[a, b] = tab[c_a - c_b + c_(N..N)].  Each entry sums (G_ij d_i) d_j in
+    one order, so tab[-d] == tab[d]: W is exactly symmetric and F-invariant.
     """
     K = G.shape[0]
-    A = multi_index_table(n_atoms, K).astype(float)
-    M = A @ G
-    s = np.einsum("dk,dk->d", A, M)
-    quad = s[:, None] + s[None, :] - 2.0 * (M @ A.T)
-    return np.exp(-0.5 * quad)
+    d = np.arange(-n_atoms, n_atoms + 1, dtype=float)
+    axes = [d.reshape((-1,) + (1,) * (K - 1 - i)) for i in range(K)]
+    quad = sum((G[i, j] * axes[i]) * axes[j] for i in range(K) for j in range(K))
+    codes = multi_index_table(n_atoms, K) @ d.size ** np.arange(K - 1, -1, -1)
+    return np.exp(-0.5 * quad).reshape(-1), codes
 
 
 def _phase_gauge(v: np.ndarray) -> np.ndarray:
@@ -244,16 +245,18 @@ class _OrbitBlocks:
 
         W_i[O, O'] = sqrt(|O| |O'|) / |G| sum_h chi_i(h) W[r, h r']
 
-    is rho_bar's block i.  U couples block
-    i to block i' only within an orbit, by c_(i^i')(O).  Where u minus a
-    constant is odd under the generators in the bitmask `odd` (the shift to
-    U' in the module docstring), c_(i^i') is 0 unless chi_(i^i') is -1 on
-    each of them, or that constant for i = i' (the constant cancels from
-    every other coefficient).  A constant couples only r = s, whose weight
-    (lam_r - lam_s)^2 is 0, so those block pairs are never formed.
+    is rho_bar's block i, W[r, h r'] read off `_difference_table` (only the
+    trivial group's one block is (D, D): W).  U couples block i to block i'
+    only within an orbit, by c_(i^i')(O).  Where u minus a constant is odd
+    under the generators in the bitmask `odd` (the shift to U' in the module
+    docstring), c_(i^i') is 0 unless chi_(i^i') is -1 on each of them, or
+    that constant for i = i' (the constant cancels from every other
+    coefficient).  A constant couples only r = s, whose weight (lam_r -
+    lam_s)^2 is 0, so those block pairs are never formed.
     """
 
-    def __init__(self, weights: np.ndarray, u: np.ndarray, gens: tuple, odd: int) -> None:
+    def __init__(self, table: np.ndarray, codes: np.ndarray, u: np.ndarray, gens: tuple,
+                 odd: int) -> None:
         n = 2 ** len(gens)
         perms = np.empty((n, u.size), dtype=np.intp)
         perms[0] = np.arange(u.size)
@@ -269,9 +272,14 @@ class _OrbitBlocks:
         self.index, self.block_weights = [], []
         for i, m in enumerate(member):
             idx, s = reps[m], scale[m]
-            gathered = weights[idx[:, None], perms[:, idx][:, None, :]]  # W[r, h r']
+            rows = codes[idx] + codes[-1]  # c_r + c_(N..N), the table's offset
+            Wb = table[rows[:, None] - codes[idx]]
+            for h in range(1, n):  # in place: one (|block|, |block|) term at a time
+                term = table[rows[:, None] - codes[perms[h, idx]]]  # W[r, h r']
+                (np.add if chars[i, h] > 0 else np.subtract)(Wb, term, out=Wb)
+            Wb *= np.outer(s, s)
             self.index.append(idx)
-            self.block_weights.append(np.tensordot(chars[i], gathered, axes=1) * np.outer(s, s))
+            self.block_weights.append(Wb)
         self.pairs = []
         for i in range(n):
             for j in range(i, n):
@@ -280,8 +288,11 @@ class _OrbitBlocks:
                     self.pairs.append((i, j, np.flatnonzero(both[member[i]]),
                                        np.flatnonzero(both[member[j]]), coef[i ^ j, both]))
 
-    def pair_sum(self, x: np.ndarray) -> float:
-        """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i')."""
+    def pair_sum(self, x: np.ndarray, want_sld: bool = False) -> tuple:
+        """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i').
+
+        With `want_sld`, also the last pair's V (2 R o U~) V^T: for the
+        trivial group's one pair, K with L(x) = iK."""
         spectra = []
         for idx, Wb in zip(self.index, self.block_weights):
             lam, V = eigh(np.outer(x[idx], x[idx]) * Wb)
@@ -291,17 +302,18 @@ class _OrbitBlocks:
             (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
             Ut = V_i[rows_i].T @ (coef[:, None] * V_j[rows_j])
             total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, Ut)[0]
-        return total
+        return total, (V_i @ (2.0 * _pair_sum(lam_i, lam_j, Ut)[1] * Ut) @ V_j.T
+                       if want_sld else None)
 
 
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
-    Precomputes the kernels, the (D, D) dephasing weights and the generator
-    diagonal u = A H (u_a = a^T H) once; each `evaluate` call then costs one
-    real symmetric eigensolve of rho_bar, or one per symmetry block, plus a few
-    products.  The orbit table and block weights of each symmetry group are
-    built on first use.
+    Precomputes the kernels, the dephasing weights' difference table and u
+    (u_a = a^T H) once; each `evaluate` call then costs one real symmetric
+    eigensolve per block of rho_bar, plus a few products.  Each symmetry
+    group's orbits and block weights are built on first use; `weights` is
+    the trivial group's one block.
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
@@ -314,18 +326,22 @@ class BoundWorkspace:
         self.kernels: KernelSet = kernel_set(noise, T, k)
         self.n_steps = self.kernels.K
         self.dim = joint_dim(n_atoms, k)
-        self.weights = dephasing_weights(self.kernels.G, n_atoms)
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
-        self._rev = reversal_index(n_atoms, self.n_steps)
-        self._flip = flip_index(n_atoms, self.n_steps)
-        self._groups: dict[bool, _OrbitBlocks] = {}
+        self._table, self._codes = _difference_table(self.kernels.G, n_atoms)
+        self._gens = (reversal_index(n_atoms, self.n_steps), flip_index(n_atoms, self.n_steps))
+        self._groups: dict[int, _OrbitBlocks] = {}
 
-    def _blocks(self, flip: bool) -> _OrbitBlocks:
-        """The orbit blocks of {1, P} or, with `flip`, of {1, P, F, PF}."""
-        if flip not in self._groups:
-            gens = (self._rev, self._flip) if flip else (self._rev,)
-            self._groups[flip] = _OrbitBlocks(self.weights, self.u, gens, 0b10 if flip else 0)
-        return self._groups[flip]
+    def _blocks(self, n_gens: int) -> _OrbitBlocks:
+        """The orbit blocks of {1}, {1, P} or {1, P, F, PF}: the first n_gens of (P, F)."""
+        if n_gens not in self._groups:
+            self._groups[n_gens] = _OrbitBlocks(self._table, self._codes, self.u,
+                                                self._gens[:n_gens], 0b10 if n_gens == 2 else 0)
+        return self._groups[n_gens]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (D, D) dephasing weights W[a, b] = exp(-1/2 (a-b)^T G (a-b)), built on first use."""
+        return self._blocks(0).block_weights[0]
 
     def evaluate(self, v: np.ndarray, want_sld: bool = False) -> QavarResult:
         """Bound for a pure joint input vector v of shape (D,).
@@ -344,47 +360,33 @@ class BoundWorkspace:
         returns kernel eigenvalues of either sign at roundoff level) and the
         pairs with lam_r + lam_s = 0 contribute 0.  Each weight is bounded by
         lam_r + lam_s and each SLD entry by 2 |U~_rs|, so no cut-off is needed.
-        The correction's roundoff is absolute, up to a few hundred
-        eps * sigma2_lo.  With one BLAS thread: 3.0e-14 sigma2_lo between the
-        block and full paths, and 6.2e-14 / 9.2e-14 between them and the
-        reference eigen-sum of tests/bound_reference.py, at N = 3, k = 3,
-        T = 3 for a random real step state; 2.6e-14 sigma2_lo between a
-        twisted and a plain product probe at N = 2, k = 3, T = 2.  sigma2_q
-        is exact to that level even where the correction is tiny.
+        The correction's roundoff is absolute, a few hundred eps * sigma2_lo
+        even where the correction is tiny: <= 6.5e-14 sigma2_lo between the
+        block and trivial-group solves, <= 8.6e-14 from tests/bound_reference.py
+        (nine random real step states at N = 3, k = 3, T = 3; 1-2 BLAS threads).
 
-        With D >= BLOCK_MIN_DIM and no SLD request, x is solved in the
-        blocks of its largest exact symmetry (see the module docstring),
-        tested bit for bit: x[Pa] == x[a] and x[Fa] == x[a] gives the four
-        blocks of {1, P, F, PF}; x[Pa] == x[a] alone (every product probe:
-        `product_pure` makes it exact) the two of {1, P}.  rho_bar is block
-        diagonal there, so its spectrum is the union of the blocks' and the
-        sum splits into block pairs (i, i'):
-
-            correction = sum_(i <= i') (1 + [i != i']) S(i, i') / omega0^2
-
-        with S the pair sum above over block i's and block i''s eigenpairs.
-        Under {1, P} that is S(ee) + S(oo) + 2 S(eo); under {1, P, F, PF}
-        only the four pairs of an F-even and an F-odd block remain (the U'
-        shift).  The clamp and the roundoff statement hold block by block.
-        Other vectors, SLD requests and D below the floor take the full
-        (D, D) solve; the see-saw asks for the SLD, and its iterates are not
-        symmetric.
+        One `_OrbitBlocks.pair_sum` call computes the sum, in the blocks of
+        x's largest exact symmetry (module docstring, tested bit for bit) when
+        D >= BLOCK_MIN_DIM and no SLD is asked for: {1, P, F, PF} where
+        x[Pa] == x[a] and x[Fa] == x[a], {1, P} where only x[Pa] == x[a]
+        (every product probe); else in the trivial group, whose one block is
+        rho_bar and whose one pair gives the SLD (the see-saw's iterates are
+        not symmetric).  The sum runs over the block pairs i <= i' as
+        (1 + [i != i']) S(i, i'), S the pair sum above: S(ee) + S(oo) +
+        2 S(eo) under {1, P}, the four F-even x F-odd pairs under
+        {1, P, F, PF} (the U' shift).  Clamp and roundoff hold per block.
         """
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ValueError(f"input shape {v.shape}, expected {(self.dim,)}")
         x = np.abs(v)
-        sld = None
-        if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._rev]):
-            total = self._blocks(np.array_equal(x, x[self._flip])).pair_sum(x)
-        else:
-            lam, V = eigh(np.outer(x, x) * self.weights)
-            lam = np.maximum(lam, 0.0)
-            Ut = V.T @ (self.u[:, None] * V)
-            total, ratio = _pair_sum(lam, lam, Ut)
-            if want_sld:
-                z = _phase_gauge(v)
-                sld = 1j * (V @ (2.0 * ratio * Ut) @ V.T) * np.outer(z, z.conj())
+        n_gens = 0  # the trivial group, {1, P} or {1, P, F, PF}
+        if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._gens[0]]):
+            n_gens = 1 + np.array_equal(x, x[self._gens[1]])
+        total, sld = self._blocks(n_gens).pair_sum(x, want_sld)
+        if want_sld:
+            z = _phase_gauge(v)
+            sld = 1j * sld * np.outer(z, z.conj())
         correction = total / self.noise.omega0**2
         s2lo = self.kernels.sigma2_lo
         return QavarResult(

@@ -101,6 +101,14 @@ def _phi2(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def _ou_scale(params: NoiseParams) -> float:
+    """alpha / gamma^2, the OU part's scale; OverflowError where it overflows."""
+    s = params.alpha / params.gamma**2  # ZeroDivisionError where gamma^2 underflows to 0
+    if s == np.inf:
+        raise OverflowError(f"alpha / gamma^2 overflows ({params})")
+    return s
+
+
 def block_kernel(params: NoiseParams, T: float, K: int) -> np.ndarray:
     """Covariance matrix of the K consecutive Ramsey phases theta_1..theta_K.
 
@@ -117,10 +125,7 @@ def block_kernel(params: NoiseParams, T: float, K: int) -> np.ndarray:
         raise ValueError(f"T must be > 0 and finite, got {T}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    a, b, g = params.alpha, params.beta, params.gamma
-    s = a / g**2  # ZeroDivisionError where gamma^2 underflows to 0
-    if s == np.inf:
-        raise OverflowError(f"alpha / gamma^2 overflows (alpha = {a}, gamma = {g})")
+    b, g, s = params.beta, params.gamma, _ou_scale(params)
     seq = np.empty(K)
     seq[0] = 2.0 * s * _phi2(g * T) + b * T
     m = np.arange(1, K)
@@ -141,11 +146,10 @@ def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.nda
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all((0.0 < tau_arr) & (tau_arr < np.inf)):
         raise ValueError("tau must be > 0 and finite")
-    a, b, g, w0 = params.alpha, params.beta, params.gamma, params.omega0
     # 2*phi2(x) - (1-e^{-x})^2 rewritten for stability at small gamma*tau
-    x = g * tau_arr
-    ou = a / g**2 * (2.0 * _phi2(x) - np.expm1(-x) ** 2)
-    out = (ou + b * tau_arr) / (w0**2 * tau_arr**2)
+    x = params.gamma * tau_arr
+    ou = _ou_scale(params) * (2.0 * _phi2(x) - np.expm1(-x) ** 2)
+    out = (ou + params.beta * tau_arr) / (params.omega0**2 * tau_arr**2)
     return out if out.ndim else float(out)
 
 

@@ -111,7 +111,6 @@ class PlateauFit:
     flat: bool
     spread: float
     taus: np.ndarray
-    c_values: np.ndarray
     n_used: int
 
 
@@ -121,7 +120,7 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
     + Tr(L^2 rho_bar)/(2 omega0^2) is affine in rho_in and convex in L (not
     jointly convex) and equals sigma2_q at the SLD.  With W the dephasing
-    weights and U = diag(u), u_a = a^T H:
+    weights (the trivial group's one block) and U = diag(u), u_a = a^T H:
 
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
 
@@ -368,13 +367,9 @@ def extrapolate_long_term(
         raise ValueError(f"m must be >= 1, got {m}")
     order = np.argsort(taus)
     taus = taus[order]
-    c_values = s2[order] * omega0**2 * taus
     n_used = min(m, taus.size)
-    tail = c_values[-n_used:]
+    tail = (s2[order] * omega0**2 * taus)[-n_used:]
     mean = float(np.mean(tail))
     spread = float((tail.max() - tail.min()) / abs(mean)) if mean != 0.0 else np.inf
     flat = bool(spread <= FLAT_TOL and n_used >= m)
-    return PlateauFit(
-        c=mean, flat=flat, spread=spread, taus=taus, c_values=c_values,
-        n_used=n_used,
-    )
+    return PlateauFit(c=mean, flat=flat, spread=spread, taus=taus, n_used=n_used)

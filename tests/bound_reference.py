@@ -4,7 +4,8 @@ The library computes the bound in one place, `BoundWorkspace.evaluate`, as
 a quantum Fisher information.  These helpers follow the definitions instead
 and no library code calls them:
 
-    rho_bar[a, b]  = rho_in[a, b] * exp(-1/2 (a-b)^T G (a-b))
+    W[a, b]        = exp(-1/2 (a-b)^T G (a-b)), over all D^2 pairs
+    rho_bar[a, b]  = rho_in[a, b] * W[a, b]
     rho_bar'[a, b] = rho_bar[a, b] * i (b - a)^T H
     rho_bar' = (L rho_bar + rho_bar L) / 2, solved in the rho_bar eigenbasis
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
@@ -13,11 +14,22 @@ and no library code calls them:
 
 import numpy as np
 
-from qavar.core import ProductProbe, Scenario, dephasing_weights
+from qavar.core import ProductProbe, Scenario
 from qavar.hilbert import multi_index_table, product_pure
 from qavar.noise import kernel_set
 
 SUPPORT_TOL = 1e-12
+
+
+def dephasing_weights(G: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Entrywise Gaussian dephasing factors exp(-1/2 (a-b)^T G (a-b)).
+
+    G is the (K, K) phase covariance; works for any K, not only 2k - 1.
+    """
+    A = multi_index_table(n_atoms, G.shape[0]).astype(float)
+    M = A @ G
+    s = np.einsum("dk,dk->d", A, M)
+    return np.exp(-0.5 * (s[:, None] + s[None, :] - 2.0 * (M @ A.T)))
 
 
 def joint_density(scenario: Scenario) -> np.ndarray:

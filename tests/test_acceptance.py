@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from bound_reference import rho_bar, rho_prime, support_projector
+from bound_reference import dephasing_weights, rho_bar, rho_prime, support_projector
 from mc_reference import mc_oracle
 from qavar import (
     BoundWorkspace,
@@ -29,7 +29,6 @@ from qavar import (
     avar_series,
     block_kernel,
     bound_curve,
-    dephasing_weights,
     extrapolate_long_term,
     free_lo_avar,
     ghz_step_state,

@@ -541,9 +541,10 @@ class TestMainEntry:
         ("simulate", {"gamma": 1e-200}, "division by zero"),
         ("simulate", {"gamma": 1e-158}, "alpha / gamma^2 overflows"),
         ("bound", {"alpha": 1e308}, "alpha / gamma^2 overflows"),
+        ("lo-avar", {"gamma": 1e-160}, "alpha / gamma^2 overflows"),
     ])
     def test_kernel_overflow_is_numerical_failure(self, tmp_path, capsys, mode, noise, what):
-        # gamma^2 underflows to 0 (1e-200) or to a subnormal (1e-158), or
+        # gamma^2 underflows to 0 (1e-200) or to a subnormal (1e-158, 1e-160), or
         # alpha is so large that the kernels' alpha / gamma^2 overflows
         doc = dict(MINIMAL[mode], noise=dict(NOISE, **noise))
         code, out = run_cli(tmp_path, doc, mode)

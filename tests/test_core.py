@@ -1,5 +1,6 @@
 """Bound construction: dephasing averages, correlation operator, SLD, QAVAR."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,14 +10,20 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bound_reference import cost_functional, eigen_sum, rho_bar, rho_prime, support_projector
+from bound_reference import (
+    cost_functional,
+    dephasing_weights,
+    eigen_sum,
+    rho_bar,
+    rho_prime,
+    support_projector,
+)
 from mc_reference import mc_oracle
 from qavar.core import (
     BoundWorkspace,
     JointProbe,
     ProductProbe,
     Scenario,
-    dephasing_weights,
     joint_dim,
     layout_k,
     qavar,
@@ -119,6 +126,17 @@ class TestFactorTables:
         i00 = 0  # (0, 0)
         i11 = 3  # (1, 1)
         assert W2[i00, i11] == pytest.approx(W1[0, 1], rel=1e-12)
+
+    @pytest.mark.parametrize("n_atoms, k, tau", [(2, 4, 2.0), (8, 2, 2.0), (3, 3, 3.0)])
+    def test_workspace_weights_match_reference(self, n_atoms, k, tau):
+        # the workspace reads W off the (2N+1)^K difference table: the
+        # reference's D^2 formula to roundoff, and exactly symmetric and
+        # spin-flip invariant (F maps index a to D - 1 - a)
+        ws = BoundWorkspace(PAR, n_atoms, k, tau / k)
+        W = ws.weights
+        assert np.abs(W / dephasing_weights(ws.kernels.G, n_atoms) - 1.0).max() <= 1e-12
+        assert np.array_equal(W, W.T)
+        assert np.array_equal(W, W[::-1, ::-1])
 
 
 class TestSolveSld:
@@ -243,24 +261,27 @@ def test_bound_sandwich_property(alpha, beta, gamma, T, k, seed):
     T=st.floats(0.2, 3.0),
     seed=st.integers(0, 2**31),
 )
-@example(n_atoms=1, k=2, T=1.0, seed=0)  # D = 8, the full solve
+@example(n_atoms=1, k=2, T=1.0, seed=0)  # D = 8, the trivial group
 @example(n_atoms=2, k=3, T=1.0, seed=0)  # D = 243, the symmetry blocks
+@example(n_atoms=2, k=3, T=2.0, seed=362131)
 def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
     """A pure input's excitation-basis phases are a gauge of the bound.
 
     With v = Z |v|, Z = diag(z), rho_bar(v) = Z rho_bar(|v|) Z^dag and Z
     commutes with U, so sigma2_q(v) = sigma2_q(|v|) and the SLD moves to
     Z L Z^dag = (z z^dag) o L.  The see-saw runs from |v| on this basis,
-    and the product search over real amplitudes only.
+    and the product search over real amplitudes only.  Both calls solve
+    the same magnitudes, so sigma2_q agrees bit for bit.
     The SLD is fixed only on rho_bar's support, so the two are compared
     through rho_bar L: off the support the pair ratios of near-zero
     eigenvalues are roundoff, and entrywise the SLDs differed by up to
     5e-7 relative at T = 0.2, where rho_bar is nearly pure.
 
     A product probe's step phases and signs are a gauge on every evaluate
-    path: the full solve below BLOCK_MIN_DIM, the two reversal blocks for
-    a generic step state, and the four spin-flip x reversal blocks for
-    a_n = a_(N-n) with phi_n = phi_(N-n) (exact by IEEE commutativity).
+    path, and |v| keeps v's symmetries: the trivial group below
+    BLOCK_MIN_DIM, the two reversal blocks for a generic step state, and
+    the four spin-flip x reversal blocks for a_n = a_(N-n) with
+    phi_n = phi_(N-n) (exact by IEEE commutativity).
     """
     ws = BoundWorkspace(PAR, n_atoms, k, T)
     rng = np.random.default_rng(seed)
@@ -269,7 +290,7 @@ def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
     z = v / np.abs(v)
     twisted = ws.evaluate(v, want_sld=True)
     plain = ws.evaluate(np.abs(v), want_sld=True)
-    assert abs(twisted.sigma2_q - plain.sigma2_q) <= 1e-14 * plain.sigma2_lo
+    assert twisted.sigma2_q == plain.sigma2_q
     rb = np.outer(v, v.conj()) * ws.weights
     moved = rb @ (np.outer(z, z.conj()) * plain.sld)
     assert np.abs(rb @ twisted.sld - moved).max() <= 1e-10 * np.abs(moved).max()
@@ -280,11 +301,11 @@ def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
         if flip:
             a, phi = a + a[::-1], phi + phi[::-1]
         a /= np.linalg.norm(a)
+        v = product_pure(SymmetricState(n_atoms, a * np.exp(1j * phi)), ws.n_steps)
         with mock.patch.object(core, "eigh", wraps=core.eigh) as spy:
-            twisted, plain = [ws.evaluate(product_pure(SymmetricState(n_atoms, amps), ws.n_steps))
-                              for amps in (a * np.exp(1j * phi), np.abs(a))]
+            twisted, plain = [ws.evaluate(w) for w in (v, np.abs(v))]
         assert spy.call_count == 2 * (1 if ws.dim < core.BLOCK_MIN_DIM else 4 if flip else 2)
-        assert abs(twisted.sigma2_q - plain.sigma2_q) <= 1e-14 * plain.sigma2_lo
+        assert twisted.sigma2_q == plain.sigma2_q
 
 
 @settings(max_examples=20, deadline=None)
@@ -403,6 +424,21 @@ class TestWorkspaceReuse:
     def test_rejects_bad_layout(self, n_atoms, k, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoundWorkspace(PAR, n_atoms, k, 1.0)
+
+    def test_block_path_builds_no_full_weights(self):
+        # a |+> evaluation at D = 2187 takes the four blocks, whose weights
+        # come off the difference table, so no (D, D) W is formed: one W is
+        # 8 B/D^2 alone, and forming it over all D^2 pairs of a - b took
+        # 24 B/D^2 at its peak; workspace plus evaluation now peak near 7
+        v = product_pure(plus_step_state(2), 7)
+        tracemalloc.start()
+        try:
+            ws = BoundWorkspace(PAR, 2, 4, 2.5 / 4)
+            ws.evaluate(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * ws.dim**2
 
     def test_rejects_wrong_shape(self):
         # the input is a pure vector (D,); a (D, D) matrix is rejected too

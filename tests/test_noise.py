@@ -271,6 +271,17 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
                 kernel_set(PAR, 1.0, k)
 
+    @pytest.mark.parametrize("entry", [
+        lambda p: block_kernel(p, 1.0, 2),
+        lambda p: kernel_set(p, 1.0, 1),
+        lambda p: free_lo_avar(p, 1.0),
+    ], ids=["block_kernel", "kernel_set", "free_lo_avar"])
+    def test_ou_scale_overflow_raises(self, entry):
+        # gamma^2 = 1e-320 is subnormal, so alpha / gamma^2 is inf: every
+        # function built on it raises the same error instead of returning NaN
+        with pytest.raises(OverflowError, match="alpha / gamma\\^2 overflows"):
+            entry(NoiseParams(alpha=2.0, beta=0.4, gamma=1e-160, omega0=1.0))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("entry", [
         lambda x: Scenario(noise=PAR, n_atoms=1, k=1, T=x,
