@@ -8,6 +8,14 @@ integrates the phase estimate:
 
     c_{i+1} = c_i + gain * phi_hat_i / T .
 
+The stream layout is part of the output contract: `simulate_clock` draws,
+from default_rng(seed), the n x 3 normals of `lo_phases` and its one start
+normal (when alpha > 0), then one binomial per step.  A trace is a fixed
+function of (config, seed), and so are the CLI's CSVs.  The servo loop runs
+on Python floats, since an operation on a numpy scalar costs 0.2-0.6 us;
+each step does the same IEEE operations, in the same order, as the
+textbook loop on numpy scalars, so the record is the same to the bit.
+
 The corrected fractional frequency record y_i = theta_i / T - c_i feeds the
 overlapping Allan variance estimator, which averages every run of k
 consecutive steps and halves the mean squared difference of block means k
@@ -21,6 +29,7 @@ rows against sigma2_q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -28,7 +37,7 @@ import numpy as np
 
 from .core import ProductProbe, Scenario, layout_k, qavar
 from .hilbert import SymmetricState, plus_step_state
-from .noise import NoiseParams, lo_phases
+from .noise import _CHUNK, NoiseParams, lo_phases
 
 __all__ = [
     "ServoConfig",
@@ -49,7 +58,7 @@ class ServoConfig:
     """Integrator servo settings.
 
     estimator "linear" uses phi_hat = 2m/N - 1 (the small-angle estimate);
-    "arcsine" applies arcsin to the clamped excitation imbalance.
+    "arcsine" applies arcsin to it (2m/N - 1 lies in [-1, 1]).
     """
 
     gain: float = 0.5
@@ -73,6 +82,10 @@ class SimConfig:
     servo: ServoConfig = field(default_factory=ServoConfig)
 
     def __post_init__(self) -> None:
+        for name in ("n_atoms", "n_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if not 0.0 < self.T < np.inf:
@@ -122,8 +135,14 @@ class BoundCheckRow(EnsembleAvar):
 def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     """Run the servo loop for n_steps and return the corrected record.
 
-    The LO phases come from `lo_phases` on default_rng(seed); the same
-    stream then gives the Ramsey outcomes, one binomial draw per step.
+    The stream layout is part of the output contract: the LO phases come
+    from `lo_phases` on default_rng(seed), and the same stream then gives
+    the Ramsey outcomes, one rng.binomial(N, (1 + sin phi_i) / 2) per step.
+
+    The loop runs on Python floats, a chunk of steps at a time, because an
+    operation on a numpy scalar costs 0.2-0.6 us.  Since m is in [0, N],
+    the estimate 2m/N - 1 lies in [-1, 1] exactly, so the correction step
+    gain / T * phi_hat is a table over m, computed once.
     """
     p = config.noise
     T = config.T
@@ -133,21 +152,23 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     rng = np.random.default_rng(seed)
     theta = lo_phases(p, T, n, rng)
 
-    arcsine = servo.estimator == "arcsine"
-    gain_over_t = servo.gain / T
+    phi_hat = 2.0 * np.arange(N + 1) / N - 1.0
+    if servo.estimator == "arcsine":
+        phi_hat = np.arcsin(phi_hat)
+    step = (servo.gain / T * phi_hat).tolist()
+    binomial, sin = rng.binomial, math.sin
     corrections = np.empty(n)
     outcomes = np.empty(n, dtype=np.int64)
     corr = 0.0
-    for i, th in enumerate(theta):
-        phi = th - corr * T
-        prob = 0.5 * (1.0 + np.sin(phi))
-        m = rng.binomial(N, prob)
-        est = 2.0 * m / N - 1.0
-        if arcsine:
-            est = np.arcsin(min(1.0, max(-1.0, est)))
-        corrections[i] = corr
-        outcomes[i] = m
-        corr += gain_over_t * est
+    for lo in range(0, n, _CHUNK):
+        cs, ms = [], []
+        for th in theta[lo:lo + _CHUNK].tolist():
+            m = binomial(N, 0.5 * (1.0 + sin(th - corr * T)))
+            cs.append(corr)
+            ms.append(m)
+            corr += step[m]
+        corrections[lo:lo + len(cs)] = cs
+        outcomes[lo:lo + len(ms)] = ms
     return FrequencyTrace(
         T=T, omega0=p.omega0, y=theta / T - corrections, corrections=corrections,
         outcomes=outcomes,
@@ -226,7 +247,11 @@ def bound_check(
 
     i.e. a statistically significant violation of the bound.
     """
-    probe = ProductProbe(probe if probe is not None else plus_step_state(config.n_atoms))
+    if probe is None:
+        probe = plus_step_state(config.n_atoms)
+    elif probe.n_atoms != config.n_atoms:
+        raise ValueError(f"probe has {probe.n_atoms} atoms, n_atoms={config.n_atoms}")
+    probe = ProductProbe(probe)
     rows = []
     for est in ensemble_avar(config, taus, n_runs, seed):
         scen = Scenario(noise=config.noise, n_atoms=config.n_atoms, k=est.k,

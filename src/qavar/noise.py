@@ -84,6 +84,13 @@ class KernelSet:
     w_var: float
 
 
+# Steps per chunk of the per-step loops that run on Python floats
+# (`lo_phases` here, the servo in `clock.simulate_clock`): each chunk goes
+# to a list with `.tolist()` and back in one slice, so the lists stay this
+# short whatever the step count.  The value changes no output.
+_CHUNK = 1024
+
+
 def _phi2(x: np.ndarray) -> np.ndarray:
     """Stable ``x - 1 + exp(-x)`` for x >= 0.
 
@@ -215,8 +222,12 @@ def lo_phases(
     z = rng.standard_normal((n, 3))
     starts = np.zeros(n)
     if params.alpha > 0.0:
-        x = np.sqrt(params.alpha) * rng.standard_normal()
-        for i, (z0, z1) in enumerate(zip(z[:, 0], z[:, 1])):
-            starts[i] = x
-            x = coef_x * x + b * z0 + c * z1
+        coef_x, b, c = float(coef_x), float(b), float(c)
+        x = float(np.sqrt(params.alpha) * rng.standard_normal())
+        for lo in range(0, n, _CHUNK):
+            chunk = []
+            for z0, z1 in zip(z[lo:lo + _CHUNK, 0].tolist(), z[lo:lo + _CHUNK, 1].tolist()):
+                chunk.append(x)
+                x = coef_x * x + b * z0 + c * z1
+            starts[lo:lo + len(chunk)] = chunk
     return coef_i * starts + a * z[:, 0] + np.sqrt(params.beta * T) * z[:, 2]

@@ -110,6 +110,29 @@ class TestSimulateClock:
         want = lo_phases(PAR, cfg.T, cfg.n_steps, np.random.default_rng(6))
         np.testing.assert_allclose((tr.y + tr.corrections) * cfg.T, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("estimator", ["linear", "arcsine"])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 100])
+    def test_outcomes_are_binomials_of_the_seed_stream(self, n_atoms, estimator):
+        # replay default_rng(seed) step by step on numpy scalars: lo_phases,
+        # then one rng.binomial(N, (1 + sin(theta - c T)) / 2) per step
+        servo = ServoConfig(gain=0.7, estimator=estimator)
+        cfg = SimConfig(noise=PAR, n_atoms=n_atoms, T=0.5, n_steps=2500, servo=servo)
+        tr = simulate_clock(cfg, seed=9)
+        rng = np.random.default_rng(9)
+        theta = lo_phases(PAR, cfg.T, cfg.n_steps, rng)
+        outcomes, corrections, corr = [], [], 0.0
+        for th in theta:
+            m = rng.binomial(n_atoms, 0.5 * (1.0 + np.sin(th - corr * cfg.T)))
+            est = 2.0 * m / n_atoms - 1.0
+            if estimator == "arcsine":
+                est = np.arcsin(est)
+            outcomes.append(m)
+            corrections.append(corr)
+            corr += servo.gain / cfg.T * est
+        assert np.array_equal(tr.outcomes, outcomes)
+        assert np.array_equal(tr.corrections, corrections)
+        assert np.array_equal(tr.y, theta / cfg.T - tr.corrections)
+
     def test_zero_noise_servo_unbiased(self):
         cfg = SimConfig(noise=QUIET, n_atoms=4, T=1.0, n_steps=50_000,
                         servo=ServoConfig(estimator="arcsine"))
@@ -146,6 +169,18 @@ class TestSimulateClock:
             SimConfig(noise=PAR, n_atoms=0, T=0.5, n_steps=10)
         with pytest.raises(ValueError):
             SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_atoms", 2.5), ("n_atoms", 2.0), ("n_atoms", True), ("n_atoms", np.float64(2.0)),
+        ("n_steps", 10.5), ("n_steps", 10.0), ("n_steps", True), ("n_steps", "10"),
+    ])
+    def test_non_integral_counts_rejected(self, field, value):
+        kwargs = dict(noise=PAR, n_atoms=2, T=0.5, n_steps=10)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{**kwargs, field: value})
+        # numpy integers are integers
+        cfg = SimConfig(**{**kwargs, field: np.int64(kwargs[field])})
+        assert simulate_clock(cfg, seed=0).y.shape == (cfg.n_steps,)
 
 
 class TestWhiteNoiseCalibration:
@@ -239,3 +274,11 @@ class TestBoundCheck:
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
         with pytest.raises(ValueError, match="n_runs"):
             bound_check(cfg, None, taus=[0.5], n_runs=1, seed=0)
+
+    def test_probe_of_wrong_size_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qavar.clock.simulate_clock", lambda *a: calls.append(a))
+        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=200)
+        with pytest.raises(ValueError, match="probe has 3 atoms, n_atoms=2"):
+            bound_check(cfg, ghz_step_state(3), taus=[0.5], n_runs=3, seed=0)
+        assert calls == []

@@ -235,7 +235,25 @@ class TestLoPhases:
         assert theta.tobytes() == (np.sqrt(0.4 * 0.5) * z[:, 2]).tobytes()
         assert rng.standard_normal() == ref.standard_normal()
 
-    @pytest.mark.parametrize("gamma_T", [5e-13, 5e-9, 5e-7, 5e-6, 5e-5, 5e-4, 0.25, 5.0])
+    @pytest.mark.parametrize("params", [PAR, replace(PAR, alpha=50.0, beta=0.0, gamma=3.0)])
+    def test_ou_recursion_replayed_on_numpy_scalars(self, params):
+        # the same stream by hand: n x 3 normals, one stationary start, then
+        # x' = coef_x x + b z0 + c z1 per window; 2500 windows span chunks
+        T, n = 0.5, 2500
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        theta = lo_phases(params, T, n, rng)
+        coef_i, coef_x, a, b, c = _ou_step_moments(params, T)
+        z = ref.standard_normal((n, 3))
+        x = np.sqrt(params.alpha) * ref.standard_normal()
+        starts = np.empty(n)
+        for i in range(n):
+            starts[i] = x
+            x = coef_x * x + b * z[i, 0] + c * z[i, 1]
+        want = coef_i * starts + a * z[:, 0] + np.sqrt(params.beta * T) * z[:, 2]
+        assert theta.tobytes() == want.tobytes()
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("gamma_T",[5e-13, 5e-9, 5e-7, 5e-6, 5e-5, 5e-4, 0.25, 5.0])
     def test_step_moments_imply_block_kernel(self, gamma_T):
         # one window of the sampler: theta = coef_i x + a z0, x' = coef_x x
         # + b z0 + c z1 with x stationary, so the phases it draws have
