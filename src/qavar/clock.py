@@ -10,11 +10,14 @@ integrates the phase estimate:
 
 The stream layout is part of the output contract: `simulate_clock` draws,
 from default_rng(seed), the n x 3 normals of `lo_phases` and its one start
-normal (when alpha > 0), then one binomial per step.  A trace is a fixed
-function of (config, seed), and so are the CLI's CSVs.  The servo loop runs
-on Python floats, since an operation on a numpy scalar costs 0.2-0.6 us;
-each step does the same IEEE operations, in the same order, as the
-textbook loop on numpy scalars, so the record is the same to the bit.
+normal (when alpha > 0), then n x N uniforms u_ij in row-major order.  The
+outcome of step i is m_i = #{j : u_ij < p_i}, the number of atoms whose
+uniform falls below the excitation probability p_i = (1 + sin phi_i)/2, an
+exact Binomial(N, p_i) draw.  A trace is a fixed function of (config,
+seed), and so are the CLI's CSVs.  The servo loop runs on Python floats,
+since an operation on a numpy scalar costs 0.2-0.6 us: each step does the
+same IEEE operations, in the same order, as the textbook loop on numpy
+scalars, so the record is the same to the bit.
 
 The corrected fractional frequency record y_i = theta_i / T - c_i feeds the
 overlapping Allan variance estimator, which averages every run of k
@@ -30,6 +33,7 @@ rows against sigma2_q.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -65,6 +69,8 @@ class ServoConfig:
     estimator: str = "linear"
 
     def __post_init__(self) -> None:
+        if isinstance(self.gain, (bool, np.bool_)):
+            raise ValueError(f"gain must be a number, got {self.gain!r}")
         if not (0.0 < self.gain <= 2.0):
             raise ValueError(f"gain must be in (0, 2], got {self.gain}")
         if self.estimator not in ("linear", "arcsine"):
@@ -88,6 +94,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if isinstance(self.T, (bool, np.bool_)):
+            raise ValueError(f"T must be a number, got {self.T!r}")
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be > 0 and finite, got {self.T}")
         if self.n_steps < 2:
@@ -137,12 +145,17 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
 
     The stream layout is part of the output contract: the LO phases come
     from `lo_phases` on default_rng(seed), and the same stream then gives
-    the Ramsey outcomes, one rng.binomial(N, (1 + sin phi_i) / 2) per step.
+    n x N uniforms, row i for step i; the outcome m_i counts the entries of
+    row i below (1 + sin phi_i) / 2.
 
     The loop runs on Python floats, a chunk of steps at a time, because an
-    operation on a numpy scalar costs 0.2-0.6 us.  Since m is in [0, N],
-    the estimate 2m/N - 1 lies in [-1, 1] exactly, so the correction step
-    gain / T * phi_hat is a table over m, computed once.
+    operation on a numpy scalar costs 0.2-0.6 us.  Each chunk's uniforms
+    are drawn and their rows sorted in one numpy call each, so a step's
+    count is one `bisect_left` over its sorted row: O(log N) Python work
+    per step on top of O(N) in C, and a chunk holds _CHUNK x N uniforms.
+    Since m is in [0, N], the estimate 2m/N - 1 lies in [-1, 1] exactly,
+    so the correction step gain / T * phi_hat is a table over m, computed
+    once.
     """
     p = config.noise
     T = config.T
@@ -156,14 +169,18 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     if servo.estimator == "arcsine":
         phi_hat = np.arcsin(phi_hat)
     step = (servo.gain / T * phi_hat).tolist()
-    binomial, sin = rng.binomial, math.sin
+    sin = math.sin
     corrections = np.empty(n)
     outcomes = np.empty(n, dtype=np.int64)
     corr = 0.0
     for lo in range(0, n, _CHUNK):
+        ths = theta[lo:lo + _CHUNK].tolist()
+        u = rng.random((len(ths), N))
+        u.sort(axis=1)
+        rows = memoryview(u.reshape(-1))
         cs, ms = [], []
-        for th in theta[lo:lo + _CHUNK].tolist():
-            m = binomial(N, 0.5 * (1.0 + sin(th - corr * T)))
+        for th, row in zip(ths, range(0, len(ths) * N, N)):
+            m = bisect_left(rows, 0.5 * (1.0 + sin(th - corr * T)), row, row + N) - row
             cs.append(corr)
             ms.append(m)
             corr += step[m]

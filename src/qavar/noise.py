@@ -58,6 +58,10 @@ class NoiseParams:
     omega0: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "omega0"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError(f"alpha must be >= 0 and finite, got {self.alpha}")
         if not 0.0 <= self.beta < np.inf:
@@ -86,8 +90,9 @@ class KernelSet:
 
 # Steps per chunk of the per-step loops that run on Python floats
 # (`lo_phases` here, the servo in `clock.simulate_clock`): each chunk goes
-# to a list with `.tolist()` and back in one slice, so the lists stay this
-# short whatever the step count.  The value changes no output.
+# to a list with `.tolist()` and back in one slice, so the lists (and the
+# servo's chunk of uniforms, _CHUNK x N) stay this short whatever the step
+# count.  The value changes no output.
 _CHUNK = 1024
 
 

@@ -113,16 +113,18 @@ class TestSimulateClock:
     @pytest.mark.parametrize("estimator", ["linear", "arcsine"])
     @pytest.mark.parametrize("n_atoms", [1, 2, 100])
     def test_outcomes_are_binomials_of_the_seed_stream(self, n_atoms, estimator):
-        # replay default_rng(seed) step by step on numpy scalars: lo_phases,
-        # then one rng.binomial(N, (1 + sin(theta - c T)) / 2) per step
+        # replay default_rng(seed) step by step on numpy: lo_phases, then an
+        # (n, N) block of uniforms; step i's outcome counts row i's entries
+        # below (1 + sin(theta - c T)) / 2
         servo = ServoConfig(gain=0.7, estimator=estimator)
         cfg = SimConfig(noise=PAR, n_atoms=n_atoms, T=0.5, n_steps=2500, servo=servo)
         tr = simulate_clock(cfg, seed=9)
         rng = np.random.default_rng(9)
         theta = lo_phases(PAR, cfg.T, cfg.n_steps, rng)
+        u = rng.random((cfg.n_steps, n_atoms))
         outcomes, corrections, corr = [], [], 0.0
-        for th in theta:
-            m = rng.binomial(n_atoms, 0.5 * (1.0 + np.sin(th - corr * cfg.T)))
+        for th, row in zip(theta, u):
+            m = np.count_nonzero(row < 0.5 * (1.0 + np.sin(th - corr * cfg.T)))
             est = 2.0 * m / n_atoms - 1.0
             if estimator == "arcsine":
                 est = np.arcsin(est)
@@ -132,6 +134,35 @@ class TestSimulateClock:
         assert np.array_equal(tr.outcomes, outcomes)
         assert np.array_equal(tr.corrections, corrections)
         assert np.array_equal(tr.y, theta / cfg.T - tr.corrections)
+
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_chunk_size_changes_no_output(self, monkeypatch, chunk):
+        # 2500 steps span whole chunks and a partial last one at both sizes
+        cfg = SimConfig(noise=PAR, n_atoms=3, T=0.5, n_steps=2500,
+                        servo=ServoConfig(estimator="arcsine"))
+        want = simulate_clock(cfg, seed=4)
+        monkeypatch.setattr("qavar.noise._CHUNK", chunk)
+        monkeypatch.setattr("qavar.clock._CHUNK", chunk)
+        got = simulate_clock(cfg, seed=4)
+        for name in ("y", "corrections", "outcomes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("n_atoms", [2, 100])
+    def test_outcome_law_read_off_the_trace(self, n_atoms):
+        # p_i from the trace alone, theta_i = (y_i + c_i) T; then
+        # E m_i = N p_i and E (m_i - N p_i)^2 = N p_i (1 - p_i) given the past
+        cfg = SimConfig(noise=PAR, n_atoms=n_atoms, T=0.5, n_steps=4000)
+        tr = simulate_clock(cfg, seed=13)
+        theta = (tr.y + tr.corrections) * cfg.T
+        p = 0.5 * (1.0 + np.sin(theta - tr.corrections * cfg.T))
+        dev = tr.outcomes - n_atoms * p
+        var = n_atoms * p * (1.0 - p)
+        # sum dev is a martingale with variance sum var; sum (dev^2 - var)
+        # one with variance sum N p (1-p) (1 + (2N - 6) p (1-p)), the
+        # binomial's fourth central moment minus var^2
+        assert abs(dev.sum()) < 5.0 * np.sqrt(var.sum())
+        fourth = var * (1.0 + (3 * n_atoms - 6) * p * (1.0 - p))
+        assert abs((dev**2 - var).sum()) < 5.0 * np.sqrt((fourth - var**2).sum())
 
     def test_zero_noise_servo_unbiased(self):
         cfg = SimConfig(noise=QUIET, n_atoms=4, T=1.0, n_steps=50_000,
@@ -181,6 +212,18 @@ class TestSimulateClock:
         # numpy integers are integers
         cfg = SimConfig(**{**kwargs, field: np.int64(kwargs[field])})
         assert simulate_clock(cfg, seed=0).y.shape == (cfg.n_steps,)
+
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_gain_rejected(self, value):
+        # gain=True would run the servo at gain 1
+        with pytest.raises(ValueError, match="gain must be a number, got"):
+            ServoConfig(gain=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_T_rejected(self, value):
+        with pytest.raises(ValueError, match="T must be a number, got"):
+            SimConfig(noise=PAR, n_atoms=2, T=value, n_steps=10)
 
 
 class TestWhiteNoiseCalibration:

@@ -282,6 +282,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{field} must be .* and finite, got inf"):
             replace(PAR, **{field: float("inf")})
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "omega0"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_params_rejected(self, field, value):
+        # True would pass as 1.0 and False as 0.0, a valid alpha or beta
+        with pytest.raises(ValueError, match=f"{field} must be a number, got"):
+            replace(PAR, **{field: value})
+
     def test_kernel_set_bad_args(self):
         with pytest.raises(ValueError):
             kernel_set(PAR, -1.0, 2)
