@@ -10,9 +10,9 @@ byte-identical CSV, metadata lines ('# ...') carry the tool version, a hash
 of the resolved config, and the master seed.
 
 `bound` and `optimize` rows come from one `bound_curve` sweep over the
-sorted tau grid, so in `optimize` each tau's search starts from the previous
-tau's optimum.  `dim_cap` is applied here only: that sweep stops below it,
-and a bound-check tau over it is a skipped row.
+sorted tau grid, so in `optimize` at atoms >= 4 each tau's search starts
+from the previous tau's optimum.  `dim_cap` is applied here only: that
+sweep stops below it, and a bound-check tau over it is a skipped row.
 
 Exit codes: 0 success, 2 validation error, 3 resource limit (the dimension
 cap left no work, or memory ran out), 4 numerical failure.

@@ -43,6 +43,10 @@ from .core import ProductProbe, Scenario, layout_k, qavar
 from .hilbert import SymmetricState, plus_step_state
 from .noise import _CHUNK, NoiseParams, lo_phases
 
+# Most uniforms one servo chunk draws (512 KB): above N = 64 atoms a chunk
+# holds _UNIFORMS // N steps, at least one, instead of _CHUNK.
+_UNIFORMS = 64 * _CHUNK
+
 __all__ = [
     "ServoConfig",
     "SimConfig",
@@ -152,10 +156,11 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     operation on a numpy scalar costs 0.2-0.6 us.  Each chunk's uniforms
     are drawn and their rows sorted in one numpy call each, so a step's
     count is one `bisect_left` over its sorted row: O(log N) Python work
-    per step on top of O(N) in C, and a chunk holds _CHUNK x N uniforms.
-    Since m is in [0, N], the estimate 2m/N - 1 lies in [-1, 1] exactly,
-    so the correction step gain / T * phi_hat is a table over m, computed
-    once.
+    per step on top of O(N) in C.  A chunk holds at most _UNIFORMS
+    uniforms (one row where N is larger); successive draws continue one
+    stream, so the chunk size changes no output.  Since m is in [0, N],
+    the estimate 2m/N - 1 lies in [-1, 1] exactly, so the correction step
+    gain / T * phi_hat is a table over m, computed once.
     """
     p = config.noise
     T = config.T
@@ -173,8 +178,9 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     corrections = np.empty(n)
     outcomes = np.empty(n, dtype=np.int64)
     corr = 0.0
-    for lo in range(0, n, _CHUNK):
-        ths = theta[lo:lo + _CHUNK].tolist()
+    chunk = max(1, min(_CHUNK, _UNIFORMS // N))
+    for lo in range(0, n, chunk):
+        ths = theta[lo:lo + chunk].tolist()
         u = rng.random((len(ths), N))
         u.sort(axis=1)
         rows = memoryview(u.reshape(-1))

@@ -89,10 +89,10 @@ class KernelSet:
 
 
 # Steps per chunk of the per-step loops that run on Python floats
-# (`lo_phases` here, the servo in `clock.simulate_clock`): each chunk goes
-# to a list with `.tolist()` and back in one slice, so the lists (and the
-# servo's chunk of uniforms, _CHUNK x N) stay this short whatever the step
-# count.  The value changes no output.
+# (`lo_phases` here, the servo in `clock.simulate_clock`, which takes fewer
+# above N = 64 to cap its uniforms): each chunk goes to a list with
+# `.tolist()` and back in one slice, so the lists stay this short whatever
+# the step count.  The value changes no output.
 _CHUNK = 1024
 
 

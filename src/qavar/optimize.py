@@ -9,14 +9,15 @@ Two state optimizers:
   functional is affine in rho_in and convex in L but not jointly convex,
   so a converged see-saw is a local optimum.
 * `optimize_product_state`: identical per-step pure states (input
-  rho0^(x)K), searched only among the flip-symmetric ones, a_n = a_(N-n):
-  one Nelder-Mead run over N//2 angles.  Such states are stationary by
-  symmetry, and every optimum of the unrestricted search was one; a
-  curvature certificate checks that each is a minimum.  The best
-  spin-coherent probe, |+> (the only flip-symmetric one), needs no search.
-  At N <= 4, k <= 2 the run (and |+>) match the best of eight random-start
-  runs over all real (all spin-coherent) states to 1e-9 relative (a
-  reference kept in tests/test_optimize.py).
+  rho0^(x)K), searched only among the flip-symmetric ones, a_n = a_(N-n),
+  over the N//2 angles of a mirrored chart: one bounded Brent run when
+  there is one angle (N = 2, 3), one Nelder-Mead run when there are more.
+  Such states are stationary by symmetry, and every optimum of the
+  unrestricted search was one; a curvature certificate checks that each is
+  a minimum.  The best spin-coherent probe, |+> (the only flip-symmetric
+  one), needs no search.  At N <= 4, k <= 2 the run (and |+>) match the
+  best of eight random-start runs over all real (all spin-coherent) states
+  to 1e-9 relative (a reference kept in tests/test_optimize.py).
 
 Every excitation-basis phase of a pure input leaves sigma2_q invariant: with
 v = Z |v|, Z diagonal unitary, rho_bar = Z (W o |v| |v|^T) Z^dag and Z
@@ -26,7 +27,8 @@ odd states a_n = -a_(N-n) need no search of their own: their |a| is an even
 state with a_(N/2) = 0.
 
 `bound_curve` is the one tau x k sweep: at each tau it picks the best layout
-(k steps of T = tau/k), warm-starting the product search along both axes.
+(k steps of T = tau/k), warm-starting the product search along both axes
+(a start matters only to the Nelder-Mead run, N >= 4).
 `extrapolate_long_term` reads off the 1/tau coefficient from the plateau of
 c(tau) = sigma2_q * omega0^2 * tau.
 """
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .core import (
     BoundWorkspace,
@@ -209,13 +211,18 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
 def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> OptimizeReport:
     """Optimize an identical flip-symmetric per-step pure probe (input rho0^(x)K).
 
-    One Nelder-Mead run over the mirrored chart's N//2 angles, capped by
-    `maxfev` (scipy's 200 per angle when None) and started from the
-    flip-averaged scenario probe if it is a ProductProbe (the warm start of
-    a tau or k sweep), else from |+>.  With no angle (N = 1) the search is
-    one evaluation of |+>.  Every search point is exactly P- and
-    F-symmetric, so it takes `evaluate`'s four blocks.  A probe that does
-    not fit the scenario raises qavar's ValueError first.
+    The search runs over the mirrored chart's N//2 angles.  With no angle
+    (N = 1) it is one evaluation of |+>.  With one angle (N = 2, 3) it is
+    one bounded Brent run over x in [0, pi/2], which spans every
+    non-negative flip-symmetric state (signs are a gauge), so it needs no
+    start; `maxfev` caps its evaluations (500, scipy's default, when None),
+    and maxfev = 1 evaluates the run's first point alone.  With more
+    angles it is one Nelder-Mead run, capped by `maxfev` (scipy's 200 per angle
+    when None) and started from the flip-averaged scenario probe if it is
+    a ProductProbe (the warm start of a tau or k sweep), else from |+>.
+    Every search point is exactly P- and F-symmetric, so it takes
+    `evaluate`'s four blocks.  A probe that does not fit the scenario
+    raises qavar's ValueError first.
 
     The certificate: sigma2_q is even in each flip-odd direction, so it
     evaluates the optimum a* stepped by CERT_STEP along each, a* +
@@ -241,17 +248,26 @@ def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> 
             best["f"] = s2q
             best["amps"] = state.amplitudes
         history.append(best["f"])
-        return s2q * w0sq_tau  # scaled to O(1) so simplex tolerances bite
+        return s2q * w0sq_tau  # scaled to O(1) so Nelder-Mead's fatol bites
 
-    success = True
-    if N >= 2:
+    def eval_chart(x) -> float:
+        return eval_amps(_amps_from_chart(np.atleast_1d(x), N))
+
+    n_angles, success = N // 2, True
+    if n_angles == 0:
+        eval_amps(plus_step_state(N).amplitudes)
+    elif n_angles == 1 and maxfev == 1:  # scipy's bounded run would make two evaluations
+        eval_chart((3.0 - 5.0**0.5) / 2.0 * np.pi / 2)  # its first point, golden-section
+        success = False
+    elif n_angles == 1:
+        success = minimize_scalar(eval_chart, bounds=(0.0, np.pi / 2), method="bounded",
+                                  options=dict(xatol=1e-6, maxiter=maxfev or 500)).success
+    else:
         probe = scenario.probe
         start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
-        success = minimize(lambda x: eval_amps(_amps_from_chart(x, N)),
-                           _chart_from_amps(start.amplitudes, N), method="Nelder-Mead",
+        success = minimize(eval_chart, _chart_from_amps(start.amplitudes, N),
+                           method="Nelder-Mead",
                            options=dict(xatol=1e-6, fatol=1e-10, maxfev=maxfev)).success
-    else:
-        eval_amps(plus_step_state(N).amplitudes)
     optimum, a_opt, e = best["f"], best["amps"].real, np.eye(N + 1)
     for n in range((N + 1) // 2):
         eval_amps(a_opt + CERT_STEP * (e[n] - e[N - n]))
@@ -285,14 +301,15 @@ def bound_curve(
     SymmetricState or one of the optimizer modes "optimize-product" /
     "optimize-joint".
 
-    Warm starts, "optimize-product" only (the optimum moves slowly along
-    both axes): each k starts from the optimum at k - 1, each tau's k = 1
-    from the previous tau's best state, and the first tau from |+>.  A
-    scan can therefore differ in its last digits from a run of its tau
-    alone.  The see-saw of "optimize-joint" starts every k from |+>, and it
-    is a local method (see the module docstring), so its sigma2_q is
-    guaranteed only to be at most that of |+> at the same (tau, k), not at
-    most the product optimum.
+    Warm starts, "optimize-product" at N >= 4 only (the optimum moves
+    slowly along both axes): each k starts from the optimum at k - 1, each
+    tau's k = 1 from the previous tau's best state, and the first tau from
+    |+>.  Such a scan can therefore differ in its last digits from a run of
+    its tau alone.  At N <= 3 the search needs no start, so a scan's
+    sigma2_q does not depend on its other taus.  The see-saw of
+    "optimize-joint" starts every k from |+>, and it is a local method (see
+    the module docstring), so its sigma2_q is guaranteed only to be at most
+    that of |+> at the same (tau, k), not at most the product optimum.
 
     The keyword-only `family`, `seed`, `n_starts` and `polish_phases` are
     kept for old callers and carry no choice: the search has one family, so

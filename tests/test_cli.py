@@ -493,6 +493,14 @@ class TestGoldenCsv:
                 else:
                     assert g == w, (column, got_row)
 
+    def test_optimize_product_takes_few_evaluations(self, tmp_path):
+        # N = 2 has one angle, so each row's search is one bounded Brent run
+        config = CONFIG_DIR / "optimize_product.json"
+        out = tmp_path / "optimize_product.csv"
+        assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        rows = csv_rows(out)
+        assert rows and all(int(row["iterations"]) <= 20 for row in rows)
+
 
 class TestMainEntry:
     def test_validation_exit_code_and_messages(self, tmp_path, capsys):

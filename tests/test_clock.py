@@ -147,6 +147,17 @@ class TestSimulateClock:
         for name in ("y", "corrections", "outcomes"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
+    @pytest.mark.parametrize("cap", [299, 5 * 300])
+    def test_uniform_cap_changes_no_output(self, monkeypatch, cap):
+        # N = 300 draws 218 steps of uniforms at a time by default; a cap of
+        # one row or of five rows must give the same trace
+        cfg = SimConfig(noise=PAR, n_atoms=300, T=0.5, n_steps=500)
+        want = simulate_clock(cfg, seed=6)
+        monkeypatch.setattr("qavar.clock._UNIFORMS", cap)
+        got = simulate_clock(cfg, seed=6)
+        for name in ("y", "corrections", "outcomes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     @pytest.mark.parametrize("n_atoms", [2, 100])
     def test_outcome_law_read_off_the_trace(self, n_atoms):
         # p_i from the trace alone, theta_i = (y_i + c_i) T; then

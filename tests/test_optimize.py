@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from bound_reference import cost_functional
 from qavar import core, optimize
@@ -240,6 +240,7 @@ class TestProductSearch:
     def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch):
         # N = 1 has no free angle: one evaluation of |+>, then the certificate
         monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
         sc = plus_scenario(n_atoms=1, k=2, T=0.5)
         for maxfev in (None, 1):
             rep = optimize_product_state(sc, maxfev=maxfev)
@@ -259,6 +260,7 @@ class TestProductSearch:
 
     @pytest.mark.parametrize("maxfev", [None, 5])
     def test_one_nelder_mead_run_per_search(self, monkeypatch, maxfev):
+        # two angles (N = 4, D = 125 at k = 2): Nelder-Mead
         runs = []
 
         def counted(*args, **kwargs):
@@ -266,11 +268,72 @@ class TestProductSearch:
             return runs[-1]
 
         monkeypatch.setattr(optimize, "minimize", counted)
-        rep = optimize_product_state(plus_scenario(n_atoms=2, k=2, T=0.5), maxfev=maxfev)
+        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
+        rep = optimize_product_state(plus_scenario(n_atoms=4, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
-        assert runs[0].x.shape == (1,)  # N//2 angles
+        assert runs[0].x.shape == (2,)  # N//2 angles
         assert rep.converged == bool(runs[0].success)
-        assert rep.n_evals == runs[0].nfev + 1  # one certificate point at N = 2
+        assert rep.n_evals == runs[0].nfev + 2  # two certificate points at N = 4
+
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    @pytest.mark.parametrize("maxfev", [None, 5])
+    def test_one_bounded_brent_run_per_search(self, monkeypatch, n_atoms, maxfev):
+        # one angle (N = 2, 3): one bounded run over [0, pi/2], no Nelder-Mead
+        runs, kwargs_seen = [], []
+
+        def counted(*args, **kwargs):
+            kwargs_seen.append(kwargs)
+            runs.append(minimize_scalar(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "minimize_scalar", counted)
+        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        rep = optimize_product_state(plus_scenario(n_atoms=n_atoms, k=2, T=0.5), maxfev=maxfev)
+        assert len(runs) == 1
+        assert kwargs_seen[0]["bounds"] == (0.0, np.pi / 2)
+        assert kwargs_seen[0]["method"] == "bounded"
+        assert rep.converged == bool(runs[0].success) == (maxfev is None)
+        assert rep.n_evals == runs[0].nfev + (n_atoms + 1) // 2
+
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    @pytest.mark.parametrize("maxfev", [1, 2, 5])
+    def test_maxfev_caps_the_one_angle_search(self, monkeypatch, n_atoms, maxfev):
+        # at most maxfev search points, and they are the first maxfev of the
+        # uncapped run's (maxfev = 1 included, where scipy would make two)
+        evaluate, seen = BoundWorkspace.evaluate, []
+
+        def spy(ws, v, want_sld=False):
+            seen.append(v)
+            return evaluate(ws, v, want_sld)
+
+        monkeypatch.setattr(BoundWorkspace, "evaluate", spy)
+        sc = plus_scenario(n_atoms=n_atoms, k=2, T=0.5)
+        full = optimize_product_state(sc)
+        uncapped, seen[:] = list(seen), []
+        rep = optimize_product_state(sc, maxfev=maxfev)
+        n_cert = (n_atoms + 1) // 2
+        assert full.converged
+        assert full.n_evals > maxfev + n_cert
+        assert rep.n_evals == maxfev + n_cert
+        assert not rep.converged
+        assert len(seen) == rep.n_evals
+        for got, want in zip(seen[:maxfev], uncapped[:maxfev], strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_atoms, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("tau", [0.5, 2.0, 5.0])
+    def test_one_angle_search_reaches_the_grid_minimum(self, n_atoms, k, tau):
+        # a 121-point grid over the one angle never beats the search
+        sc = plus_scenario(n_atoms=n_atoms, k=k, T=tau / k)
+        ws = BoundWorkspace(PAR, n_atoms, k, tau / k)
+        grid = min(
+            ws.evaluate(product_pure(SymmetricState(n_atoms, _amps_from_chart(np.array([x]),
+                                                                              n_atoms)),
+                                     ws.n_steps)).sigma2_q
+            for x in np.linspace(0.0, np.pi / 2, 121))
+        rep = optimize_product_state(sc)
+        assert rep.converged
+        assert rep.sigma2_q <= grid * (1 + 1e-12)
 
     @pytest.mark.parametrize("n_atoms", range(1, 8))
     def test_mirrored_chart(self, n_atoms):
@@ -328,20 +391,35 @@ class TestProductSearch:
         assert abs(mags[0] - mags[2]) == pytest.approx(2.0 * CERT_STEP, rel=1e-3)
 
     def test_symmetric_search_starts_from_the_probe(self, monkeypatch):
-        # the start is the probe's flip-averaged magnitudes, renormalized
+        # two angles (N = 4): the start is the probe's flip-averaged
+        # magnitudes, renormalized
         starts = []
         monkeypatch.setattr(optimize, "minimize",
                             lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
-        warm = SymmetricState(2, np.array([0.6, 0.0, 0.8], dtype=complex))
-        for probe, want in ((warm, np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)),
-                            (plus_step_state(2), plus_step_state(2).amplitudes)):
-            optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
+        warm = SymmetricState(4, np.array([0.6, 0.0, 0.0, 0.0, 0.8], dtype=complex))
+        for probe, want in ((warm, np.array([1.0, 0.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)),
+                            (plus_step_state(4), plus_step_state(4).amplitudes)):
+            optimize_product_state(Scenario(noise=PAR, n_atoms=4, k=1, T=1.0,
                                             probe=ProductProbe(probe)), maxfev=5)
-            assert np.allclose(_amps_from_chart(starts[-1], 2), want, atol=1e-12)
-        optimize_product_state(Scenario(noise=PAR, n_atoms=2, k=1, T=1.0,
-                                        probe=JointProbe(vector=np.eye(3)[0])), maxfev=5)
-        assert np.allclose(_amps_from_chart(starts[-1], 2), plus_step_state(2).amplitudes,
+            assert np.allclose(_amps_from_chart(starts[-1], 4), want, atol=1e-12)
+        optimize_product_state(Scenario(noise=PAR, n_atoms=4, k=1, T=1.0,
+                                        probe=JointProbe(vector=np.eye(5)[0])), maxfev=5)
+        assert np.allclose(_amps_from_chart(starts[-1], 4), plus_step_state(4).amplitudes,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    def test_one_angle_search_ignores_the_probe(self, n_atoms):
+        amps = np.zeros(n_atoms + 1, dtype=complex)
+        amps[[0, -1]] = 0.6, 0.8
+        reports = [
+            optimize_product_state(Scenario(noise=PAR, n_atoms=n_atoms, k=2, T=0.5,
+                                            probe=probe))
+            for probe in (ProductProbe(plus_step_state(n_atoms)),
+                          ProductProbe(SymmetricState(n_atoms, amps)),
+                          JointProbe(vector=np.eye((n_atoms + 1) ** 3)[0]))]
+        for rep in reports[1:]:
+            assert rep.history == reports[0].history
+            assert np.array_equal(rep.state, reports[0].state)
 
     def test_unknown_family_rejected(self):
         # one family, so not even the old default is a keyword
@@ -447,22 +525,33 @@ class TestInterrogationScan:
         assert best.report is not None
 
     def test_each_tau_starts_from_the_previous_optimum(self, monkeypatch):
+        # two angles (N = 4) take warm starts
         starts = []
         monkeypatch.setattr(optimize, "minimize",
                             lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
-        first, chained = bound_curve(PAR, 2, [1.5, 1.0], 2)
-        alone = bound_curve(PAR, 2, [1.5], 2)[0]
+        first, chained = bound_curve(PAR, 4, [1.5, 1.0], 2)
+        alone = bound_curve(PAR, 4, [1.5], 2)[0]
         assert chained.sigma2_q <= alone.sigma2_q * (1 + 1e-9)
         # searches in call order: tau 1.0 at k = 1, 2, tau 1.5 at k = 1, 2, then
         # tau 1.5 alone at k = 1, 2; each k > 1 starts from the optimum at k - 1
-        plus = plus_step_state(2).amplitudes
+        plus = plus_step_state(4).amplitudes
         want = [plus, first.evaluations[0].report.state,
                 first.evaluations[first.k_opt - 1].report.state,
                 chained.evaluations[0].report.state,
                 plus, alone.evaluations[0].report.state]
         assert len(starts) == len(want)
         for x0, amps in zip(starts, want):
-            assert np.allclose(_amps_from_chart(x0, 2), np.abs(amps), atol=1e-12)
+            assert np.allclose(_amps_from_chart(x0, 4), np.abs(amps), atol=1e-12)
+
+    def test_one_angle_scan_is_its_taus_alone(self, monkeypatch):
+        # no start at N = 2, so a chained scan equals each tau run alone, bit for bit
+        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        chained = bound_curve(PAR, 2, [1.5, 1.0], 2)
+        for scan in chained:
+            alone = bound_curve(PAR, 2, [scan.tau], 2)[0]
+            assert scan.sigma2_q == alone.sigma2_q
+            for ev, ev_alone in zip(scan.evaluations, alone.evaluations, strict=True):
+                assert ev.report.history == ev_alone.report.history
 
     def test_bad_args(self, monkeypatch):
         monkeypatch.setattr(BoundWorkspace, "evaluate", lambda *a, **kw: pytest.fail("ran"))
