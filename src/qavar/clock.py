@@ -114,12 +114,10 @@ class FrequencyTrace:
     omega0: float
     y: np.ndarray
     corrections: np.ndarray
-    outcomes: np.ndarray
 
 
 @dataclass(frozen=True)
 class AvarEstimate:
-    tau: float
     avar: float
     n_pairs: int
 
@@ -176,7 +174,6 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
     step = (servo.gain / T * phi_hat).tolist()
     sin = math.sin
     corrections = np.empty(n)
-    outcomes = np.empty(n, dtype=np.int64)
     corr = 0.0
     chunk = max(1, min(_CHUNK, _UNIFORMS // N))
     for lo in range(0, n, chunk):
@@ -184,18 +181,14 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
         u = rng.random((len(ths), N))
         u.sort(axis=1)
         rows = memoryview(u.reshape(-1))
-        cs, ms = [], []
+        cs = []
         for th, row in zip(ths, range(0, len(ths) * N, N)):
             m = bisect_left(rows, 0.5 * (1.0 + sin(th - corr * T)), row, row + N) - row
             cs.append(corr)
-            ms.append(m)
             corr += step[m]
         corrections[lo:lo + len(cs)] = cs
-        outcomes[lo:lo + len(ms)] = ms
-    return FrequencyTrace(
-        T=T, omega0=p.omega0, y=theta / T - corrections, corrections=corrections,
-        outcomes=outcomes,
-    )
+    return FrequencyTrace(T=T, omega0=p.omega0, y=theta / T - corrections,
+                          corrections=corrections)
 
 
 def avar_series(y: np.ndarray, T: float, k: int, omega0: float) -> AvarEstimate:
@@ -216,7 +209,7 @@ def avar_series(y: np.ndarray, T: float, k: int, omega0: float) -> AvarEstimate:
     block = (csum[k:] - csum[:-k]) / k
     diffs = block[k:] - block[:-k]
     avar = float(np.mean(diffs**2) / (2.0 * omega0**2))
-    return AvarEstimate(tau=k * T, avar=avar, n_pairs=int(diffs.size))
+    return AvarEstimate(avar=avar, n_pairs=int(diffs.size))
 
 
 def ensemble_avar(

@@ -181,7 +181,6 @@ class Scenario:
 class QavarResult:
     """Bound output: sigma2_q = sigma2_lo - correction, all fractional."""
 
-    tau: float
     sigma2_lo: float
     correction: float
     sigma2_q: float
@@ -320,9 +319,6 @@ class BoundWorkspace:
         if n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
         self.noise = noise
-        self.n_atoms = n_atoms
-        self.k = k
-        self.T = T
         self.kernels: KernelSet = kernel_set(noise, T, k)
         self.n_steps = self.kernels.K
         self.dim = joint_dim(n_atoms, k)
@@ -389,13 +385,8 @@ class BoundWorkspace:
             sld = 1j * sld * np.outer(z, z.conj())
         correction = total / self.noise.omega0**2
         s2lo = self.kernels.sigma2_lo
-        return QavarResult(
-            tau=self.k * self.T,
-            sigma2_lo=s2lo,
-            correction=correction,
-            sigma2_q=s2lo - correction,
-            sld=sld,
-        )
+        return QavarResult(sigma2_lo=s2lo, correction=correction, sigma2_q=s2lo - correction,
+                           sld=sld)
 
 
 def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:

@@ -76,16 +76,15 @@ class NoiseParams:
 class KernelSet:
     """Precomputed second-order statistics for k steps of length T.
 
-    G is (K, K) with K = 2k - 1, H has length K, sigma2_lo is the fractional
-    free-LO Allan variance at tau = k T and w_var = 2 omega0^2 sigma2_lo is
-    the variance of the two-window frequency difference w.
+    G is (K, K) with K = 2k - 1, H has length K and sigma2_lo is the
+    fractional free-LO Allan variance at tau = k T (2 omega0^2 sigma2_lo is
+    the variance of the two-window frequency difference w).
     """
 
     K: int
     G: np.ndarray
     H: np.ndarray
     sigma2_lo: float
-    w_var: float
 
 
 # Steps per chunk of the per-step loops that run on Python floats
@@ -166,7 +165,7 @@ def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.nda
 
 
 def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
-    """G, H, sigma2_lo and w_var for a (T, k) interrogation layout.
+    """G, H and sigma2_lo for a (T, k) interrogation layout.
 
     G and H are blocks of C = block_kernel(params, T, 2k), the covariance of
     the 2k windows that tile the two averaging windows of length tau = k T.
@@ -182,10 +181,7 @@ def kernel_set(params: NoiseParams, T: float, k: int) -> KernelSet:
     C = block_kernel(params, T, 2 * k)
     K = 2 * k - 1
     H = (C[:K, k:].sum(axis=1) - C[:K, :k].sum(axis=1)) / (k * T)
-    s2 = float(free_lo_avar(params, k * T))
-    return KernelSet(
-        K=K, G=C[:K, :K], H=H, sigma2_lo=s2, w_var=2.0 * params.omega0**2 * s2,
-    )
+    return KernelSet(K=K, G=C[:K, :K], H=H, sigma2_lo=float(free_lo_avar(params, k * T)))
 
 
 def _ou_step_moments(params: NoiseParams, T: float):

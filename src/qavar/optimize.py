@@ -45,7 +45,6 @@ from .core import (
     BoundWorkspace,
     ProductProbe,
     Scenario,
-    joint_dim,
     _phase_gauge,
     qavar,
 )
@@ -90,7 +89,6 @@ class OptimizeReport:
 class KEvaluation:
     k: int
     T: float
-    dim: int
     sigma2_q: float
     report: Optional[OptimizeReport] = None
 
@@ -112,8 +110,6 @@ class PlateauFit:
     c: float
     flat: bool
     spread: float
-    taus: np.ndarray
-    n_used: int
 
 
 def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
@@ -351,8 +347,7 @@ def bound_curve(
             elif probe == "optimize-joint":
                 report = optimize_joint_state(scen)
             s2q = report.sigma2_q if report is not None else qavar(scen).sigma2_q
-            evaluations.append(KEvaluation(k=k, T=T, dim=joint_dim(n_atoms, k),
-                                           sigma2_q=s2q, report=report))
+            evaluations.append(KEvaluation(k=k, T=T, sigma2_q=s2q, report=report))
         best = min(evaluations, key=lambda e: e.sigma2_q)
         if probe == "optimize-product":
             start = SymmetricState(n_atoms=n_atoms, amplitudes=best.report.state)
@@ -383,10 +378,7 @@ def extrapolate_long_term(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     order = np.argsort(taus)
-    taus = taus[order]
-    n_used = min(m, taus.size)
-    tail = (s2[order] * omega0**2 * taus)[-n_used:]
+    tail = (s2[order] * omega0**2 * taus[order])[-m:]
     mean = float(np.mean(tail))
     spread = float((tail.max() - tail.min()) / abs(mean)) if mean != 0.0 else np.inf
-    flat = bool(spread <= FLAT_TOL and n_used >= m)
-    return PlateauFit(c=mean, flat=flat, spread=spread, taus=taus, n_used=n_used)
+    return PlateauFit(c=mean, flat=bool(spread <= FLAT_TOL and tail.size >= m), spread=spread)

@@ -65,14 +65,6 @@ def _support_pairs(rb: np.ndarray, rp: np.ndarray, support_tol: float = SUPPORT_
     return V, P, denom, denom > support_tol * max(float(lam[-1]), 0.0)
 
 
-def solve_sld(rb: np.ndarray, rp: np.ndarray) -> np.ndarray:
-    """L_rs = 2 rho_bar'_rs / (lam_r + lam_s) on the support, 0 elsewhere."""
-    V, P, denom, mask = _support_pairs(rb, rp)
-    Lt = np.zeros_like(P, dtype=complex)
-    Lt[mask] = 2.0 * P[mask] / denom[mask]
-    return V @ Lt @ V.conj().T
-
-
 def eigen_sum(rb: np.ndarray, rp: np.ndarray, omega0: float,
               support_tol: float = SUPPORT_TOL) -> float:
     """Correction Tr(rho_bar L^2)/(2 omega0^2) = sum |rho_bar'_rs|^2 / (lam_r + lam_s).

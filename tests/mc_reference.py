@@ -23,8 +23,9 @@ def sample_joint(
     """Draw n_samples exact joint samples of (theta_1..theta_K, w).
 
     Uses the eigendecomposition of the bordered covariance
-    [[G, H], [H^T, w_var]]; a minimum eigenvalue below -1e-10 relative to the
-    largest signals an inconsistent kernel implementation and raises.
+    [[G, H], [H^T, Var w]], Var w = 2 omega0^2 sigma2_lo; a minimum
+    eigenvalue below -1e-10 relative to the largest signals an inconsistent
+    kernel implementation and raises.
 
     Returns
     -------
@@ -39,7 +40,7 @@ def sample_joint(
     cov[:K, :K] = kernels.G
     cov[:K, K] = kernels.H
     cov[K, :K] = kernels.H
-    cov[K, K] = kernels.w_var
+    cov[K, K] = 2.0 * params.omega0**2 * kernels.sigma2_lo
     evals, evecs = np.linalg.eigh(cov)
     scale = max(evals[-1], 0.0)
     if evals[0] < -1e-10 * max(scale, 1.0):

@@ -28,13 +28,32 @@ def _non_overlapping_avar(y, k, omega0):
     return np.mean(np.diff(blocks) ** 2) / (2.0 * omega0**2), blocks.size - 1
 
 
+def _replay(cfg, seed):
+    """Replay default_rng(seed) step by step on numpy: lo_phases, then an
+    (n, N) block of uniforms; step i's outcome counts row i's entries below
+    (1 + sin(theta - c T)) / 2.  Returns theta, the outcomes and the
+    corrections."""
+    rng = np.random.default_rng(seed)
+    theta = lo_phases(cfg.noise, cfg.T, cfg.n_steps, rng)
+    u = rng.random((cfg.n_steps, cfg.n_atoms))
+    outcomes, corrections, corr = [], [], 0.0
+    for th, row in zip(theta, u):
+        m = np.count_nonzero(row < 0.5 * (1.0 + np.sin(th - corr * cfg.T)))
+        est = 2.0 * m / cfg.n_atoms - 1.0
+        if cfg.servo.estimator == "arcsine":
+            est = np.arcsin(est)
+        outcomes.append(m)
+        corrections.append(corr)
+        corr += cfg.servo.gain / cfg.T * est
+    return theta, np.array(outcomes), np.array(corrections)
+
+
 class TestAvarSeries:
     def test_constant_record_is_zero(self):
         n, c, omega0 = 100, 3.7, 2.0
         est = avar_series(np.full(n, c), T=0.5, k=4, omega0=omega0)
         # the running-sum block means carry roundoff of order n eps |c|
         assert 0.0 <= est.avar <= (n * np.finfo(float).eps * c) ** 2 / (2.0 * omega0**2)
-        assert est.tau == 2.0
 
     def test_alternating_record_known_value(self):
         v = 1.5
@@ -79,15 +98,18 @@ class TestSimulateClock:
         a = simulate_clock(cfg, seed=3)
         b = simulate_clock(cfg, seed=3)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.corrections, b.corrections)
         c = simulate_clock(cfg, seed=4)
         assert not np.array_equal(a.y, c.y)
 
     def test_shapes_and_outcome_range(self):
         cfg = SimConfig(noise=PAR, n_atoms=3, T=0.5, n_steps=200)
         tr = simulate_clock(cfg, seed=0)
-        assert tr.y.shape == tr.corrections.shape == tr.outcomes.shape == (200,)
-        assert tr.outcomes.min() >= 0 and tr.outcomes.max() <= 3
+        assert tr.y.shape == tr.corrections.shape == (200,)
+        # each correction step is gain / T * (2m/N - 1) for an outcome m in [0, 3]
+        table = cfg.servo.gain / cfg.T * (2.0 * np.arange(4) / 3 - 1.0)
+        gap = np.abs(np.diff(tr.corrections)[:, None] - table).min(axis=1)
+        assert gap.max() < 1e-9 * (table[1] - table[0])
         assert tr.T == 0.5 and tr.omega0 == PAR.omega0
 
     def test_raw_phase_statistics_match_kernels(self):
@@ -113,25 +135,12 @@ class TestSimulateClock:
     @pytest.mark.parametrize("estimator", ["linear", "arcsine"])
     @pytest.mark.parametrize("n_atoms", [1, 2, 100])
     def test_outcomes_are_binomials_of_the_seed_stream(self, n_atoms, estimator):
-        # replay default_rng(seed) step by step on numpy: lo_phases, then an
-        # (n, N) block of uniforms; step i's outcome counts row i's entries
-        # below (1 + sin(theta - c T)) / 2
         servo = ServoConfig(gain=0.7, estimator=estimator)
         cfg = SimConfig(noise=PAR, n_atoms=n_atoms, T=0.5, n_steps=2500, servo=servo)
         tr = simulate_clock(cfg, seed=9)
-        rng = np.random.default_rng(9)
-        theta = lo_phases(PAR, cfg.T, cfg.n_steps, rng)
-        u = rng.random((cfg.n_steps, n_atoms))
-        outcomes, corrections, corr = [], [], 0.0
-        for th, row in zip(theta, u):
-            m = np.count_nonzero(row < 0.5 * (1.0 + np.sin(th - corr * cfg.T)))
-            est = 2.0 * m / n_atoms - 1.0
-            if estimator == "arcsine":
-                est = np.arcsin(est)
-            outcomes.append(m)
-            corrections.append(corr)
-            corr += servo.gain / cfg.T * est
-        assert np.array_equal(tr.outcomes, outcomes)
+        theta, _, corrections = _replay(cfg, 9)
+        # the correction step is strictly increasing in m, so equal
+        # corrections pin every outcome but the last, which reaches no output
         assert np.array_equal(tr.corrections, corrections)
         assert np.array_equal(tr.y, theta / cfg.T - tr.corrections)
 
@@ -144,7 +153,7 @@ class TestSimulateClock:
         monkeypatch.setattr("qavar.noise._CHUNK", chunk)
         monkeypatch.setattr("qavar.clock._CHUNK", chunk)
         got = simulate_clock(cfg, seed=4)
-        for name in ("y", "corrections", "outcomes"):
+        for name in ("y", "corrections"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("cap", [299, 5 * 300])
@@ -155,18 +164,21 @@ class TestSimulateClock:
         want = simulate_clock(cfg, seed=6)
         monkeypatch.setattr("qavar.clock._UNIFORMS", cap)
         got = simulate_clock(cfg, seed=6)
-        for name in ("y", "corrections", "outcomes"):
+        for name in ("y", "corrections"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("n_atoms", [2, 100])
     def test_outcome_law_read_off_the_trace(self, n_atoms):
-        # p_i from the trace alone, theta_i = (y_i + c_i) T; then
+        # p_i from the trace alone, theta_i = (y_i + c_i) T, and m_i from the
+        # replay, which the trace's corrections pin; then
         # E m_i = N p_i and E (m_i - N p_i)^2 = N p_i (1 - p_i) given the past
         cfg = SimConfig(noise=PAR, n_atoms=n_atoms, T=0.5, n_steps=4000)
         tr = simulate_clock(cfg, seed=13)
+        _, outcomes, corrections = _replay(cfg, 13)
+        assert np.array_equal(tr.corrections, corrections)
         theta = (tr.y + tr.corrections) * cfg.T
         p = 0.5 * (1.0 + np.sin(theta - tr.corrections * cfg.T))
-        dev = tr.outcomes - n_atoms * p
+        dev = outcomes - n_atoms * p
         var = n_atoms * p * (1.0 - p)
         # sum dev is a martingale with variance sum var; sum (dev^2 - var)
         # one with variance sum N p (1-p) (1 + (2N - 6) p (1-p)), the
@@ -248,7 +260,7 @@ class TestWhiteNoiseCalibration:
         for k in (1, 2, 4, 10):
             est = avar_series(y, T, k, white.omega0)
             # Var(y) / (k omega0^2) for white samples of variance beta / T
-            want = white.beta / (white.omega0**2 * est.tau)
+            want = white.beta / (white.omega0**2 * k * T)
             assert est.avar == pytest.approx(want, rel=0.1), k
 
 

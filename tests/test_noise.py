@@ -155,7 +155,7 @@ class TestFreeLoAvar:
             G_full = block_kernel(PAR, T, 2 * k)
             signs = np.r_[-np.ones(k), np.ones(k)] / (k * T)
             var_w = signs @ G_full @ signs
-            assert ks.w_var == pytest.approx(var_w, rel=1e-10)
+            assert 2.0 * PAR.omega0**2 * ks.sigma2_lo == pytest.approx(var_w, rel=1e-10)
             assert free_lo_avar(PAR, k * T) == pytest.approx(
                 var_w / (2 * PAR.omega0**2), rel=1e-10
             )
@@ -194,7 +194,7 @@ def test_joint_kernel_psd_property(T, k, alpha, beta, gamma):
     M[:K, :K] = ks.G
     M[:K, -1] = ks.H
     M[-1, :K] = ks.H
-    M[-1, -1] = ks.w_var
+    M[-1, -1] = 2.0 * params.omega0**2 * ks.sigma2_lo
     evals = np.linalg.eigvalsh(M)
     assert evals[0] >= -1e-10 * max(evals[-1], 1.0)
 
@@ -219,9 +219,10 @@ class TestSampleJoint:
         emp_H = np.array([np.cov(theta[:, i], w)[0, 1] for i in range(K)])
         # 5 sigma with SE ~ sqrt(2/n) * scale
         se = 5 * np.sqrt(2.0 / n)
+        w_var = 2.0 * PAR.omega0**2 * ks.sigma2_lo
         assert np.all(np.abs(emp_G - ks.G) < se * (np.abs(ks.G) + ks.G.max()))
-        assert np.all(np.abs(emp_H - ks.H) < se * (np.abs(ks.H).max() + np.sqrt(ks.w_var * ks.G.max())))
-        assert np.var(w) == pytest.approx(ks.w_var, rel=0.05)
+        assert np.all(np.abs(emp_H - ks.H) < se * (np.abs(ks.H).max() + np.sqrt(w_var * ks.G.max())))
+        assert np.var(w) == pytest.approx(w_var, rel=0.05)
 
 
 class TestLoPhases:

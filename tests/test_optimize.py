@@ -8,7 +8,9 @@ from scipy.optimize import minimize, minimize_scalar
 
 from bound_reference import cost_functional
 from qavar import core, optimize
-from qavar.core import BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, qavar
+from qavar.core import (
+    BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar,
+)
 from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
@@ -514,8 +516,10 @@ class TestInterrogationScan:
         assert scan.sigma2_q == min(e.sigma2_q for e in scan.evaluations)
         assert scan.k_opt * scan.T_opt == pytest.approx(2.0, rel=1e-12)
         assert scan.sigma2_lo == pytest.approx(float(free_lo_avar(PAR, 2.0)), rel=1e-14)
+        assert [e.k for e in scan.evaluations] == [1, 2, 3]
         for e in scan.evaluations:
-            assert e.dim == 2 ** (2 * e.k - 1)
+            assert e.T == pytest.approx(2.0 / e.k, rel=1e-12)
+            assert joint_dim(1, e.k) == 2 ** (2 * e.k - 1)
 
     def test_optimized_beats_fixed_plus(self):
         fixed = bound_curve(PAR, 1, [1.0], 2, probe=plus_step_state(1))[0]
@@ -616,7 +620,11 @@ class TestExtrapolation:
         s2 = [0.7 / (PAR.omega0**2 * t) for t in taus]
         fit = extrapolate_long_term(taus, s2, PAR.omega0, m=5)
         assert fit.flat and fit.c == pytest.approx(0.7, rel=1e-12)
-        assert np.all(np.diff(fit.taus) > 0)
+        # only on the sorted grid are the last three points the plateau at tau >= 4
+        s2 = [(0.7 if t >= 4.0 else 2.0) / (PAR.omega0**2 * t) for t in taus]
+        fit = extrapolate_long_term(taus, s2, PAR.omega0, m=3)
+        assert fit.flat and fit.c == pytest.approx(0.7, rel=1e-12)
+        assert fit.spread == pytest.approx(0.0, abs=1e-12)
 
     def test_non_flat_tail_flagged(self):
         taus = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -628,8 +636,10 @@ class TestExtrapolation:
         taus = [1.0, 2.0]
         s2 = [0.5 / (PAR.omega0**2 * t) for t in taus]
         fit = extrapolate_long_term(taus, s2, PAR.omega0, m=5)
+        # both points are on the plateau: only the grid's length fails the fit
         assert not fit.flat
-        assert fit.n_used == 2
+        assert fit.c == pytest.approx(0.5, rel=1e-12)
+        assert fit.spread == pytest.approx(0.0, abs=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
