@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import (
     SymmetricState,
@@ -259,10 +258,11 @@ class _OrbitBlocks:
         n = 2 ** len(gens)
         perms = np.empty((n, u.size), dtype=np.intp)
         perms[0] = np.arange(u.size)
+        chars = np.ones((1, 1), dtype=np.int64)
         for b, g in enumerate(gens):
             lo = 2**b
             perms[lo:2 * lo] = g[perms[:lo]]
-        chars = scipy.linalg.hadamard(n)
+            chars = np.block([[chars, chars], [chars, -chars]])  # Sylvester's doubling
         reps = np.flatnonzero(perms.min(axis=0) == perms[0])
         fixed = perms[:, reps] == reps
         member = ((chars[:, :, None] > 0) | ~fixed).all(axis=1)
@@ -300,9 +300,11 @@ class _OrbitBlocks:
         for i, j, rows_i, rows_j, coef in self.pairs:
             (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
             Ut = V_i[rows_i].T @ (coef[:, None] * V_j[rows_j])
-            total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, Ut)[0]
-        return total, (V_i @ (2.0 * _pair_sum(lam_i, lam_j, Ut)[1] * Ut) @ V_j.T
-                       if want_sld else None)
+            pair, ratio = _pair_sum(lam_i, lam_j, Ut)
+            total += (1.0 + (i != j)) * pair
+            if not want_sld:
+                del ratio  # one pair's (D, D) tables alive at a time
+        return total, V_i @ (2.0 * ratio * Ut) @ V_j.T if want_sld else None
 
 
 class BoundWorkspace:

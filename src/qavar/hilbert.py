@@ -4,6 +4,10 @@ A step state lives in the (N+1)-dimensional symmetric subspace spanned by
 |n>, n = 0..N, where n counts excited atoms (the free Hamiltonian acts as
 n * theta dephasing).  Joint objects over K steps use the base-(N+1)
 positional encoding with n_1 most significant, dimension (N+1)^K.
+
+`eigh` is the package's one eigensolver.  Its full solves run on numpy, so
+the bound never loads scipy; only its subset path, which the see-saw
+takes, imports scipy.linalg, on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SymmetricState",
@@ -115,9 +118,12 @@ def plus_step_state(n_atoms: int) -> SymmetricState:
 
     Built as sqrt(C(N, n)) 2^(-N/2), so a_n == a_(N-n) bit for bit (cos pi/4
     and sin pi/4 differ in the last bit) and `product_pure` keeps the exact
-    spin-flip symmetry that `BoundWorkspace.evaluate` dispatches on.
+    spin-flip symmetry that `BoundWorkspace.evaluate` dispatches on.  The
+    binomials are rounded to float first: from N = 68 some exceed 2^64, and
+    numpy takes no square root of a Python int that large.
     """
-    amps = np.sqrt([comb(n_atoms, n) for n in range(n_atoms + 1)]) * 2.0 ** (-0.5 * n_atoms)
+    binom = np.array([comb(n_atoms, n) for n in range(n_atoms + 1)], dtype=float)
+    amps = np.sqrt(binom) * 2.0 ** (-0.5 * n_atoms)
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
@@ -130,7 +136,7 @@ def coherent_step_state(n_atoms: int, polar: float, azimuth: float) -> Symmetric
     c, s = np.cos(polar / 2.0), np.sin(polar / 2.0)
     n = np.arange(n_atoms + 1)
     amps = (
-        np.sqrt([comb(n_atoms, int(j)) for j in n])
+        np.sqrt(np.array([comb(n_atoms, int(j)) for j in n], dtype=float))
         * c ** (n_atoms - n)
         * (s * np.exp(1j * azimuth)) ** n
     )
@@ -148,13 +154,14 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Hermitian eigendecomposition.
 
     Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|),
-    symmetrizes, and solves with the divide-and-conquer driver; a
+    symmetrizes, and solves with LAPACK's divide-and-conquer driver ?syevd
+    / ?heevd through `numpy.linalg.eigh`, on the lower triangle; a
     non-finite entry raises np.linalg.LinAlgError.  The input's dtype picks
     the path: real input takes the ~4x faster real one, and every caller in
-    the package hands over a real matrix.  With `lowest` > 0
-    only the `lowest` smallest eigenpairs are computed, by the MRRR driver
-    (one pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms for all
-    of them, one BLAS thread).
+    the package hands over a real matrix.  With `lowest` > 0 only the
+    `lowest` smallest eigenpairs are computed, by scipy's MRRR driver (one
+    pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms for all of
+    them, one BLAS thread).  Only that path imports scipy, on first use.
 
     Returns eigenvalues ascending and orthonormal eigenvectors as columns.
     """
@@ -163,8 +170,8 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     scale = np.abs(a).max(initial=0.0)
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    # Built in Fortran order and handed over to be overwritten, so LAPACK
-    # works on this buffer instead of a transposed copy.
+    # Built in Fortran order and handed over to be overwritten, so scipy's
+    # LAPACK call works on this buffer instead of a transposed copy.
     sym = np.add(a, a.conj().T, order="F")
     sym *= 0.5
     # sym is exactly Hermitian, so sym.T.conj() is sym read in C order and
@@ -172,6 +179,8 @@ def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     if 2.0 * np.abs(a - sym.T.conj()).max(initial=0.0) > HERMITIAN_TOL * scale:
         raise ValueError("matrix not Hermitian within tolerance")
     if lowest > 0:
+        import scipy.linalg  # the see-saw's subset solve is scipy's one user here
+
         return scipy.linalg.eigh(sym, driver="evr", subset_by_index=[0, lowest - 1],
                                  overwrite_a=True)
-    return scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)
+    return np.linalg.eigh(sym)

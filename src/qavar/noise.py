@@ -23,6 +23,8 @@ variance ``sigma2_lo(tau)`` of the free-running LO.  The delta part of R is
 never discretized; it enters each closed form exactly (``beta * T`` on C's
 diagonal, hence ``±beta/k`` in H).  ``lo_phases`` samples the Ramsey phases
 themselves, exactly, for the clock simulator, from moments read off C's OU part.
+
+The module needs numpy alone; C is built by indexing, C[i, j] = g[|i - j|].
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "NoiseParams",
@@ -141,7 +142,8 @@ def block_kernel(params: NoiseParams, T: float, K: int) -> np.ndarray:
     seq[0] = 2.0 * s * _phi2(g * T) + b * T
     m = np.arange(1, K)
     seq[1:] = s * np.exp(-g * (m - 1) * T) * (-np.expm1(-g * T)) ** 2
-    return toeplitz(seq)
+    lag = np.arange(K)
+    return seq[np.abs(lag[:, None] - lag)]
 
 
 def free_lo_avar(params: NoiseParams, tau: float | np.ndarray) -> float | np.ndarray:

@@ -31,6 +31,11 @@ state with a_(N/2) = 0.
 (a start matters only to the Nelder-Mead run, N >= 4).
 `extrapolate_long_term` reads off the 1/tau coefficient from the plateau of
 c(tau) = sigma2_q * omega0^2 * tau.
+
+scipy is loaded by the two optimizers alone, at first use: the product
+search imports scipy.optimize, and the see-saw's subset eigensolve
+(`hilbert.eigh` with `lowest`) imports scipy.linalg.  Importing this module,
+or a sweep of a fixed probe, loads neither.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .core import (
     BoundWorkspace,
@@ -228,6 +232,8 @@ def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> 
     no certificate point fell below the optimum.  A `maxfev` < 1 raises
     ValueError: the run would evaluate nothing.
     """
+    from scipy.optimize import minimize, minimize_scalar  # loaded by the first search only
+
     if maxfev is not None and maxfev < 1:
         raise ValueError(f"maxfev must be >= 1 or None, got {maxfev}")
     N = scenario.n_atoms

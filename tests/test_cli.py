@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import takewhile
 from pathlib import Path
 
@@ -321,6 +324,14 @@ class TestBoundMode:
         assert code == 0
         assert seen == [([1.0, 1.5, 2.0], 3)]
 
+    def test_plus_probe_past_int64_binomials(self, tmp_path):
+        # C(68, 34) > 2^64 (D = 69 at k = 1)
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 68, "k_max": 1,
+               "probe": {"kind": "plus"}}
+        code, out = run_cli(tmp_path, doc, "bound")
+        assert code == 0
+        assert [row["status"] for row in csv_rows(out)] == ["ok"]
+
     def test_rows_sorted_by_tau(self, tmp_path):
         doc = {"noise": NOISE, "tau": [2.0, 0.5, 1.0], "atoms": 1, "k_max": 1,
                "probe": {"kind": "plus"}}
@@ -461,14 +472,32 @@ class TestSimulateAndCheckModes:
         assert "all 2 rows skipped" in capsys.readouterr().err
 
 
-class TestGoldenCsv:
-    """CLI output on configs/ against committed files, token by token.
+def assert_matches_golden(out, name):
+    """out, the CSV of configs/<name>.json, against its golden file, token by token.
 
     Only sigma2_q, which comes out of an eigensolve whose last bits may vary
     with the LAPACK build, and c_running, which is computed from it, compare
     at rtol 1e-12.  A change that means to move these bytes regenerates the
     file and says why.
     """
+    got, want = out.read_text(), (GOLDEN / f"{name}.csv").read_text()
+    assert got.endswith("\n")
+    got, want = got.splitlines(), want.splitlines()
+    assert got[:4] == want[:4]  # '#' lines and header
+    assert len(got) == len(want)
+    header = want[3].split(",")
+    for got_row, want_row in zip(got[4:], want[4:]):
+        pairs = list(zip(header, got_row.split(","), want_row.split(",")))
+        assert len(pairs) == len(header) == got_row.count(",") + 1
+        for column, g, w in pairs:
+            if column in ("sigma2_q", "c_running"):
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
+            else:
+                assert g == w, (column, got_row)
+
+
+class TestGoldenCsv:
+    """CLI output on configs/ against committed files (`assert_matches_golden`)."""
 
     @pytest.mark.parametrize(
         "name", ["simulate", "bound_check", "lo_avar", "bound_plus", "optimize_product"]
@@ -478,20 +507,7 @@ class TestGoldenCsv:
         out = tmp_path / f"{name}.csv"
         mode = json.loads(config.read_text())["mode"]
         assert cli.main([mode, "--config", str(config), "--out", str(out)]) == 0
-        got, want = out.read_text(), (GOLDEN / f"{name}.csv").read_text()
-        assert got.endswith("\n")
-        got, want = got.splitlines(), want.splitlines()
-        assert got[:4] == want[:4]  # '#' lines and header
-        assert len(got) == len(want)
-        header = want[3].split(",")
-        for got_row, want_row in zip(got[4:], want[4:]):
-            pairs = list(zip(header, got_row.split(","), want_row.split(",")))
-            assert len(pairs) == len(header) == got_row.count(",") + 1
-            for column, g, w in pairs:
-                if column in ("sigma2_q", "c_running"):
-                    assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0)
-                else:
-                    assert g == w, (column, got_row)
+        assert_matches_golden(out, name)
 
     def test_optimize_product_takes_few_evaluations(self, tmp_path):
         # N = 2 has one angle, so each row's search is one bounded Brent run
@@ -500,6 +516,45 @@ class TestGoldenCsv:
         assert cli.main(["optimize", "--config", str(config), "--out", str(out)]) == 0
         rows = csv_rows(out)
         assert rows and all(int(row["iterations"]) <= 20 for row in rows)
+
+
+# Runs configs/<name>.json for each name after the first two arguments (the
+# config and output folders) in a fresh interpreter, then prints the scipy
+# modules it loaded.
+_RUN_CONFIGS = """\
+import json, sys
+from pathlib import Path
+from qavar import cli
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in sys.argv[3:]:
+    config = configs / f"{name}.json"
+    mode = json.loads(config.read_text())["mode"]
+    assert cli.main([mode, "--config", str(config), "--out", str(out / f"{name}.csv")]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(tmp_path, names):
+    env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RUN_CONFIGS, str(CONFIG_DIR), str(tmp_path),
+                           *names], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartsWithoutScipy:
+    """Only the optimizers load scipy; every other mode runs on numpy alone."""
+
+    def test_fixed_probe_modes_load_no_scipy(self, tmp_path):
+        names = ["bound_plus", "bound_check", "simulate", "lo_avar"]
+        assert scipy_modules_after(tmp_path, names) == []
+        for name in names:
+            assert_matches_golden(tmp_path / f"{name}.csv", name)
+
+    def test_optimize_mode_loads_scipy_at_its_search(self, tmp_path):
+        assert "scipy.optimize" in scipy_modules_after(tmp_path, ["optimize_product"])
+        assert_matches_golden(tmp_path / "optimize_product.csv", "optimize_product")
 
 
 class TestMainEntry:

@@ -570,6 +570,17 @@ class TestParityDispatch:
                 assert sizes == want
 
 
+def _spy_lapack_eigh(monkeypatch, record):
+    """Call record(a, out) after every LAPACK eigensolve, full (numpy) or subset (scipy)."""
+    for module in (np.linalg, scipy.linalg):
+        def recording_eigh(a, *args, _solve=module.eigh, **kwargs):
+            out = _solve(a, *args, **kwargs)
+            record(a, out)
+            return out
+
+        monkeypatch.setattr(module, "eigh", recording_eigh)
+
+
 class TestRealEigensolves:
     @pytest.mark.parametrize("probe, want_sld, n_solves", [
         ("small", False, 1),   # complex product probe, D = 8 < BLOCK_MIN_DIM
@@ -581,13 +592,7 @@ class TestRealEigensolves:
     def test_every_eigensolve_is_real(self, monkeypatch, probe, want_sld, n_solves):
         # evaluate solves |v|, so no complex input reaches a complex eigensolve
         seen = []
-        solve = scipy.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            seen.append(a.dtype)
-            return solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.append(a.dtype))
         rng = np.random.default_rng(5)
         n_atoms, k = (1, 2) if probe == "small" else (2, 3)
         ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
@@ -667,15 +672,7 @@ class TestKernelOfRhoBar:
         # GHZ at N=2 leaves most of rho_bar's spectrum at roundoff level,
         # of either sign; the bound and the SLD must stay finite there
         seen = []
-        solve = scipy.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            seen.append(a.dtype)
-            out = solve(a, *args, **kwargs)
-            seen.append(out[0])
-            return out
-
-        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.extend((a.dtype, out[0])))
         ws = BoundWorkspace(PAR, 2, k, 0.6)
         v = product_pure(ghz_step_state(2), ws.n_steps)
         with warnings.catch_warnings():

@@ -117,6 +117,15 @@ class TestProductStates:
             v = product_pure(plus_step_state(n_atoms), n_steps)
             assert np.array_equal(v, v[flip_index(n_atoms, n_steps)])
 
+    @pytest.mark.parametrize("n_atoms", [68, 1000])
+    def test_plus_state_past_int64_binomials(self, n_atoms):
+        # C(68, 34) > 2^64: the binomials are rounded to float before the root
+        a = plus_step_state(n_atoms).amplitudes
+        assert np.array_equal(a, a[::-1])
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(a, coherent_step_state(n_atoms, np.pi / 2, 0.0).amplitudes,
+                           rtol=1e-12, atol=0.0)
+
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
         assert np.allclose(s.amplitudes, [0.5, np.sqrt(0.5), 0.5])

@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize, minimize_scalar
 
 from bound_reference import cost_functional
-from qavar import core, optimize
+from qavar import core
 from qavar.core import (
     BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar,
 )
@@ -241,8 +242,8 @@ class TestProductSearch:
 
     def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch):
         # N = 1 has no free angle: one evaluation of |+>, then the certificate
-        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
-        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
         sc = plus_scenario(n_atoms=1, k=2, T=0.5)
         for maxfev in (None, 1):
             rep = optimize_product_state(sc, maxfev=maxfev)
@@ -269,8 +270,8 @@ class TestProductSearch:
             runs.append(minimize(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(optimize, "minimize", counted)
-        monkeypatch.setattr(optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
         rep = optimize_product_state(plus_scenario(n_atoms=4, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
         assert runs[0].x.shape == (2,)  # N//2 angles
@@ -288,8 +289,8 @@ class TestProductSearch:
             runs.append(minimize_scalar(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(optimize, "minimize_scalar", counted)
-        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
         rep = optimize_product_state(plus_scenario(n_atoms=n_atoms, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
         assert kwargs_seen[0]["bounds"] == (0.0, np.pi / 2)
@@ -396,7 +397,7 @@ class TestProductSearch:
         # two angles (N = 4): the start is the probe's flip-averaged
         # magnitudes, renormalized
         starts = []
-        monkeypatch.setattr(optimize, "minimize",
+        monkeypatch.setattr(scipy.optimize, "minimize",
                             lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
         warm = SymmetricState(4, np.array([0.6, 0.0, 0.0, 0.0, 0.8], dtype=complex))
         for probe, want in ((warm, np.array([1.0, 0.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)),
@@ -531,7 +532,7 @@ class TestInterrogationScan:
     def test_each_tau_starts_from_the_previous_optimum(self, monkeypatch):
         # two angles (N = 4) take warm starts
         starts = []
-        monkeypatch.setattr(optimize, "minimize",
+        monkeypatch.setattr(scipy.optimize, "minimize",
                             lambda f, x0, **kw: starts.append(x0) or minimize(f, x0, **kw))
         first, chained = bound_curve(PAR, 4, [1.5, 1.0], 2)
         alone = bound_curve(PAR, 4, [1.5], 2)[0]
@@ -549,7 +550,7 @@ class TestInterrogationScan:
 
     def test_one_angle_scan_is_its_taus_alone(self, monkeypatch):
         # no start at N = 2, so a chained scan equals each tau run alone, bit for bit
-        monkeypatch.setattr(optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
         chained = bound_curve(PAR, 2, [1.5, 1.0], 2)
         for scan in chained:
             alone = bound_curve(PAR, 2, [scan.tau], 2)[0]
