@@ -66,6 +66,7 @@ import numpy as np
 
 from .hilbert import (
     SymmetricState,
+    _row_chunks,
     eigh,
     flip_index,
     multi_index_table,
@@ -210,8 +211,8 @@ def _phase_gauge(v: np.ndarray) -> np.ndarray:
     return z
 
 
-def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) Ut_rs^2 for a real Ut, with 0/0 = 0.
+def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut2: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_rs (lam_r - lam_s)^2 / (lam_r + lam_s) Ut2_rs for Ut2 = Ut^2, with 0/0 = 0.
 
     Also returns the (lam_r - lam_s) / (lam_r + lam_s) table the SLD is built from.
     """
@@ -221,7 +222,7 @@ def _pair_sum(lam_r: np.ndarray, lam_s: np.ndarray, Ut: np.ndarray) -> tuple[flo
     # memory; lam >= 0, so the sums left undivided are the 0s of 0/0 = 0
     np.divide(diff, ratio, out=ratio, where=ratio > 0.0)
     diff *= ratio
-    diff *= Ut * Ut
+    diff *= Ut2
     return float(np.sum(diff)), ratio
 
 
@@ -243,14 +244,18 @@ class _OrbitBlocks:
 
         W_i[O, O'] = sqrt(|O| |O'|) / |G| sum_h chi_i(h) W[r, h r']
 
-    is rho_bar's block i, W[r, h r'] read off `_difference_table` (only the
-    trivial group's one block is (D, D): W).  U couples block i to block i'
-    only within an orbit, by c_(i^i')(O).  Where u minus a constant is odd
-    under the generators in the bitmask `odd` (the shift to U' in the module
-    docstring), c_(i^i') is 0 unless chi_(i^i') is -1 on each of them, or
-    that constant for i = i' (the constant cancels from every other
-    coefficient).  A constant couples only r = s, whose weight (lam_r -
-    lam_s)^2 is 0, so those block pairs are never formed.
+    is rho_bar's block i, W[r, h r'] read off `_difference_table`.  Only the
+    orbit bookkeeping is kept: per block the table rows of its
+    representatives, the codes of h r' for each element h, the character
+    signs and the scale sqrt(|O| / |G|).  `block` forms a block from them in
+    row chunks each time it is asked, so no block-sized array outlives an
+    evaluation.  U couples block i to block i' only within an orbit, by
+    c_(i^i')(O).  Where u minus a constant is odd under the generators in
+    the bitmask `odd` (the shift to U' in the module docstring), c_(i^i') is
+    0 unless chi_(i^i') is -1 on each of them, or that constant for i = i'
+    (the constant cancels from every other coefficient).  A constant couples
+    only r = s, whose weight (lam_r - lam_s)^2 is 0, so those block pairs
+    are never formed.
     """
 
     def __init__(self, table: np.ndarray, codes: np.ndarray, u: np.ndarray, gens: tuple,
@@ -268,53 +273,79 @@ class _OrbitBlocks:
         member = ((chars[:, :, None] > 0) | ~fixed).all(axis=1)
         coef = chars @ u[perms[:, reps]] / n
         scale = fixed.sum(axis=0) ** -0.5  # sqrt(|O| / |G|) = |stabilizer|^(-1/2)
-        self.index, self.block_weights = [], []
+        self._table = table
+        self.index, self._orbits = [], []
         for i, m in enumerate(member):
-            idx, s = reps[m], scale[m]
+            idx = reps[m]
             rows = codes[idx] + codes[-1]  # c_r + c_(N..N), the table's offset
-            Wb = table[rows[:, None] - codes[idx]]
-            for h in range(1, n):  # in place: one (|block|, |block|) term at a time
-                term = table[rows[:, None] - codes[perms[h, idx]]]  # W[r, h r']
-                (np.add if chars[i, h] > 0 else np.subtract)(Wb, term, out=Wb)
-            Wb *= np.outer(s, s)
             self.index.append(idx)
-            self.block_weights.append(Wb)
+            self._orbits.append((rows, codes[perms[:, idx]], chars[i], scale[m]))
         self.pairs = []
         for i in range(n):
             for j in range(i, n):
                 if (i ^ j) & odd == odd:
                     both = member[i] & member[j]
-                    self.pairs.append((i, j, np.flatnonzero(both[member[i]]),
-                                       np.flatnonzero(both[member[j]]), coef[i ^ j, both]))
+                    # rows that cover a whole block read its V itself, not a copy
+                    sel = [slice(None) if r.all() else np.flatnonzero(r)
+                           for r in (both[member[i]], both[member[j]])]
+                    self.pairs.append((i, j, *sel, coef[i ^ j, both]))
+
+    def block(self, i: int, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """rho_bar's block i, (x_b x_b^T) * W_i with x_b = x[index[i]], or W_i without x.
+
+        Built in row chunks of about `_CHUNK_ENTRIES` entries, so the gathers
+        make no block-sized temporary.  Each entry takes the h = 0 gather,
+        then +- each further W[r, h r'], then * s s', then x_r x_r' * that.
+        """
+        rows, cols, signs, s = self._orbits[i]
+        xb = None if x is None else x[self.index[i]]
+        out = np.empty((rows.size, rows.size))
+        for r in _row_chunks(rows.size, rows.size):
+            chunk, at = out[r], rows[r, None]
+            chunk[...] = self._table[at - cols[0]]
+            for h in range(1, len(cols)):
+                (np.add if signs[h] > 0 else np.subtract)(chunk, self._table[at - cols[h]],
+                                                          out=chunk)
+            chunk *= np.outer(s[r], s)
+            if xb is not None:
+                chunk *= np.outer(xb[r], xb)
+        return out
 
     def pair_sum(self, x: np.ndarray, want_sld: bool = False) -> tuple:
         """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i').
 
-        With `want_sld`, also the last pair's V (2 R o U~) V^T: for the
-        trivial group's one pair, K with L(x) = iK."""
+        Each block is built, solved and dropped in turn; only its spectrum
+        and eigenvectors are kept.  With `want_sld`, also V (2 R o U~) V^T of
+        the trivial group's one pair: K with L(x) = iK.  Any other group
+        raises ValueError, since its SLD needs every pair.
+        """
+        if want_sld and len(self.index) > 1:
+            raise ValueError("the SLD is formed only in the trivial group's one block")
         spectra = []
-        for idx, Wb in zip(self.index, self.block_weights):
-            lam, V = eigh(np.outer(x[idx], x[idx]) * Wb)
+        for i in range(len(self.index)):
+            lam, V = eigh(self.block(i, x))
             spectra.append((np.maximum(lam, 0.0), V))
         total = 0.0
         for i, j, rows_i, rows_j, coef in self.pairs:
             (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
             Ut = V_i[rows_i].T @ (coef[:, None] * V_j[rows_j])
-            pair, ratio = _pair_sum(lam_i, lam_j, Ut)
-            total += (1.0 + (i != j)) * pair
-            if not want_sld:
-                del ratio  # one pair's (D, D) tables alive at a time
-        return total, V_i @ (2.0 * ratio * Ut) @ V_j.T if want_sld else None
+            if want_sld:  # the trivial group's one pair
+                pair, ratio = _pair_sum(lam_i, lam_j, Ut * Ut)
+                return pair, V_i @ (2.0 * ratio * Ut) @ V_j.T
+            total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, np.square(Ut, out=Ut))[0]
+            del Ut  # one pair's (D, D) tables alive at a time
+        return total, None
 
 
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
     Precomputes the kernels, the dephasing weights' difference table and u
-    (u_a = a^T H) once; each `evaluate` call then costs one real symmetric
-    eigensolve per block of rho_bar, plus a few products.  Each symmetry
-    group's orbits and block weights are built on first use; `weights` is
-    the trivial group's one block.
+    (u_a = a^T H) once; each `evaluate` call then builds each block of
+    rho_bar off the table, solves it with one real symmetric eigensolve and
+    drops it, plus a few products.  Each symmetry group's orbit bookkeeping
+    is built on first use, and no block-sized array is kept between calls;
+    `weights`, the trivial group's one block, is built on first read.
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
@@ -328,6 +359,7 @@ class BoundWorkspace:
         self._table, self._codes = _difference_table(self.kernels.G, n_atoms)
         self._gens = (reversal_index(n_atoms, self.n_steps), flip_index(n_atoms, self.n_steps))
         self._groups: dict[int, _OrbitBlocks] = {}
+        self._weights: Optional[np.ndarray] = None
 
     def _blocks(self, n_gens: int) -> _OrbitBlocks:
         """The orbit blocks of {1}, {1, P} or {1, P, F, PF}: the first n_gens of (P, F)."""
@@ -338,8 +370,10 @@ class BoundWorkspace:
 
     @property
     def weights(self) -> np.ndarray:
-        """The (D, D) dephasing weights W[a, b] = exp(-1/2 (a-b)^T G (a-b)), built on first use."""
-        return self._blocks(0).block_weights[0]
+        """The (D, D) dephasing weights W[a, b] = exp(-1/2 (a-b)^T G (a-b)), built on first read."""
+        if self._weights is None:
+            self._weights = self._blocks(0).block(0)
+        return self._weights
 
     def evaluate(self, v: np.ndarray, want_sld: bool = False) -> QavarResult:
         """Bound for a pure joint input vector v of shape (D,).

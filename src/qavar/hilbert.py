@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import comb
 
 import numpy as np
 
@@ -31,6 +30,13 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10  # largest |a - a^H| entry `eigh` accepts, relative to max |a|
+_CHUNK_ENTRIES = 2**16  # entries per row chunk, where a pass over a matrix makes no n^2 temporary
+
+
+def _row_chunks(n_rows: int, width: int) -> list:
+    """Row slices covering n_rows, each about _CHUNK_ENTRIES entries of a width-wide matrix."""
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    return [slice(a, a + step) for a in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -113,17 +119,33 @@ def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
     return 0.5 * (v + v[reversal_index(state.n_atoms, n_steps)])
 
 
+def _binomial_roots(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(C(N, n)) = m_n 2^(e_n) for n = 0..N, m_n in [1, 2): no overflow at any N.
+
+    e_n = floor(log2(C) / 2) and m_n = sqrt(C / 4^(e_n)), the quotient of
+    Python ints rounded once, so ldexp(m_n, e_n) == sqrt(float(C)) bit for
+    bit wherever float(C) is finite (N <= 1029).  C(N, n) = C(N, N - n)
+    gives m and e mirrored exactly.
+    """
+    binom = [1]
+    for n in range(n_atoms):  # exact: C(N, n) (N - n) is a multiple of n + 1
+        binom.append(binom[-1] * (n_atoms - n) // (n + 1))
+    e = np.array([(c.bit_length() - 1) // 2 for c in binom])
+    return np.sqrt(np.array([c / 4**j for c, j in zip(binom, e.tolist())])), e
+
+
 def plus_step_state(n_atoms: int) -> SymmetricState:
     """All atoms in (|g> + |e>)/sqrt(2): equatorial spin-coherent state.
 
     Built as sqrt(C(N, n)) 2^(-N/2), so a_n == a_(N-n) bit for bit (cos pi/4
     and sin pi/4 differ in the last bit) and `product_pure` keeps the exact
     spin-flip symmetry that `BoundWorkspace.evaluate` dispatches on.  The
-    binomials are rounded to float first: from N = 68 some exceed 2^64, and
-    numpy takes no square root of a Python int that large.
+    root comes from `_binomial_roots` and the power of two is applied by
+    ldexp, so every N builds (a float binomial overflows from N = 1030) and
+    N <= 1029 gives sqrt(float(C)) * 2.0 ** (-N / 2) bit for bit.
     """
-    binom = np.array([comb(n_atoms, n) for n in range(n_atoms + 1)], dtype=float)
-    amps = np.sqrt(binom) * 2.0 ** (-0.5 * n_atoms)
+    m, e = _binomial_roots(n_atoms)
+    amps = np.ldexp(m * 2.0 ** (-0.5 * (n_atoms % 2)), e - n_atoms // 2)
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
@@ -131,15 +153,21 @@ def coherent_step_state(n_atoms: int, polar: float, azimuth: float) -> Symmetric
     """Spin-coherent state: every atom in cos(polar/2)|g> + e^{i azimuth} sin(polar/2)|e>.
 
     These are exactly the atom-level product states inside the symmetric
-    subspace; amplitudes follow the binomial pattern.
+    subspace; amplitudes follow the binomial pattern, sqrt(C(N, n)) from
+    `_binomial_roots`.  Where that product is not finite (from N ~ 2047 the
+    middle roots pass 2^1024) the magnitudes are summed in log2 instead.
     """
     c, s = np.cos(polar / 2.0), np.sin(polar / 2.0)
     n = np.arange(n_atoms + 1)
-    amps = (
-        np.sqrt(np.array([comb(n_atoms, int(j)) for j in n], dtype=float))
-        * c ** (n_atoms - n)
-        * (s * np.exp(1j * azimuth)) ** n
-    )
+    m, e = _binomial_roots(n_atoms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.ldexp(m, e) * c ** (n_atoms - n) * (s * np.exp(1j * azimuth)) ** n
+    if not np.all(np.isfinite(amps)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 log2 0 = 0 at the poles
+            log2_mag = (np.log2(m) + e + np.where(n < n_atoms, (n_atoms - n) * np.log2(abs(c)), 0.0)
+                        + np.where(n > 0, n * np.log2(abs(s)), 0.0))
+        amps = (np.exp2(log2_mag) * np.sign(c) ** (n_atoms - n)
+                * (np.sign(s) * np.exp(1j * azimuth)) ** n)
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
@@ -153,34 +181,40 @@ def ghz_step_state(n_atoms: int) -> SymmetricState:
 def eigh(a: np.ndarray, lowest: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Guarded Hermitian eigendecomposition.
 
-    Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|),
-    symmetrizes, and solves with LAPACK's divide-and-conquer driver ?syevd
-    / ?heevd through `numpy.linalg.eigh`, on the lower triangle; a
-    non-finite entry raises np.linalg.LinAlgError.  The input's dtype picks
-    the path: real input takes the ~4x faster real one, and every caller in
-    the package hands over a real matrix.  With `lowest` > 0 only the
-    `lowest` smallest eigenpairs are computed, by scipy's MRRR driver (one
-    pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms for all of
-    them, one BLAS thread).  Only that path imports scipy, on first use.
+    Validates Hermiticity within HERMITIAN_TOL (relative to max |entry|) and
+    solves with LAPACK's divide-and-conquer driver ?syevd / ?heevd through
+    `numpy.linalg.eigh`, on the lower triangle; a non-finite entry raises
+    np.linalg.LinAlgError.  Both checks run over row chunks, so neither
+    makes an n^2 temporary.  An exactly Hermitian input goes to LAPACK as it
+    is, since (a + a^H) / 2 == a bit for bit; only one that is Hermitian
+    within the tolerance but not exactly is symmetrized, into a copy.  The
+    input's dtype picks the path: real input takes the ~4x faster real one,
+    and every caller in the package hands over a real matrix.  With `lowest`
+    > 0 only the `lowest` smallest eigenpairs are computed, by scipy's MRRR
+    driver (one pair of a 243 x 243 real matrix in ~2.8 ms against ~7.2 ms
+    for all of them, one BLAS thread).  Only that path imports scipy, on
+    first use.  Neither path writes to the caller's matrix: numpy solves a
+    copy, and scipy overwrites only the symmetrized one.
 
     Returns eigenvalues ascending and orthonormal eigenvectors as columns.
     """
     a = np.asarray(a)
-    # The initial 0 gives a 0 x 0 input (an empty parity block) a maximum.
-    scale = np.abs(a).max(initial=0.0)
-    if not np.isfinite(scale):
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
-    # Built in Fortran order and handed over to be overwritten, so scipy's
-    # LAPACK call works on this buffer instead of a transposed copy.
-    sym = np.add(a, a.conj().T, order="F")
-    sym *= 0.5
-    # sym is exactly Hermitian, so sym.T.conj() is sym read in C order and
-    # a - sym = (a - a^H) / 2 needs no second transposed pass over a.
-    if 2.0 * np.abs(a - sym.T.conj()).max(initial=0.0) > HERMITIAN_TOL * scale:
+    scale = defect = 0.0  # max |a| and max |a - a^H|
+    for r in _row_chunks(a.shape[0], a.shape[-1]):  # none for a 0 x 0 (empty parity) block
+        big = np.abs(a[r]).max()
+        if not np.isfinite(big):
+            raise np.linalg.LinAlgError("matrix has non-finite entries")
+        scale = max(scale, big)
+        defect = max(defect, np.abs(a[r] - a[:, r].conj().T).max())
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError("matrix not Hermitian within tolerance")
+    copied = bool(defect > 0.0)
+    if copied:
+        a = np.add(a, a.conj().T, order="F")
+        a *= 0.5
     if lowest > 0:
         import scipy.linalg  # the see-saw's subset solve is scipy's one user here
 
-        return scipy.linalg.eigh(sym, driver="evr", subset_by_index=[0, lowest - 1],
-                                 overwrite_a=True)
-    return np.linalg.eigh(sym)
+        return scipy.linalg.eigh(a, driver="evr", subset_by_index=[0, lowest - 1],
+                                 overwrite_a=copied)
+    return np.linalg.eigh(a)

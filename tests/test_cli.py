@@ -332,6 +332,14 @@ class TestBoundMode:
         assert code == 0
         assert [row["status"] for row in csv_rows(out)] == ["ok"]
 
+    def test_plus_probe_past_float_binomials(self, tmp_path):
+        # float(C(1030, 515)) overflows (D = 1031 at k = 1)
+        doc = {"noise": NOISE, "tau": [1.0], "atoms": 1030, "k_max": 1,
+               "probe": {"kind": "plus"}}
+        code, out = run_cli(tmp_path, doc, "bound")
+        assert code == 0
+        assert [row["status"] for row in csv_rows(out)] == ["ok"]
+
     def test_rows_sorted_by_tau(self, tmp_path):
         doc = {"noise": NOISE, "tau": [2.0, 0.5, 1.0], "atoms": 1, "k_max": 1,
                "probe": {"kind": "plus"}}

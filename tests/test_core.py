@@ -425,12 +425,9 @@ class TestWorkspaceReuse:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BoundWorkspace(PAR, n_atoms, k, 1.0)
 
-    def test_block_path_builds_no_full_weights(self):
-        # a |+> evaluation at D = 2187 takes the four blocks, whose weights
-        # come off the difference table, so no (D, D) W is formed: one W is
-        # 8 B/D^2 alone, and forming it over all D^2 pairs of a - b took
-        # 24 B/D^2 at its peak; workspace plus evaluation now peak near 7
-        v = product_pure(plus_step_state(2), 7)
+    @staticmethod
+    def _traced_peak(v):
+        """tracemalloc peak of a D = 2187 workspace build plus one evaluation of v."""
         tracemalloc.start()
         try:
             ws = BoundWorkspace(PAR, 2, 4, 2.5 / 4)
@@ -438,7 +435,55 @@ class TestWorkspaceReuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * ws.dim**2
+        return peak / ws.dim**2
+
+    def test_block_path_builds_no_full_weights(self):
+        # a |+> evaluation at D = 2187 takes the four blocks, each built off
+        # the difference table in row chunks and dropped once solved, so no
+        # (D, D) W and no block weights are kept: one W is 8 B/D^2 alone,
+        # the stored block weights took the peak to 6.3 B/D^2, now near 4
+        assert self._traced_peak(product_pure(plus_step_state(2), 7)) < 6
+
+    def test_two_block_path_keeps_no_block_weights(self):
+        # a real, P-symmetric step state with a_0 != a_2 takes the two
+        # reversal blocks (1134 and 1053): 16.8 B/D^2 with stored block
+        # weights, near 11 when each block is built per evaluation
+        a = np.array([0.3, 0.5, 0.8])
+        state = SymmetricState(n_atoms=2, amplitudes=a / np.linalg.norm(a))
+        assert self._traced_peak(product_pure(state, 7)) < 14
+
+    @pytest.mark.parametrize("n_atoms, k", [(1, 4), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n_gens", [0, 1, 2])
+    def test_block_builder_matches_orbit_formula(self, n_atoms, k, n_gens):
+        # each block built off the table equals (x_b x_b^T) * W_i bit for bit,
+        # W_i[O, O'] = s s' sum_h chi_i(h) W[r, h r'] formed from the full W
+        # with the h = 0 term first, then +- each further one, then * s s'
+        ws = BoundWorkspace(PAR, n_atoms, k, 0.6)
+        W = ws.weights
+        x = np.abs(np.random.default_rng(n_atoms + k).normal(size=ws.dim))
+        elements = [np.arange(ws.dim)]  # element j applies the generators named by j's bits
+        for g in ws._gens[:n_gens]:
+            elements += [g[e] for e in elements]
+        chars = scipy.linalg.hadamard(len(elements))
+        group = ws._blocks(n_gens)
+        assert sum(idx.size for idx in group.index) == ws.dim
+        for i, idx in enumerate(group.index):
+            s = sum(e[idx] == idx for e in elements) ** -0.5  # |stabilizer|^(-1/2)
+            Wi = W[np.ix_(idx, idx)]
+            for h in range(1, len(elements)):
+                (np.add if chars[i, h] > 0 else np.subtract)(Wi, W[np.ix_(idx, elements[h][idx])],
+                                                            out=Wi)
+            Wi *= np.outer(s, s)
+            assert np.array_equal(group.block(i, x), np.outer(x[idx], x[idx]) * Wi)
+            assert np.array_equal(group.block(i), Wi)
+
+    def test_sld_only_in_the_trivial_group(self):
+        # one pair's term is not the SLD of a group with several pairs
+        ws = BoundWorkspace(PAR, 1, 3, 0.7)
+        v = product_pure(plus_step_state(1), ws.n_steps)
+        for n_gens in (1, 2):
+            with pytest.raises(ValueError, match="trivial group"):
+                ws._blocks(n_gens).pair_sum(v, want_sld=True)
 
     def test_rejects_wrong_shape(self):
         # the input is a pure vector (D,); a (D, D) matrix is rejected too

@@ -1,6 +1,8 @@
 """Symmetric-subspace state helpers and multi-index bookkeeping."""
 
 from functools import reduce
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qavar.hilbert import (
+    HERMITIAN_TOL,
     SymmetricState,
     coherent_step_state,
     eigh,
@@ -117,14 +120,35 @@ class TestProductStates:
             v = product_pure(plus_step_state(n_atoms), n_steps)
             assert np.array_equal(v, v[flip_index(n_atoms, n_steps)])
 
-    @pytest.mark.parametrize("n_atoms", [68, 1000])
+    @pytest.mark.parametrize("n_atoms", [68, 1000, 1030, 5000])
     def test_plus_state_past_int64_binomials(self, n_atoms):
-        # C(68, 34) > 2^64: the binomials are rounded to float before the root
+        # C(68, 34) > 2^64 and float(C(1030, 515)) overflows: the roots are
+        # built as m 2^e from the exact binomials
         a = plus_step_state(n_atoms).amplitudes
         assert np.array_equal(a, a[::-1])
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
         assert np.allclose(a, coherent_step_state(n_atoms, np.pi / 2, 0.0).amplitudes,
                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 67, 68, 500, 1029])
+    def test_binomial_states_match_float_binomials(self, n_atoms):
+        # wherever float(C(N, n)) is finite both states keep the float
+        # binomials' bits
+        n = np.arange(n_atoms + 1)
+        root = np.sqrt(np.array([comb(n_atoms, j) for j in range(n_atoms + 1)], dtype=float))
+        assert np.array_equal(plus_step_state(n_atoms).amplitudes,
+                              root * 2.0 ** (-0.5 * n_atoms))
+        c, s = np.cos(0.55), np.sin(0.55)
+        assert np.array_equal(coherent_step_state(n_atoms, 1.1, 0.4).amplitudes,
+                              root * c ** (n_atoms - n) * (s * np.exp(0.4j)) ** n)
+
+    @pytest.mark.parametrize("n_atoms", [1030, 5000])
+    @pytest.mark.parametrize("polar", [0.0, 1.1, np.pi, 5.0])
+    def test_coherent_state_at_any_atom_count(self, n_atoms, polar):
+        # past N ~ 2046 the roots alone overflow and the magnitudes are summed in log2
+        a = coherent_step_state(n_atoms, polar, 0.3).amplitudes
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(a).argmax() == pytest.approx(n_atoms * np.sin(polar / 2) ** 2, abs=1.0)
 
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
@@ -170,6 +194,35 @@ class TestEigh:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(a)
         assert np.array_equal(eigh(np.zeros((3, 3)))[0], np.zeros(3))
+
+    def test_exactly_symmetric_input_is_solved_as_is(self):
+        # (a + a^T) / 2 == a bit for bit, so LAPACK gets a itself: the
+        # symmetrized copy's bits, with no copy made
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(50, 50))
+        a = a + a.T
+        sym = np.add(a, a.T, order="F")
+        sym *= 0.5
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as spy:
+            evals, evecs = eigh(a)
+        assert spy.call_args.args[0] is a
+        want = np.linalg.eigh(sym)
+        assert np.array_equal(evals, want[0]) and np.array_equal(evecs, want[1])
+
+    def test_nearly_symmetric_input_is_symmetrized(self):
+        # an asymmetry within HERMITIAN_TOL still goes through (a + a^T) / 2
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(50, 50))
+        a = a + a.T
+        a[3, 5] += 0.5 * HERMITIAN_TOL * np.abs(a).max()
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as spy:
+            eigh(a)
+        solved = spy.call_args.args[0]
+        assert solved is not a and np.array_equal(solved, solved.T)
+        assert np.array_equal(solved, 0.5 * (a + a.T))
+        a[3, 5] += 2.0 * HERMITIAN_TOL * np.abs(a).max()
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigh(a)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
