@@ -6,14 +6,11 @@ stochastic Ramsey-servo simulator to check the bounds from above.
 __version__ = "0.1.0"
 
 from .clock import (
-    AvarEstimate,
-    BoundCheckRow,
     EnsembleAvar,
     FrequencyTrace,
     ServoConfig,
     SimConfig,
     avar_series,
-    bound_check,
     ensemble_avar,
     simulate_clock,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "PlateauFit", "cost_operator", "optimize_joint_state",
     "optimize_product_state", "bound_curve", "extrapolate_long_term",
     # clock
-    "ServoConfig", "SimConfig", "FrequencyTrace", "AvarEstimate", "EnsembleAvar",
-    "BoundCheckRow", "simulate_clock", "avar_series", "ensemble_avar",
-    "bound_check",
+    "ServoConfig", "SimConfig", "FrequencyTrace", "EnsembleAvar",
+    "simulate_clock", "avar_series", "ensemble_avar",
 ]

@@ -19,28 +19,26 @@ since an operation on a numpy scalar costs 0.2-0.6 us: each step does the
 same IEEE operations, in the same order, as the textbook loop on numpy
 scalars, so the record is the same to the bit.
 
-The corrected fractional frequency record y_i = theta_i / T - c_i feeds the
-overlapping Allan variance estimator, which averages every run of k
-consecutive steps and halves the mean squared difference of block means k
-steps apart.
+The corrected record y_i = theta_i / T - c_i is an angular frequency
+(rad/s).  The overlapping Allan variance estimator averages every run of k
+consecutive steps, halves the mean squared difference of block means k
+steps apart, and divides by omega0^2 to make it fractional.
 
 `ensemble_avar` is the one n-run ensemble: it runs each clock from its own
 child of SeedSequence(seed) and reduces the traces to the mean overlapping
-Allan variance and its standard error per tau.  `bound_check` lays those
-rows against sigma2_q.
+Allan variance and its standard error per tau.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import ProductProbe, Scenario, layout_k, qavar
-from .hilbert import SymmetricState, plus_step_state
+from .core import layout_k
 from .noise import _CHUNK, NoiseParams, lo_phases
 
 # Most uniforms one servo chunk draws (512 KB): above N = 64 atoms a chunk
@@ -51,13 +49,10 @@ __all__ = [
     "ServoConfig",
     "SimConfig",
     "FrequencyTrace",
-    "AvarEstimate",
     "EnsembleAvar",
-    "BoundCheckRow",
     "simulate_clock",
     "avar_series",
     "ensemble_avar",
-    "bound_check",
 ]
 
 
@@ -110,16 +105,8 @@ class SimConfig:
 class FrequencyTrace:
     """Per-step record of a simulated run (angular units, rad/s)."""
 
-    T: float
-    omega0: float
     y: np.ndarray
     corrections: np.ndarray
-
-
-@dataclass(frozen=True)
-class AvarEstimate:
-    avar: float
-    n_pairs: int
 
 
 @dataclass(frozen=True)
@@ -132,14 +119,6 @@ class EnsembleAvar:
     avar: float
     stderr: float
     n_pairs: int
-
-
-@dataclass(frozen=True)
-class BoundCheckRow(EnsembleAvar):
-    """An ensemble row laid against the bound at the same layout."""
-
-    sigma2_q: float
-    violation: bool
 
 
 def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
@@ -187,17 +166,16 @@ def simulate_clock(config: SimConfig, seed: int) -> FrequencyTrace:
             cs.append(corr)
             corr += step[m]
         corrections[lo:lo + len(cs)] = cs
-    return FrequencyTrace(T=T, omega0=p.omega0, y=theta / T - corrections,
-                          corrections=corrections)
+    return FrequencyTrace(y=theta / T - corrections, corrections=corrections)
 
 
-def avar_series(y: np.ndarray, T: float, k: int, omega0: float) -> AvarEstimate:
-    """Overlapping fractional Allan variance of a stepwise frequency record.
+def avar_series(y: np.ndarray, k: int, omega0: float) -> float:
+    """Overlapping fractional Allan variance of a stepwise angular frequency
+    record y (rad/s) at tau = k T, for steps of length T.
 
     Block means over k consecutive steps, the window sliding by one step;
     the estimator is the halved mean squared difference of block means k
-    steps apart, divided by omega0^2, at tau = k T.  n samples give
-    n - 2k + 1 pairs.
+    steps apart, divided by omega0^2.  n samples give n - 2k + 1 pairs.
     """
     y = np.asarray(y, dtype=float)
     if k < 1:
@@ -208,8 +186,7 @@ def avar_series(y: np.ndarray, T: float, k: int, omega0: float) -> AvarEstimate:
     csum = np.concatenate([[0.0], np.cumsum(y)])
     block = (csum[k:] - csum[:-k]) / k
     diffs = block[k:] - block[:-k]
-    avar = float(np.mean(diffs**2) / (2.0 * omega0**2))
-    return AvarEstimate(avar=avar, n_pairs=int(diffs.size))
+    return float(np.mean(diffs**2) / (2.0 * omega0**2))
 
 
 def ensemble_avar(
@@ -232,48 +209,14 @@ def ensemble_avar(
             raise ValueError(f"tau={tau} needs 2k = {2 * k} steps, more than "
                              f"n_steps={config.n_steps}")
     per_run = np.empty((len(ks), n_runs))
-    n_pairs = [0] * len(ks)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
-        trace = simulate_clock(config, int(child.generate_state(1)[0]))
+        y = simulate_clock(config, int(child.generate_state(1)[0])).y
         for j, k in enumerate(ks):
-            est = avar_series(trace.y, trace.T, k, trace.omega0)
-            per_run[j, r] = est.avar
-            n_pairs[j] += est.n_pairs
+            per_run[j, r] = avar_series(y, k, config.noise.omega0)
     return tuple(
         EnsembleAvar(tau=float(tau), k=k, avar=float(vals.mean()),
-                     stderr=float(vals.std(ddof=1) / np.sqrt(n_runs)), n_pairs=pairs)
-        for tau, k, vals, pairs in zip(taus, ks, per_run, n_pairs)
+                     stderr=float(vals.std(ddof=1) / np.sqrt(n_runs)),
+                     n_pairs=n_runs * (config.n_steps - 2 * k + 1))
+        for tau, k, vals in zip(taus, ks, per_run)
     )
 
-
-def bound_check(
-    config: SimConfig,
-    probe: SymmetricState | None,
-    taus: Sequence[float],
-    n_runs: int,
-    seed: int,
-) -> tuple[BoundCheckRow, ...]:
-    """Ensemble comparison of simulated Allan variance against the bound.
-
-    Takes the `ensemble_avar` rows at each tau, computes sigma2_q for the
-    matching scenario with the given per-step probe (default: all atoms in
-    |+>), and flags any tau where
-
-        avar_mean + 3 * stderr < sigma2_q ,
-
-    i.e. a statistically significant violation of the bound.
-    """
-    if probe is None:
-        probe = plus_step_state(config.n_atoms)
-    elif probe.n_atoms != config.n_atoms:
-        raise ValueError(f"probe has {probe.n_atoms} atoms, n_atoms={config.n_atoms}")
-    probe = ProductProbe(probe)
-    rows = []
-    for est in ensemble_avar(config, taus, n_runs, seed):
-        scen = Scenario(noise=config.noise, n_atoms=config.n_atoms, k=est.k,
-                        T=config.T, probe=probe)
-        s2q = qavar(scen).sigma2_q
-        rows.append(BoundCheckRow(
-            **asdict(est), sigma2_q=s2q, violation=bool(est.avar + 3.0 * est.stderr < s2q),
-        ))
-    return tuple(rows)

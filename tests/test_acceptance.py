@@ -269,8 +269,7 @@ def test_07_servo_simulation_vs_bound(capsys):
         traces = [simulate_clock(cfg, int(s.generate_state(1)[0])) for s in seeds]
         for tau in taus:
             k = int(round(tau / T))
-            vals = np.array([avar_series(tr.y, T, k, REF.omega0).avar
-                             for tr in traces])
+            vals = np.array([avar_series(tr.y, k, REF.omega0) for tr in traces])
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(n_runs))
             scen = Scenario(noise=REF, n_atoms=N, k=k, T=T,
@@ -297,7 +296,7 @@ def test_08_white_noise_free_running_avar(capsys):
     y = np.sqrt(par.beta / T) * np.random.default_rng(7).standard_normal(400_000)
     worst = 0.0
     for k in (1, 2, 5, 10):
-        est = avar_series(y, T, k, par.omega0).avar
+        est = avar_series(y, k, par.omega0)
         want = par.beta / (W0SQ * k * T)
         worst = max(worst, abs(est / want - 1.0))
     ok = worst <= 0.10

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import qavar.cli as cli
-from qavar.hilbert import plus_step_state
+from qavar.core import ProductProbe, Scenario, qavar
+from qavar.hilbert import ghz_step_state, plus_step_state
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import bound_curve
 
@@ -164,6 +165,30 @@ class TestValidation:
         doc = {"mode": "lo-avar", "noise": NOISE, "tau": [1.0], "seeds": [7]}
         assert cli.validate(doc).seed == 7
         assert cli.validate(doc, seed_override=9).seed == 9
+
+    @pytest.mark.parametrize("mode, doc, want", [
+        ("bound", {"tau": [1.0, 2.0], "k_max": 1}, [
+            "# config-hash 83b7d388625a5768533e2a7b08c5cf7c17207e390383cad4b376ff9b3c5387b4",
+            "tau,k,T,sigma2_lo,sigma2_q,c_running,seed,status",
+            "1.0,,,,,,0,skipped: no k in 1..1 fits dimension cap 20000 for N=40000",
+            "2.0,,,,,,0,skipped: no k in 1..1 fits dimension cap 20000 for N=40000"]),
+        ("bound-check", {"tau": [1.0, 0.5], "sim": SIM}, [
+            "# config-hash a432d3b466ca045bca2076c81fe230e5581ebfad18176e0bb276e722233d67ef",
+            "tau,k,T,avar,stderr,sigma2_q,violation,seed,status",
+            "0.5,1,0.5,,,,,0,skipped: k=1 needs joint dimension 40001 > cap 20000",
+            "1.0,2,0.5,,,,,0,skipped: k=2 needs joint dimension 64004800120001 > cap 20000"]),
+    ])
+    def test_config_the_cap_skips_builds_no_probe(self, tmp_path, monkeypatch, mode, doc, want):
+        # N + 1 > dim_cap: no row fits, so the O(N^2) |+> build is skipped
+        def refuse(n_atoms):
+            raise AssertionError("probe built")
+
+        monkeypatch.setattr(cli, "plus_step_state", refuse)
+        doc = dict(doc, noise=NOISE, atoms=40000, probe={"kind": "plus"})
+        code, out = run_cli(tmp_path, doc, mode)
+        assert code == 3
+        assert out.read_text().splitlines() == [f"# qavar {cli.__version__}", want[0], "# seed 0",
+                                               *want[1:]]
 
 
 class TestSchemaMatchesCanonical:
@@ -441,14 +466,30 @@ class TestSimulateAndCheckModes:
         assert len(lines) == 6
 
     def test_bound_check_no_violation(self, tmp_path):
-        doc = {"noise": NOISE, "tau": [0.5], "atoms": 1,
+        doc = {"noise": NOISE, "tau": [0.5, 1.0], "atoms": 1,
                "probe": {"kind": "plus"},
                "sim": {"T": 0.5, "n_steps": 2000, "n_runs": 4}}
         code, out = run_cli(tmp_path, doc, "bound-check")
         assert code == 0
-        header = out.read_text().splitlines()[3].split(",")
-        row = out.read_text().splitlines()[4].split(",")
-        assert row[header.index("violation")] == "false"
+        rows = csv_rows(out)
+        assert [row["violation"] for row in rows] == ["false", "false"]
+        # servo noise sits above the bound
+        assert all(float(row["avar"]) > float(row["sigma2_q"]) for row in rows)
+
+    def test_bound_check_ghz_rows_are_qavar_and_the_3se_rule(self, tmp_path):
+        doc = {"noise": NOISE, "tau": [0.5, 1.0], "atoms": 2, "probe": {"kind": "ghz"},
+               "sim": {"T": 0.5, "n_steps": 500, "n_runs": 2}, "seeds": [1]}
+        code, out = run_cli(tmp_path, doc, "bound-check")
+        assert code == 0
+        rows = csv_rows(out)
+        assert [row["k"] for row in rows] == ["1", "2"]
+        for row, k in zip(rows, (1, 2)):
+            scen = Scenario(noise=PAR, n_atoms=2, k=k, T=0.5,
+                            probe=ProductProbe(ghz_step_state(2)))
+            s2q = qavar(scen).sigma2_q
+            assert row["sigma2_q"] == repr(float(s2q))
+            below = float(row["avar"]) + 3.0 * float(row["stderr"]) < s2q
+            assert row["violation"] == ("true" if below else "false")
 
     def test_bound_check_avar_columns_equal_simulate(self, tmp_path):
         # both modes reduce the same ensemble
@@ -478,7 +519,6 @@ class TestSimulateAndCheckModes:
         assert code == 3
         assert out.read_text().count("skipped: k=") == 2
         assert "all 2 rows skipped" in capsys.readouterr().err
-
 
 def assert_matches_golden(out, name):
     """out, the CSV of configs/<name>.json, against its golden file, token by token.

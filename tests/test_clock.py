@@ -1,18 +1,20 @@
 """Clock simulator and Allan estimators."""
 
+import json
+
 import numpy as np
 import pytest
 
+import qavar.cli as cli
 from qavar.clock import (
     ServoConfig,
     SimConfig,
     avar_series,
-    bound_check,
     ensemble_avar,
     simulate_clock,
 )
-from qavar.core import ProductProbe, Scenario, qavar
-from qavar.hilbert import ghz_step_state, plus_step_state
+from qavar.core import ProductProbe, Scenario, layout_k, qavar
+from qavar.hilbert import plus_step_state
 from qavar.noise import NoiseParams, free_lo_avar, kernel_set, lo_phases
 
 PAR = NoiseParams(alpha=2.0, beta=0.4, gamma=0.5, omega0=3.25e15)
@@ -51,35 +53,29 @@ def _replay(cfg, seed):
 class TestAvarSeries:
     def test_constant_record_is_zero(self):
         n, c, omega0 = 100, 3.7, 2.0
-        est = avar_series(np.full(n, c), T=0.5, k=4, omega0=omega0)
+        avar = avar_series(np.full(n, c), k=4, omega0=omega0)
         # the running-sum block means carry roundoff of order n eps |c|
-        assert 0.0 <= est.avar <= (n * np.finfo(float).eps * c) ** 2 / (2.0 * omega0**2)
+        assert 0.0 <= avar <= (n * np.finfo(float).eps * c) ** 2 / (2.0 * omega0**2)
 
     def test_alternating_record_known_value(self):
         v = 1.5
         y = v * np.array([1.0, -1.0] * 8)
-        est = avar_series(y, T=1.0, k=1, omega0=2.0)
         # adjacent diffs all +-2v: mean square 4 v^2, halved, / omega0^2
-        assert est.avar == pytest.approx(2.0 * v**2 / 4.0, rel=1e-14)
-        assert est.n_pairs == 16 - 2 + 1
-        # averaging an odd signal over k=2 blocks kills it; the window
-        # slides by one step, so n samples give n - 2k + 1 pairs
-        est2 = avar_series(y, T=1.0, k=2, omega0=2.0)
-        assert est2.avar == pytest.approx(0.0, abs=1e-30)
-        assert est2.n_pairs == 16 - 4 + 1
+        assert avar_series(y, k=1, omega0=2.0) == pytest.approx(2.0 * v**2 / 4.0, rel=1e-14)
+        # averaging an odd signal over k=2 blocks kills it
+        assert avar_series(y, k=2, omega0=2.0) == pytest.approx(0.0, abs=1e-30)
 
     def test_overlapping_uses_more_pairs(self):
         records = np.random.default_rng(0).normal(size=(200, 256))
-        over = [avar_series(y, 1.0, 8, 1.0) for y in records]
+        over = [avar_series(y, 8, 1.0) for y in records]
         plain = [_non_overlapping_avar(y, 8, 1.0) for y in records]
-        assert over[0].n_pairs == 256 - 16 + 1
         assert plain[0][1] == 256 // 8 - 1
-        # the extra, overlapping pairs lower the scatter over realizations
-        assert np.std([e.avar for e in over]) < 0.85 * np.std([a for a, _ in plain])
+        # the 256 - 16 + 1 overlapping pairs lower the scatter over realizations
+        assert np.std(over) < 0.85 * np.std([a for a, _ in plain])
 
     def test_estimators_agree_on_white_noise(self):
         y = np.random.default_rng(1).normal(size=200_000)
-        over = avar_series(y, 1.0, 10, 1.0).avar
+        over = avar_series(y, 10, 1.0)
         plain, _ = _non_overlapping_avar(y, 10, 1.0)
         # same estimand, Var/k for unit white noise
         assert over == pytest.approx(plain, rel=0.1)
@@ -87,9 +83,9 @@ class TestAvarSeries:
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="2k"):
-            avar_series(np.ones(5), 1.0, 3, 1.0)
+            avar_series(np.ones(5), 3, 1.0)
         with pytest.raises(ValueError):
-            avar_series(np.ones(5), 1.0, 0, 1.0)
+            avar_series(np.ones(5), 0, 1.0)
 
 
 class TestSimulateClock:
@@ -110,7 +106,6 @@ class TestSimulateClock:
         table = cfg.servo.gain / cfg.T * (2.0 * np.arange(4) / 3 - 1.0)
         gap = np.abs(np.diff(tr.corrections)[:, None] - table).min(axis=1)
         assert gap.max() < 1e-9 * (table[1] - table[0])
-        assert tr.T == 0.5 and tr.omega0 == PAR.omega0
 
     def test_raw_phase_statistics_match_kernels(self):
         # theta_i = T*(y_i + corr_i) recovers the raw LO phases; their
@@ -208,7 +203,7 @@ class TestSimulateClock:
         cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=40_000)
         tr = simulate_clock(cfg, seed=5)
         k = 40  # tau = 20 s
-        got = avar_series(tr.y, tr.T, k, tr.omega0).avar
+        got = avar_series(tr.y, k, PAR.omega0)
         free = float(free_lo_avar(PAR, 20.0))
         assert got < 0.5 * free
 
@@ -258,10 +253,10 @@ class TestWhiteNoiseCalibration:
         n = 400_000
         y = rng.normal(0.0, np.sqrt(white.beta / T), size=n)
         for k in (1, 2, 4, 10):
-            est = avar_series(y, T, k, white.omega0)
+            est = avar_series(y, k, white.omega0)
             # Var(y) / (k omega0^2) for white samples of variance beta / T
             want = white.beta / (white.omega0**2 * k * T)
-            assert est.avar == pytest.approx(want, rel=0.1), k
+            assert est == pytest.approx(want, rel=0.1), k
 
 
 class TestEnsembleAvar:
@@ -275,11 +270,18 @@ class TestEnsembleAvar:
         rows = ensemble_avar(cfg, taus, n_runs, seed=11)
         assert [(r.tau, r.k) for r in rows] == [(0.5, 1), (1.5, 3), (1.0, 2)]
         for row in rows:
-            ests = [avar_series(tr.y, tr.T, row.k, tr.omega0) for tr in traces]
-            vals = np.array([e.avar for e in ests])
+            vals = np.array([avar_series(tr.y, row.k, PAR.omega0) for tr in traces])
             assert row.avar == float(vals.mean())
             assert row.stderr == float(vals.std(ddof=1) / np.sqrt(n_runs))
-            assert row.n_pairs == sum(e.n_pairs for e in ests) == n_runs * (600 - 2 * row.k + 1)
+
+    @pytest.mark.parametrize("n_steps", [9, 10])
+    def test_n_pairs_counts_the_pairs_of_every_run(self, n_steps):
+        # each run of n_steps samples gives n_steps - 2k + 1 overlapping pairs
+        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=n_steps)
+        taus = [0.5 * k for k in range(1, n_steps // 2 + 1)]
+        rows = ensemble_avar(cfg, taus, n_runs=3, seed=2)
+        assert [r.n_pairs for r in rows] == [3 * (n_steps - 2 * k + 1)
+                                             for k in range(1, n_steps // 2 + 1)]
 
     def test_needs_two_runs(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
@@ -313,38 +315,46 @@ class TestEnsembleAvar:
 
 
 class TestBoundCheck:
+    """The servo checked against the bound: each `ensemble_avar` row beside
+    sigma2_q at the same layout, a violation where avar + 3 stderr < sigma2_q
+    (README's example, demo 04 and `qavar bound-check`)."""
+
+    @staticmethod
+    def _bound_check_cli(tmp_path, tau, n_runs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "noise": {"alpha": PAR.alpha, "beta": PAR.beta, "gamma": PAR.gamma,
+                      "omega0": PAR.omega0},
+            "tau": [tau], "atoms": 1, "probe": {"kind": "plus"},
+            "sim": {"T": 0.5, "n_steps": 100, "n_runs": n_runs}}))
+        out = tmp_path / "out.csv"
+        code = cli.main(["bound-check", "--config", str(cfg), "--out", str(out)])
+        return code, out
+
     def test_no_violation_in_small_config(self):
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=3000)
-        rows = bound_check(cfg, None, taus=[0.5, 1.0], n_runs=6, seed=0)
-        assert isinstance(rows, tuple)
-        assert not any(row.violation for row in rows)
-        for row, est, k in zip(rows, ensemble_avar(cfg, [0.5, 1.0], 6, seed=0), (1, 2)):
-            assert row.k == k
-            assert (row.tau, row.avar, row.stderr) == (est.tau, est.avar, est.stderr)
+        rows = ensemble_avar(cfg, [0.5, 1.0], n_runs=6, seed=0)
+        assert [row.k for row in rows] == [1, 2]
+        for row in rows:
+            scen = Scenario(PAR, 1, row.k, cfg.T, ProductProbe(plus_step_state(1)))
+            s2q = qavar(scen).sigma2_q
             assert row.stderr > 0
-            assert row.avar > row.sigma2_q  # servo noise sits above the bound
+            assert not row.avar + 3.0 * row.stderr < s2q
+            assert row.avar > s2q  # servo noise sits above the bound
 
-    def test_bound_values_match_qavar(self):
-        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=500)
-        (row,) = bound_check(cfg, ghz_step_state(2), taus=[1.0], n_runs=2, seed=1)
-        scen = Scenario(noise=PAR, n_atoms=2, k=2, T=0.5,
-                        probe=ProductProbe(ghz_step_state(2)))
-        assert row.sigma2_q == pytest.approx(qavar(scen).sigma2_q, rel=1e-12)
-
-    def test_non_commensurate_tau_rejected(self):
+    def test_non_commensurate_tau_rejected(self, tmp_path, capsys):
+        # neither the simulator nor the bound's layout takes a tau off the T grid
         cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
         with pytest.raises(ValueError, match="multiple"):
-            bound_check(cfg, None, taus=[0.7], n_runs=2, seed=0)
+            ensemble_avar(cfg, [0.7], n_runs=2, seed=0)
+        with pytest.raises(ValueError, match="multiple"):
+            layout_k(0.7, cfg.T)
+        code, out = self._bound_check_cli(tmp_path, tau=0.7, n_runs=2)
+        assert code == 2 and not out.exists()
+        assert "tau: 0.7 is not a positive integer multiple of sim.T=0.5" in capsys.readouterr().err
 
-    def test_needs_two_runs(self):
-        cfg = SimConfig(noise=PAR, n_atoms=1, T=0.5, n_steps=100)
-        with pytest.raises(ValueError, match="n_runs"):
-            bound_check(cfg, None, taus=[0.5], n_runs=1, seed=0)
-
-    def test_probe_of_wrong_size_rejected_before_any_run(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr("qavar.clock.simulate_clock", lambda *a: calls.append(a))
-        cfg = SimConfig(noise=PAR, n_atoms=2, T=0.5, n_steps=200)
-        with pytest.raises(ValueError, match="probe has 3 atoms, n_atoms=2"):
-            bound_check(cfg, ghz_step_state(3), taus=[0.5], n_runs=3, seed=0)
-        assert calls == []
+    def test_needs_two_runs(self, tmp_path, capsys):
+        # the 3-SE rule needs a standard error over runs
+        code, out = self._bound_check_cli(tmp_path, tau=0.5, n_runs=1)
+        assert code == 2 and not out.exists()
+        assert "sim.n_runs: must be an integer >= 2, got 1" in capsys.readouterr().err
