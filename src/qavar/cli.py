@@ -18,10 +18,10 @@ Exit codes: 0 success, 2 validation error, 3 resource limit (the dimension
 cap left no work, or memory ran out), 4 numerical failure.
 
 BLAS threads are left to the environment.  `optimize` and `bound` make many
-small eigensolves, which OpenBLAS's default threading slows: on a 2-core
-host a 4-tau, N = 2, k_max = 3 `optimize` config took 1.22-1.36 s by
-default and 0.95-1.02 s with OPENBLAS_NUM_THREADS=1 set before Python
-starts, about 1.3x faster, with the same CSV bytes.
+small eigensolves, where threads gain little: on a 2-core host a 4-tau,
+N = 2, k_max = 3 `optimize` config took 0.30-0.42 s with OpenBLAS's default
+threads and 0.28-0.43 s with OPENBLAS_NUM_THREADS=1 set before Python
+starts (11 alternating runs each), with the same CSV bytes.
 """
 
 from __future__ import annotations

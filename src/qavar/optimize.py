@@ -32,10 +32,12 @@ state with a_(N/2) = 0.
 `extrapolate_long_term` reads off the 1/tau coefficient from the plateau of
 c(tau) = sigma2_q * omega0^2 * tau.
 
-scipy is loaded by the two optimizers alone, at first use: the product
-search imports scipy.optimize, and the see-saw's subset eigensolve
-(`hilbert.eigh` with `lowest`) imports scipy.linalg.  Importing this module,
-or a sweep of a fixed probe, loads neither.
+scipy is loaded by two searches alone, at first use: the Nelder-Mead
+product search (N >= 4) imports scipy.optimize, and the see-saw's subset
+eigensolve (`hilbert.eigh` with `lowest`) imports scipy.linalg.  The
+one-angle search (N = 2, 3) runs `_bounded_brent`, scipy's bounded Brent
+method repeated here step for step.  Importing this module, a sweep of a
+fixed probe or a product search at N <= 3 loads neither.
 """
 
 from __future__ import annotations
@@ -208,18 +210,89 @@ def _chart_from_amps(amps: np.ndarray, n_atoms: int) -> np.ndarray:
     return np.array([np.arctan2(np.linalg.norm(b[j + 1:]), b[j]) for j in range(half)])
 
 
+def _bounded_brent(f, a: float, b: float, xatol: float, maxfev: int) -> bool:
+    """Minimize f over [a, b] by Brent's bounded method; True if it converged.
+
+    Operation for operation scipy 1.17.1's `_minimize_scalar_bounded`
+    (`minimize_scalar(method="bounded")`, `maxiter` = maxfev): the same
+    golden-section and parabolic steps and tol1/tol2 updates, so f sees the
+    same x bit for bit.  Only the cap moved: it is checked before each
+    evaluation, so the run makes at most maxfev calls (scipy makes two at
+    maxiter = 1).  False when the cap stopped the run, or x or f(x) was NaN.
+    """
+    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num, fu = 1, np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while num < maxfev and np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return bool(num < maxfev and not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu)))
+
+
 def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> OptimizeReport:
     """Optimize an identical flip-symmetric per-step pure probe (input rho0^(x)K).
 
     The search runs over the mirrored chart's N//2 angles.  With no angle
     (N = 1) it is one evaluation of |+>.  With one angle (N = 2, 3) it is
-    one bounded Brent run over x in [0, pi/2], which spans every
-    non-negative flip-symmetric state (signs are a gauge), so it needs no
-    start; `maxfev` caps its evaluations (500, scipy's default, when None),
-    and maxfev = 1 evaluates the run's first point alone.  With more
-    angles it is one Nelder-Mead run, capped by `maxfev` (scipy's 200 per angle
-    when None) and started from the flip-averaged scenario probe if it is
-    a ProductProbe (the warm start of a tau or k sweep), else from |+>.
+    one bounded Brent run (`_bounded_brent`) over x in [0, pi/2], which
+    spans every non-negative flip-symmetric state (signs are a gauge), so it
+    needs no start; `maxfev` caps its evaluations (500, scipy's default, when
+    None), and the run checks it before each one, so maxfev = 1 evaluates
+    its first, golden-section point alone.  With more angles it is one
+    Nelder-Mead run, capped by `maxfev` (scipy's 200 per angle when None)
+    and started from the flip-averaged scenario probe if it is a
+    ProductProbe (the warm start of a tau or k sweep), else from |+>.
     Every search point is exactly P- and F-symmetric, so it takes
     `evaluate`'s four blocks.  A probe that does not fit the scenario
     raises qavar's ValueError first.
@@ -232,8 +305,6 @@ def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> 
     no certificate point fell below the optimum.  A `maxfev` < 1 raises
     ValueError: the run would evaluate nothing.
     """
-    from scipy.optimize import minimize, minimize_scalar  # loaded by the first search only
-
     if maxfev is not None and maxfev < 1:
         raise ValueError(f"maxfev must be >= 1 or None, got {maxfev}")
     N = scenario.n_atoms
@@ -258,13 +329,11 @@ def optimize_product_state(scenario: Scenario, maxfev: Optional[int] = None) -> 
     n_angles, success = N // 2, True
     if n_angles == 0:
         eval_amps(plus_step_state(N).amplitudes)
-    elif n_angles == 1 and maxfev == 1:  # scipy's bounded run would make two evaluations
-        eval_chart((3.0 - 5.0**0.5) / 2.0 * np.pi / 2)  # its first point, golden-section
-        success = False
     elif n_angles == 1:
-        success = minimize_scalar(eval_chart, bounds=(0.0, np.pi / 2), method="bounded",
-                                  options=dict(xatol=1e-6, maxiter=maxfev or 500)).success
+        success = _bounded_brent(eval_chart, 0.0, np.pi / 2, 1e-6, maxfev or 500)
     else:
+        from scipy.optimize import minimize  # loaded by the first Nelder-Mead search only
+
         probe = scenario.probe
         start = probe.state if isinstance(probe, ProductProbe) else plus_step_state(N)
         success = minimize(eval_chart, _chart_from_amps(start.amplitudes, N),

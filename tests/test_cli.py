@@ -566,7 +566,7 @@ class TestGoldenCsv:
         assert rows and all(int(row["iterations"]) <= 20 for row in rows)
 
 
-# Runs configs/<name>.json for each name after the first two arguments (the
+# Runs <configs>/<name>.json for each name after the first two arguments (the
 # config and output folders) in a fresh interpreter, then prints the scipy
 # modules it loaded.
 _RUN_CONFIGS = """\
@@ -582,17 +582,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_modules_after(tmp_path, names):
+def scipy_modules_after(tmp_path, names, configs=CONFIG_DIR):
     env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _RUN_CONFIGS, str(CONFIG_DIR), str(tmp_path),
+    proc = subprocess.run([sys.executable, "-c", _RUN_CONFIGS, str(configs), str(tmp_path),
                            *names], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestStartsWithoutScipy:
-    """Only the optimizers load scipy; every other mode runs on numpy alone."""
+    """Only the Nelder-Mead search and the see-saw load scipy; all else runs on numpy."""
 
     def test_fixed_probe_modes_load_no_scipy(self, tmp_path):
         names = ["bound_plus", "bound_check", "simulate", "lo_avar"]
@@ -600,9 +600,24 @@ class TestStartsWithoutScipy:
         for name in names:
             assert_matches_golden(tmp_path / f"{name}.csv", name)
 
-    def test_optimize_mode_loads_scipy_at_its_search(self, tmp_path):
-        assert "scipy.optimize" in scipy_modules_after(tmp_path, ["optimize_product"])
+    def test_one_angle_product_search_loads_no_scipy(self, tmp_path):
+        # N = 2: each row's search is the in-house bounded Brent run
+        assert scipy_modules_after(tmp_path, ["optimize_product"]) == []
         assert_matches_golden(tmp_path / "optimize_product.csv", "optimize_product")
+
+    def test_nelder_mead_search_loads_scipy_optimize(self, tmp_path):
+        # N = 4 has two angles, so the product search is a Nelder-Mead run
+        doc = dict(MINIMAL["optimize"], mode="optimize", atoms=4)
+        write_config(tmp_path, doc, "nelder_mead.json")
+        assert "scipy.optimize" in scipy_modules_after(tmp_path, ["nelder_mead"], tmp_path)
+
+    def test_see_saw_loads_scipy_linalg_alone(self, tmp_path):
+        doc = dict(MINIMAL["optimize"], mode="optimize", atoms=2,
+                   probe={"kind": "optimize-joint"})
+        write_config(tmp_path, doc, "see_saw.json")
+        loaded = scipy_modules_after(tmp_path, ["see_saw"], tmp_path)
+        assert "scipy.linalg" in loaded
+        assert "scipy.optimize" not in loaded
 
 
 class TestMainEntry:

@@ -8,7 +8,7 @@ import scipy.optimize
 from scipy.optimize import minimize, minimize_scalar
 
 from bound_reference import cost_functional
-from qavar import core
+from qavar import core, optimize
 from qavar.core import (
     BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar,
 )
@@ -17,6 +17,7 @@ from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
     CERT_STEP,
     _amps_from_chart,
+    _bounded_brent,
     _chart_from_amps,
     bound_curve,
     cost_operator,
@@ -227,8 +228,8 @@ class TestProductSearch:
         assert optimize_product_state(sc).sigma2_q <= qavar(sc).sigma2_q * (1 + 1e-9)
 
     def test_maxfev_bounds_the_evaluations(self):
-        # scipy's counting wrapper refuses every call past maxfev, so the run
-        # makes exactly 7; the certificate adds its one point at N = 2
+        # the Brent run checks the cap before each evaluation, so it makes
+        # exactly 7; the certificate adds its one point at N = 2
         sc = plus_scenario(n_atoms=2, k=2, T=0.5)
         rep = optimize_product_state(sc, maxfev=7)
         assert np.isfinite(rep.sigma2_q)
@@ -243,7 +244,7 @@ class TestProductSearch:
     def test_no_angle_no_run_and_maxfev_caps_nothing(self, monkeypatch):
         # N = 1 has no free angle: one evaluation of |+>, then the certificate
         monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(optimize, "_bounded_brent", lambda *a, **kw: pytest.fail("ran"))
         sc = plus_scenario(n_atoms=1, k=2, T=0.5)
         for maxfev in (None, 1):
             rep = optimize_product_state(sc, maxfev=maxfev)
@@ -271,7 +272,7 @@ class TestProductSearch:
             return runs[-1]
 
         monkeypatch.setattr(scipy.optimize, "minimize", counted)
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(optimize, "_bounded_brent", lambda *a, **kw: pytest.fail("ran"))
         rep = optimize_product_state(plus_scenario(n_atoms=4, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
         assert runs[0].x.shape == (2,)  # N//2 angles
@@ -282,27 +283,28 @@ class TestProductSearch:
     @pytest.mark.parametrize("maxfev", [None, 5])
     def test_one_bounded_brent_run_per_search(self, monkeypatch, n_atoms, maxfev):
         # one angle (N = 2, 3): one bounded run over [0, pi/2], no Nelder-Mead
-        runs, kwargs_seen = [], []
+        runs, evals = [], []
 
-        def counted(*args, **kwargs):
-            kwargs_seen.append(kwargs)
-            runs.append(minimize_scalar(*args, **kwargs))
-            return runs[-1]
+        def counted(f, a, b, xatol, cap):
+            runs.append(((a, b), cap, _bounded_brent(lambda x: evals.append(x) or f(x),
+                                                     a, b, xatol, cap)))
+            return runs[-1][2]
 
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted)
+        monkeypatch.setattr(optimize, "_bounded_brent", counted)
         monkeypatch.setattr(scipy.optimize, "minimize", lambda *a, **kw: pytest.fail("ran"))
         rep = optimize_product_state(plus_scenario(n_atoms=n_atoms, k=2, T=0.5), maxfev=maxfev)
         assert len(runs) == 1
-        assert kwargs_seen[0]["bounds"] == (0.0, np.pi / 2)
-        assert kwargs_seen[0]["method"] == "bounded"
-        assert rep.converged == bool(runs[0].success) == (maxfev is None)
-        assert rep.n_evals == runs[0].nfev + (n_atoms + 1) // 2
+        bounds, cap, success = runs[0]
+        assert bounds == (0.0, np.pi / 2)
+        assert cap == (maxfev or 500)
+        assert rep.converged == success == (maxfev is None)
+        assert rep.n_evals == len(evals) + (n_atoms + 1) // 2
 
     @pytest.mark.parametrize("n_atoms", [2, 3])
     @pytest.mark.parametrize("maxfev", [1, 2, 5])
     def test_maxfev_caps_the_one_angle_search(self, monkeypatch, n_atoms, maxfev):
         # at most maxfev search points, and they are the first maxfev of the
-        # uncapped run's (maxfev = 1 included, where scipy would make two)
+        # uncapped run's (maxfev = 1 included, where scipy's run makes two)
         evaluate, seen = BoundWorkspace.evaluate, []
 
         def spy(ws, v, want_sld=False):
@@ -428,6 +430,71 @@ class TestProductSearch:
         # one family, so not even the old default is a keyword
         with pytest.raises(TypeError, match="family"):
             optimize_product_state(plus_scenario(), family="symmetric")
+
+
+def chart_objective(n_atoms=2, k=2, T=0.5):
+    """The product search's one-angle objective at a real layout, scaled as it scales it."""
+    ws = BoundWorkspace(PAR, n_atoms, k, T)
+
+    def f(x):
+        state = SymmetricState(n_atoms, _amps_from_chart(np.atleast_1d(x), n_atoms))
+        return ws.evaluate(product_pure(state, ws.n_steps)).sigma2_q * PAR.omega0**2 * k * T
+    return f
+
+
+def nan_at(calls):
+    """(x - 0.7)^2, but NaN at each call number in `calls` (counted from 1)."""
+    count = [0]
+
+    def f(x):
+        count[0] += 1
+        return np.nan if count[0] in calls else (x - 0.7) ** 2
+    return f
+
+
+BRENT_OBJECTIVES = {
+    "interior": lambda: lambda x: (x - 0.7) ** 2,
+    "lower_bound": lambda: lambda x: x,
+    "upper_bound": lambda: lambda x: -x,
+    "constant": lambda: lambda x: 1.0,
+    "kink_at_midpoint": lambda: lambda x: abs(x - np.pi / 4),  # ties reach the rarer point updates
+    "nan_at_third_call": lambda: nan_at({3}),
+    "nan_from_third_call": lambda: nan_at(range(3, 10**6)),
+    "chart_n2_k2": chart_objective,
+}
+
+
+def recorded(f):
+    xs = []
+    return (lambda x: xs.append(x) or f(x)), xs
+
+
+class TestBoundedBrent:
+    """`_bounded_brent` against scipy's bounded `minimize_scalar` on [0, pi/2]."""
+
+    @pytest.mark.parametrize("name", BRENT_OBJECTIVES)
+    @pytest.mark.parametrize("maxfev", [2, 5, 500])
+    def test_same_points_bit_for_bit_as_scipy(self, name, maxfev):
+        ours, ours_x = recorded(BRENT_OBJECTIVES[name]())
+        theirs, theirs_x = recorded(BRENT_OBJECTIVES[name]())
+        success = _bounded_brent(ours, 0.0, np.pi / 2, 1e-6, maxfev)
+        res = minimize_scalar(theirs, bounds=(0.0, np.pi / 2), method="bounded",
+                              options=dict(xatol=1e-6, maxiter=maxfev))
+        assert np.asarray(ours_x, dtype=float).tobytes() == \
+            np.asarray(theirs_x, dtype=float).tobytes()
+        assert success == bool(res.success)
+        assert len(ours_x) == res.nfev
+
+    @pytest.mark.parametrize("name", BRENT_OBJECTIVES)
+    def test_a_cap_of_one_makes_one_evaluation(self, name):
+        # scipy checks its cap after each step's evaluation, so it makes two
+        ours, ours_x = recorded(BRENT_OBJECTIVES[name]())
+        theirs, theirs_x = recorded(BRENT_OBJECTIVES[name]())
+        assert not _bounded_brent(ours, 0.0, np.pi / 2, 1e-6, 1)
+        res = minimize_scalar(theirs, bounds=(0.0, np.pi / 2), method="bounded",
+                              options=dict(xatol=1e-6, maxiter=1))
+        assert not res.success and res.nfev == len(theirs_x) == 2
+        assert ours_x == theirs_x[:1]
 
 
 def full_chart(x, n_atoms):
