@@ -14,8 +14,10 @@ sorted tau grid, so in `optimize` at atoms >= 4 each tau's search starts
 from the previous tau's optimum.  `dim_cap` is applied here only: that
 sweep stops below it, and a bound-check tau over it is a skipped row.
 
-Exit codes: 0 success, 2 validation error, 3 resource limit (the dimension
-cap left no work, or memory ran out), 4 numerical failure.
+Exit codes: 0 success, 2 validation error (also an unreadable or non-UTF-8
+config, or an output path that cannot be written), 3 resource limit (the
+dimension cap left no work, or memory ran out, in validation too), 4
+numerical failure.
 
 BLAS threads are left to the environment.  `optimize` and `bound` make many
 small eigensolves, where threads gain little: on a 2-core host a 4-tau,
@@ -413,6 +415,12 @@ def _rows_bound_check(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     return header, [rows[t] for t in taus]
 
 
+def _out_of_memory(exc: MemoryError) -> int:
+    """Report a MemoryError on one `resource:` line (a bare one has no message)."""
+    print(f"resource: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return EXIT_RESOURCE
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a validated run and write the CSV. Returns the exit code."""
     dispatch = {
@@ -428,8 +436,7 @@ def run(cfg: RunConfig) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        print(f"resource: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _out_of_memory(exc)
 
     bad = [row for row in rows if {"nan", "inf", "-inf"} & set(row)]
     if bad:
@@ -438,7 +445,12 @@ def run(cfg: RunConfig) -> int:
 
     canonical = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
-    with open(cfg.out, "w", newline="") as fh:
+    try:
+        fh = open(cfg.out, "w", newline="")
+    except OSError as exc:
+        print(f"out: cannot write {cfg.out}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    with fh:
         fh.write(f"# qavar {__version__}\n# config-hash {digest}\n# seed {cfg.seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -462,12 +474,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or past a parser limit
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -478,6 +490,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a tau range too large to hold
+        return _out_of_memory(exc)
 
     code = run(cfg)
     if code == EXIT_OK:

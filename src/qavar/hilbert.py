@@ -119,33 +119,24 @@ def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:
     return 0.5 * (v + v[reversal_index(state.n_atoms, n_steps)])
 
 
-def _binomial_roots(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(C(N, n)) = m_n 2^(e_n) for n = 0..N, m_n in [1, 2): no overflow at any N.
-
-    e_n = floor(log2(C) / 2) and m_n = sqrt(C / 4^(e_n)), the quotient of
-    Python ints rounded once, so ldexp(m_n, e_n) == sqrt(float(C)) bit for
-    bit wherever float(C) is finite (N <= 1029).  C(N, n) = C(N, N - n)
-    gives m and e mirrored exactly.
-    """
+def _binomials(n_atoms: int) -> list[int]:
+    """C(N, n) for n = 0..N as exact Python ints, mirrored: C(N, n) == C(N, N - n)."""
     binom = [1]
     for n in range(n_atoms):  # exact: C(N, n) (N - n) is a multiple of n + 1
         binom.append(binom[-1] * (n_atoms - n) // (n + 1))
-    e = np.array([(c.bit_length() - 1) // 2 for c in binom])
-    return np.sqrt(np.array([c / 4**j for c, j in zip(binom, e.tolist())])), e
+    return binom
 
 
 def plus_step_state(n_atoms: int) -> SymmetricState:
     """All atoms in (|g> + |e>)/sqrt(2): equatorial spin-coherent state.
 
-    Built as sqrt(C(N, n)) 2^(-N/2), so a_n == a_(N-n) bit for bit (cos pi/4
-    and sin pi/4 differ in the last bit) and `product_pure` keeps the exact
-    spin-flip symmetry that `BoundWorkspace.evaluate` dispatches on.  The
-    root comes from `_binomial_roots` and the power of two is applied by
-    ldexp, so every N builds (a float binomial overflows from N = 1030) and
-    N <= 1029 gives sqrt(float(C)) * 2.0 ** (-N / 2) bit for bit.
+    Built as sqrt(C(N, n) / 2^N), the Python-int quotient rounded once
+    before the root: every N builds (past N ~ 1074 the tails below 2^-537
+    are 0), and a_n == a_(N-n) bit for bit (cos pi/4 != sin pi/4 in floats),
+    the exact spin-flip symmetry `BoundWorkspace.evaluate` dispatches on.
     """
-    m, e = _binomial_roots(n_atoms)
-    amps = np.ldexp(m * 2.0 ** (-0.5 * (n_atoms % 2)), e - n_atoms // 2)
+    two_n = 2**n_atoms
+    amps = np.sqrt(np.array([c / two_n for c in _binomials(n_atoms)]))
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 
@@ -153,21 +144,13 @@ def coherent_step_state(n_atoms: int, polar: float, azimuth: float) -> Symmetric
     """Spin-coherent state: every atom in cos(polar/2)|g> + e^{i azimuth} sin(polar/2)|e>.
 
     These are exactly the atom-level product states inside the symmetric
-    subspace; amplitudes follow the binomial pattern, sqrt(C(N, n)) from
-    `_binomial_roots`.  Where that product is not finite (from N ~ 2047 the
-    middle roots pass 2^1024) the magnitudes are summed in log2 instead.
+    subspace: sqrt(float(C(N, n))) c^(N-n) (s e^{i azimuth})^n, one rounding
+    before the root.  float(C(N, N/2)) overflows from N = 1030: OverflowError.
     """
     c, s = np.cos(polar / 2.0), np.sin(polar / 2.0)
     n = np.arange(n_atoms + 1)
-    m, e = _binomial_roots(n_atoms)
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = np.ldexp(m, e) * c ** (n_atoms - n) * (s * np.exp(1j * azimuth)) ** n
-    if not np.all(np.isfinite(amps)):
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 log2 0 = 0 at the poles
-            log2_mag = (np.log2(m) + e + np.where(n < n_atoms, (n_atoms - n) * np.log2(abs(c)), 0.0)
-                        + np.where(n > 0, n * np.log2(abs(s)), 0.0))
-        amps = (np.exp2(log2_mag) * np.sign(c) ** (n_atoms - n)
-                * (np.sign(s) * np.exp(1j * azimuth)) ** n)
+    root = np.sqrt(np.array([float(b) for b in _binomials(n_atoms)]))
+    amps = root * c ** (n_atoms - n) * (s * np.exp(1j * azimuth)) ** n
     return SymmetricState(n_atoms=n_atoms, amplitudes=amps)
 
 

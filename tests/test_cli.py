@@ -650,6 +650,19 @@ class TestMainEntry:
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, what", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode"),  # JSON text is UTF-8
+        (b"[" * 100_000, "maximum recursion depth"),
+        (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "too-deep", "too-many-digits"])
+    def test_unparseable_config_exit(self, tmp_path, capsys, text, what):
+        path = tmp_path / "unparseable.json"
+        path.write_bytes(text)
+        code = cli.main(["bound", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: invalid JSON: ") and what in err and err.count("\n") == 1
+
     def test_missing_file_exit(self, tmp_path, capsys):
         code = cli.main(["lo-avar", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -679,15 +692,37 @@ class TestMainEntry:
         assert err.startswith("numerical failure: ") and what in err
 
     def test_memory_error_is_resource_exit(self, tmp_path, monkeypatch, capsys):
-        def out_of_memory(*_):
-            raise MemoryError("Unable to allocate 22.4 GiB")
+        # a bare MemoryError has no message, so the line names a fixed reason
+        for error, line in ((MemoryError("Unable to allocate 22.4 GiB"),
+                             "resource: Unable to allocate 22.4 GiB\n"),
+                            (MemoryError(), "resource: out of memory\n")):
+            def out_of_memory(*_):
+                raise error
 
-        monkeypatch.setattr(cli, "ensemble_avar", out_of_memory)
-        doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "sim": SIM}
-        code, out = run_cli(tmp_path, doc, "simulate")
-        assert code == 3
-        assert "resource: Unable to allocate 22.4 GiB" in capsys.readouterr().err
-        assert not out.exists()
+            monkeypatch.setattr(cli, "ensemble_avar", out_of_memory)
+            doc = {"noise": NOISE, "tau": [1.0], "atoms": 1, "sim": SIM}
+            code, out = run_cli(tmp_path, doc, "simulate")
+            assert code == 3
+            assert capsys.readouterr().err == line
+            assert not out.exists()
+
+    def test_tau_range_past_memory_is_resource_exit(self, tmp_path, capsys):
+        # passes the schema; numpy refuses the 6.94 EiB grid before touching memory
+        doc = {"noise": NOISE, "tau": {"start": 0.25, "stop": 16.0, "points": 10**18}}
+        code, out = run_cli(tmp_path, doc, "lo-avar")
+        assert code == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("resource: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("by_option", [True, False], ids=["option", "config"])
+    def test_unwritable_out_exit(self, tmp_path, capsys, by_option):
+        out_path = tmp_path / "missing" / "out.csv"
+        doc = dict(MINIMAL["lo-avar"], **({} if by_option else {"out": str(out_path)}))
+        extra = ["--out", str(out_path)] if by_option else []
+        code = cli.main(["lo-avar", "--config", write_config(tmp_path, doc), *extra])
+        assert code == 2 and not out_path.parent.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"out: cannot write {out_path}: ") and err.count("\n") == 1
 
     def test_probe_family_is_an_unknown_key(self, tmp_path, capsys):
         probe = {"kind": "optimize-product", "family": "symmetric"}

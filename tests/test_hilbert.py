@@ -1,5 +1,6 @@
 """Symmetric-subspace state helpers and multi-index bookkeeping."""
 
+from decimal import Context, Decimal
 from functools import reduce
 from math import comb
 from unittest import mock
@@ -122,33 +123,49 @@ class TestProductStates:
 
     @pytest.mark.parametrize("n_atoms", [68, 1000, 1030, 5000])
     def test_plus_state_past_int64_binomials(self, n_atoms):
-        # C(68, 34) > 2^64 and float(C(1030, 515)) overflows: the roots are
-        # built as m 2^e from the exact binomials
+        # C(68, 34) > 2^64 and float(C(1030, 515)) overflows: each amplitude
+        # is the root of one exact quotient C(N, n) / 2^N
         a = plus_step_state(n_atoms).amplitudes
         assert np.array_equal(a, a[::-1])
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(a, coherent_step_state(n_atoms, np.pi / 2, 0.0).amplitudes,
-                           rtol=1e-12, atol=0.0)
+        if n_atoms <= 1029:  # the coherent state's float binomials are finite
+            assert np.allclose(a, coherent_step_state(n_atoms, np.pi / 2, 0.0).amplitudes,
+                               rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 67, 68, 500, 1029])
     def test_binomial_states_match_float_binomials(self, n_atoms):
-        # wherever float(C(N, n)) is finite both states keep the float
-        # binomials' bits
+        # wherever float(C(N, n)) is finite the coherent state keeps the float
+        # binomials' bits; the plus state keeps them at N = 1 and even N, where
+        # sqrt(float(C)) 2^(-N/2) is rounded once too
         n = np.arange(n_atoms + 1)
-        root = np.sqrt(np.array([comb(n_atoms, j) for j in range(n_atoms + 1)], dtype=float))
-        assert np.array_equal(plus_step_state(n_atoms).amplitudes,
-                              root * 2.0 ** (-0.5 * n_atoms))
+        binom = [comb(n_atoms, j) for j in range(n_atoms + 1)]
+        root = np.sqrt(np.array(binom, dtype=float))
+        plus = plus_step_state(n_atoms).amplitudes
+        assert np.array_equal(plus, np.sqrt([b / 2**n_atoms for b in binom]))
+        if n_atoms == 1 or n_atoms % 2 == 0:
+            assert np.array_equal(plus, root * 2.0 ** (-0.5 * n_atoms))
         c, s = np.cos(0.55), np.sin(0.55)
         assert np.array_equal(coherent_step_state(n_atoms, 1.1, 0.4).amplitudes,
                               root * c ** (n_atoms - n) * (s * np.exp(0.4j)) ** n)
 
+    def test_plus_state_within_one_ulp_of_exact_root(self):
+        ctx = Context(prec=50)
+        for n_atoms in range(1, 65):
+            a = plus_step_state(n_atoms).amplitudes.real
+            for j, amp in enumerate(a):
+                exact = ctx.sqrt(ctx.divide(comb(n_atoms, j), 2**n_atoms))
+                assert abs(Decimal(float(amp)) - exact) <= Decimal(float(np.spacing(amp)))
+
     @pytest.mark.parametrize("n_atoms", [1030, 5000])
     @pytest.mark.parametrize("polar", [0.0, 1.1, np.pi, 5.0])
     def test_coherent_state_at_any_atom_count(self, n_atoms, polar):
-        # past N ~ 2046 the roots alone overflow and the magnitudes are summed in log2
-        a = coherent_step_state(n_atoms, polar, 0.3).amplitudes
+        # float(C(N, n)) is finite up to N = 1029, where the state builds;
+        # from N = 1030 it overflows and no state is built
+        a = coherent_step_state(1029, polar, 0.3).amplitudes
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(a).argmax() == pytest.approx(n_atoms * np.sin(polar / 2) ** 2, abs=1.0)
+        assert np.abs(a).argmax() == pytest.approx(1029 * np.sin(polar / 2) ** 2, abs=1.0)
+        with pytest.raises(OverflowError):
+            coherent_step_state(n_atoms, polar, 0.3)
 
     def test_coherent_binomial_pattern(self):
         s = coherent_step_state(2, np.pi / 2, 0.0)
