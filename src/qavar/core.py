@@ -52,9 +52,13 @@ U' = U - (N sum(H) / 2) 1 anticommutes with F.  The shift only moves the
 diagonal <r|U|r>, whose (lam_r - lam_r)^2 weight is 0, so the QFI stays as
 it is; and U' couples an F-even block only to an F-odd one, so the
 four-block sum has no within-block terms.  (U itself differs from U' only
-by that diagonal, so the blocks use u as it is.)  `BoundWorkspace.evaluate`
-takes the largest exact symmetry of x, tested bit for bit, when no SLD is
-asked for and D >= BLOCK_MIN_DIM, and the trivial group {1} otherwise.
+by that diagonal, so the blocks use u as it is.)  The same holds in the
+group {1, F} alone, whose two blocks take x[Fa] = x[a] without P symmetry
+(the see-saw's iterates): U' couples them only to each other, so the SLD,
+F-odd, is one F-even x F-odd block.  `BoundWorkspace.evaluate` takes the
+largest exact symmetry of x, tested bit for bit, when D >= BLOCK_MIN_DIM:
+{1, P, F, PF}, {1, P} or {1, F} without an SLD, {1, F} with one (its SLD
+is assembled from that block), and the trivial group {1} otherwise.
 """
 
 from __future__ import annotations
@@ -91,6 +95,9 @@ __all__ = [
 # times in ms (one BLAS thread; full / two blocks / four blocks): 0.10 / 0.25 /
 # 0.36 at D = 8, 0.21 / 0.34 / 0.42 at D = 27, 0.65 / 0.70 / 0.61 at D = 64
 # (the crossover for both), 2.3 / 1.8 / 1.3 at D = 125, 8.7 / 4.3 / 3.4 at 243.
+# One see-saw sweep from |+> (SLD, A_L, ground state; full / {1, F} blocks):
+# 0.29 / 0.33 at D = 27, 0.96 / 0.62 at 64, 3.2 / 1.9 at 125, 13.7 / 6.1 at
+# 243, and 4.6 / 1.0 s at 2187 (N = 2, k = 4).
 BLOCK_MIN_DIM = 100
 
 
@@ -274,12 +281,13 @@ class _OrbitBlocks:
         coef = chars @ u[perms[:, reps]] / n
         scale = fixed.sum(axis=0) ** -0.5  # sqrt(|O| / |G|) = |stabilizer|^(-1/2)
         self._table = table
-        self.index, self._orbits = [], []
+        self.index, self.scale, self._orbits = [], [], []
         for i, m in enumerate(member):
             idx = reps[m]
             rows = codes[idx] + codes[-1]  # c_r + c_(N..N), the table's offset
             self.index.append(idx)
-            self._orbits.append((rows, codes[perms[:, idx]], chars[i], scale[m]))
+            self.scale.append(scale[m])
+            self._orbits.append((rows, codes[perms[:, idx]], chars[i]))
         self.pairs = []
         for i in range(n):
             for j in range(i, n):
@@ -297,7 +305,7 @@ class _OrbitBlocks:
         make no block-sized temporary.  Each entry takes the h = 0 gather,
         then +- each further W[r, h r'], then * s s', then x_r x_r' * that.
         """
-        rows, cols, signs, s = self._orbits[i]
+        (rows, cols, signs), s = self._orbits[i], self.scale[i]
         xb = None if x is None else x[self.index[i]]
         out = np.empty((rows.size, rows.size))
         for r in _row_chunks(rows.size, rows.size):
@@ -315,26 +323,27 @@ class _OrbitBlocks:
         """sum over the coupled block pairs i <= i' of (1 + [i != i']) S(i, i').
 
         Each block is built, solved and dropped in turn; only its spectrum
-        and eigenvectors are kept.  With `want_sld`, also V (2 R o U~) V^T of
-        the trivial group's one pair: K with L(x) = iK.  Any other group
-        raises ValueError, since its SLD needs every pair.
+        and eigenvectors are kept.  With `want_sld`, also the SLD's blocks,
+        one per pair in `pairs` order: K_ii' = V_i (2 R o U~) V_i'^T, K's
+        block between the orbit bases of blocks i and i' (L(x) = iK, and
+        K_i'i = -K_ii'^T).  The trivial group's one block is K itself.
         """
-        if want_sld and len(self.index) > 1:
-            raise ValueError("the SLD is formed only in the trivial group's one block")
         spectra = []
         for i in range(len(self.index)):
             lam, V = eigh(self.block(i, x))
             spectra.append((np.maximum(lam, 0.0), V))
-        total = 0.0
+        total, sld = 0.0, []
         for i, j, rows_i, rows_j, coef in self.pairs:
             (lam_i, V_i), (lam_j, V_j) = spectra[i], spectra[j]
             Ut = V_i[rows_i].T @ (coef[:, None] * V_j[rows_j])
-            if want_sld:  # the trivial group's one pair
+            if want_sld:
                 pair, ratio = _pair_sum(lam_i, lam_j, Ut * Ut)
-                return pair, V_i @ (2.0 * ratio * Ut) @ V_j.T
-            total += (1.0 + (i != j)) * _pair_sum(lam_i, lam_j, np.square(Ut, out=Ut))[0]
+                sld.append(V_i @ (2.0 * ratio * Ut) @ V_j.T)
+            else:
+                pair = _pair_sum(lam_i, lam_j, np.square(Ut, out=Ut))[0]
+            total += (1.0 + (i != j)) * pair
             del Ut  # one pair's (D, D) tables alive at a time
-        return total, None
+        return total, sld if want_sld else None
 
 
 class BoundWorkspace:
@@ -357,22 +366,58 @@ class BoundWorkspace:
         self.dim = joint_dim(n_atoms, k)
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
         self._table, self._codes = _difference_table(self.kernels.G, n_atoms)
-        self._gens = (reversal_index(n_atoms, self.n_steps), flip_index(n_atoms, self.n_steps))
-        self._groups: dict[int, _OrbitBlocks] = {}
+        self._gens = {"P": reversal_index(n_atoms, self.n_steps),
+                      "F": flip_index(n_atoms, self.n_steps)}
+        self._groups: dict[tuple, _OrbitBlocks] = {}
         self._weights: Optional[np.ndarray] = None
 
-    def _blocks(self, n_gens: int) -> _OrbitBlocks:
-        """The orbit blocks of {1}, {1, P} or {1, P, F, PF}: the first n_gens of (P, F)."""
-        if n_gens not in self._groups:
-            self._groups[n_gens] = _OrbitBlocks(self._table, self._codes, self.u,
-                                                self._gens[:n_gens], 0b10 if n_gens == 2 else 0)
-        return self._groups[n_gens]
+    def _blocks(self, gens: tuple) -> _OrbitBlocks:
+        """The orbit blocks of the group generated by `gens`, drawn from ("P", "F") in order.
+
+        (), ("P",), ("F",) and ("P", "F") name {1}, {1, P}, {1, F} and
+        {1, P, F, PF}; U' is F-odd, so `odd` is F's bit where F is a generator.
+        """
+        if gens not in self._groups:
+            odd = 1 << gens.index("F") if "F" in gens else 0
+            self._groups[gens] = _OrbitBlocks(self._table, self._codes, self.u,
+                                              tuple(self._gens[g] for g in gens), odd)
+        return self._groups[gens]
+
+    def _group(self, x: np.ndarray, want_sld: bool) -> tuple:
+        """The generators `evaluate` blocks x = |v| on: x's exact symmetries, bit for bit.
+
+        () below BLOCK_MIN_DIM; with `want_sld` F alone is tested, {1, F}
+        being the one group whose SLD is assembled (`_flip_sld`).
+        """
+        if self.dim < BLOCK_MIN_DIM:
+            return ()
+        return tuple(g for g in (("F",) if want_sld else ("P", "F"))
+                     if np.array_equal(x, x[self._gens[g]]))
+
+    def _flip_sld(self, K_eo: np.ndarray) -> np.ndarray:
+        """K (L(x) = iK) from its block between the {1, F} orbit bases, F-even x F-odd.
+
+        Block 0's representatives are r = 0..n0-1, r <= Fr = D-1-r, and
+        |O, +-> = (|r> +- |Fr>) / sqrt(2), or |r> at the fixed point (odd D).
+        So K = Q_+ K_eo Q_-^T - (.)^T with Q_+[a, O] = 1 / (s_O sqrt(2)) and
+        Q_-[b, O'] = +-1 / sqrt(2), the sign - where b is the image Fr'.
+        """
+        group = self._blocks(("F",))
+        n0 = K_eo.shape[0]
+        rows = group.pairs[0][2]  # the F-odd block's orbits among block 0's
+        Y = np.zeros((n0, n0))
+        Y[:, rows] = K_eo / (2.0 * group.scale[0])[:, None]
+        a = np.arange(self.dim)
+        orbit = np.minimum(a, self._gens["F"])
+        G = Y[np.ix_(orbit, orbit)]
+        G[:, n0:] *= -1.0
+        return G - G.T
 
     @property
     def weights(self) -> np.ndarray:
         """The (D, D) dephasing weights W[a, b] = exp(-1/2 (a-b)^T G (a-b)), built on first read."""
         if self._weights is None:
-            self._weights = self._blocks(0).block(0)
+            self._weights = self._blocks(()).block(0)
         return self._weights
 
     def evaluate(self, v: np.ndarray, want_sld: bool = False) -> QavarResult:
@@ -398,27 +443,28 @@ class BoundWorkspace:
         (nine random real step states at N = 3, k = 3, T = 3; 1-2 BLAS threads).
 
         One `_OrbitBlocks.pair_sum` call computes the sum, in the blocks of
-        x's largest exact symmetry (module docstring, tested bit for bit) when
-        D >= BLOCK_MIN_DIM and no SLD is asked for: {1, P, F, PF} where
-        x[Pa] == x[a] and x[Fa] == x[a], {1, P} where only x[Pa] == x[a]
-        (every product probe); else in the trivial group, whose one block is
-        rho_bar and whose one pair gives the SLD (the see-saw's iterates are
-        not symmetric).  The sum runs over the block pairs i <= i' as
-        (1 + [i != i']) S(i, i'), S the pair sum above: S(ee) + S(oo) +
-        2 S(eo) under {1, P}, the four F-even x F-odd pairs under
-        {1, P, F, PF} (the U' shift).  Clamp and roundoff hold per block.
+        x's exact symmetries (module docstring, tested bit for bit) when
+        D >= BLOCK_MIN_DIM: {1, P, F, PF} where x[Pa] == x[a] and x[Fa] ==
+        x[a], {1, P} where only x[Pa] == x[a] (every product probe), {1, F}
+        where only x[Fa] == x[a]; with `want_sld`, {1, F} wherever x[Fa] ==
+        x[a], and its one pair's SLD block K_eo is assembled into K
+        (`_flip_sld`).  Else it runs in the trivial group, whose one block is
+        rho_bar and whose one pair gives K itself.  The sum runs over the
+        block pairs i <= i' as (1 + [i != i']) S(i, i'), S the pair sum
+        above: S(ee) + S(oo) + 2 S(eo) under {1, P}, 2 S(eo) under {1, F},
+        the four F-even x F-odd pairs under {1, P, F, PF} (the U' shift).
+        Clamp and roundoff hold per block.
         """
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ValueError(f"input shape {v.shape}, expected {(self.dim,)}")
         x = np.abs(v)
-        n_gens = 0  # the trivial group, {1, P} or {1, P, F, PF}
-        if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._gens[0]]):
-            n_gens = 1 + np.array_equal(x, x[self._gens[1]])
-        total, sld = self._blocks(n_gens).pair_sum(x, want_sld)
+        gens = self._group(x, want_sld)
+        total, sld = self._blocks(gens).pair_sum(x, want_sld)
         if want_sld:
+            K = self._flip_sld(sld[0]) if gens else sld[0]
             z = _phase_gauge(v)
-            sld = 1j * sld * np.outer(z, z.conj())
+            sld = 1j * K * np.outer(z, z.conj())
         correction = total / self.noise.omega0**2
         s2lo = self.kernels.sigma2_lo
         return QavarResult(sigma2_lo=s2lo, correction=correction, sigma2_q=s2lo - correction,

@@ -453,8 +453,9 @@ class TestWorkspaceReuse:
         assert self._traced_peak(product_pure(state, 7)) < 14
 
     @pytest.mark.parametrize("n_atoms, k", [(1, 4), (2, 3), (3, 2)])
-    @pytest.mark.parametrize("n_gens", [0, 1, 2])
-    def test_block_builder_matches_orbit_formula(self, n_atoms, k, n_gens):
+    @pytest.mark.parametrize("gens", [(), ("P",), ("P", "F"), ("F",)],
+                             ids=["0", "1", "2", "F"])
+    def test_block_builder_matches_orbit_formula(self, n_atoms, k, gens):
         # each block built off the table equals (x_b x_b^T) * W_i bit for bit,
         # W_i[O, O'] = s s' sum_h chi_i(h) W[r, h r'] formed from the full W
         # with the h = 0 term first, then +- each further one, then * s s'
@@ -462,10 +463,10 @@ class TestWorkspaceReuse:
         W = ws.weights
         x = np.abs(np.random.default_rng(n_atoms + k).normal(size=ws.dim))
         elements = [np.arange(ws.dim)]  # element j applies the generators named by j's bits
-        for g in ws._gens[:n_gens]:
-            elements += [g[e] for e in elements]
+        for g in gens:
+            elements += [ws._gens[g][e] for e in elements]
         chars = scipy.linalg.hadamard(len(elements))
-        group = ws._blocks(n_gens)
+        group = ws._blocks(gens)
         assert sum(idx.size for idx in group.index) == ws.dim
         for i, idx in enumerate(group.index):
             s = sum(e[idx] == idx for e in elements) ** -0.5  # |stabilizer|^(-1/2)
@@ -477,13 +478,37 @@ class TestWorkspaceReuse:
             assert np.array_equal(group.block(i, x), np.outer(x[idx], x[idx]) * Wi)
             assert np.array_equal(group.block(i), Wi)
 
-    def test_sld_only_in_the_trivial_group(self):
-        # one pair's term is not the SLD of a group with several pairs
-        ws = BoundWorkspace(PAR, 1, 3, 0.7)
-        v = product_pure(plus_step_state(1), ws.n_steps)
-        for n_gens in (1, 2):
-            with pytest.raises(ValueError, match="trivial group"):
-                ws._blocks(n_gens).pair_sum(v, want_sld=True)
+    @pytest.mark.parametrize("gens", [(), ("P",), ("F",), ("P", "F")],
+                             ids=["trivial", "P", "F", "PF"])
+    def test_sld_blocks_of_every_group(self, gens):
+        # pair_sum returns K's block K_ii' between the orbit bases of each
+        # coupled pair; Q_i[h r, O] = chi_i(h) / sqrt(|O|) scatters them back,
+        # K = sum_pairs Q_i K_ii' Q_i'^T (and its -transpose for i != i'),
+        # which is the trivial group's K
+        ws = BoundWorkspace(PAR, 2, 2, 0.7)
+        x = np.abs(product_pure(plus_step_state(2), ws.n_steps))  # P- and F-exact
+        full_total, (K_full,) = ws._blocks(()).pair_sum(x, want_sld=True)
+        group = ws._blocks(gens)
+        total, blocks = group.pair_sum(x, want_sld=True)
+        assert total == pytest.approx(full_total, rel=1e-13)
+        elements = [np.arange(ws.dim)]
+        for g in gens:
+            elements += [ws._gens[g][e] for e in elements]
+        chars = scipy.linalg.hadamard(len(elements))
+        Q = []
+        for i, idx in enumerate(group.index):
+            Qi = np.zeros((ws.dim, idx.size))
+            for h, e in enumerate(elements):  # a stabilizer's repeats sum up to 1 / sqrt(|O|)
+                np.add.at(Qi, (e[idx], np.arange(idx.size)),
+                          chars[i, h] * group.scale[i] / np.sqrt(len(elements)))
+            Q.append(Qi)
+        K = np.zeros((ws.dim, ws.dim))
+        assert len(blocks) == len(group.pairs)
+        for (i, j, *_), Kij in zip(group.pairs, blocks):
+            assert Kij.shape == (group.index[i].size, group.index[j].size)
+            part = Q[i] @ Kij @ Q[j].T
+            K += part if i == j else part - part.T
+        assert np.abs(K - K_full).max() <= 1e-12 * np.abs(K_full).max()
 
     def test_rejects_wrong_shape(self):
         # the input is a pure vector (D,); a (D, D) matrix is rejected too
@@ -579,8 +604,11 @@ class TestParityDispatch:
     def test_eigensolves_per_input(self, monkeypatch, n_atoms, k):
         # at or above the floor: |+> and GHZ one solve per spin-flip x
         # reversal block (4 below), a random real product one per reversal
-        # block, sizes (N+1)^k + p and p with p mirror pairs; SLD requests,
-        # other vectors and every input below the floor: one (D, D) solve
+        # block, sizes (N+1)^k + p and p with p mirror pairs, and an F-exact
+        # vector that is not P-exact one per spin-flip block, (D+1)//2 and
+        # D//2.  An SLD request takes the spin-flip blocks where the input is
+        # F-exact.  Other vectors and every input below the floor: one (D, D)
+        # solve
         sizes = []
         solve = core.eigh
 
@@ -598,12 +626,20 @@ class TestParityDispatch:
             _step_state("real", n_atoms, rng)))
         w = rng.normal(size=D) + 1j * rng.normal(size=D)
         w /= np.linalg.norm(w)
+        f = np.abs(w) + np.abs(w)[ws._gens["F"]]  # F-exact, not P-exact
+        f /= np.linalg.norm(f)
+        halves = [((D + 1) // 2,) * 2, (D // 2,) * 2]
         for floor, rho_in, want_sld, want in ((D, plus, False, 4),
                                               (D, ghz, False, 4),
                                               (D, real, False, [(n_pal + p,) * 2, (p, p)]),
-                                              (D, plus, True, [(D, D)]),
+                                              (D, f, False, halves),
+                                              (D, plus, True, halves),
+                                              (D, ghz, True, halves),
+                                              (D, f, True, halves),
+                                              (D, real, True, [(D, D)]),
                                               (D, w, False, [(D, D)]),
                                               (D + 1, plus, False, [(D, D)]),
+                                              (D + 1, plus, True, [(D, D)]),
                                               (D + 1, real, False, [(D, D)])):
             monkeypatch.setattr(core, "BLOCK_MIN_DIM", floor)
             sizes.clear()
@@ -613,6 +649,49 @@ class TestParityDispatch:
                 assert all(m == n for m, n in sizes)
             else:
                 assert sizes == want
+
+
+class TestFlipSLD:
+    @pytest.mark.parametrize("n_atoms, k, T", [(4, 2, 0.7), (2, 3, 2.15 / 3)])
+    def test_assembled_sld_matches_trivial_group(self, monkeypatch, n_atoms, k, T):
+        # D = 125 and 243: evaluate assembles |+>'s L from the two {1, F}
+        # blocks.  The two L agree within 1e-12 in the Frobenius norm: the
+        # SLD's roundoff is eps times rho_bar's condition number (1e4 here),
+        # and the largest entries differ by up to 1.4e-12 of the largest.
+        # The assembled L passes check 3's residual gate.
+        sc = plus_scenario(n_atoms=n_atoms, k=k, T=T)
+        ws = BoundWorkspace(PAR, n_atoms, k, T)
+        v = sc.joint_input()
+        sizes = []
+        solve = core.eigh
+
+        def recording_eigh(a):
+            sizes.append(a.shape[0])
+            return solve(a)
+
+        monkeypatch.setattr(core, "eigh", recording_eigh)
+        blocks = ws.evaluate(v, want_sld=True)
+        assert sizes == [(ws.dim + 1) // 2, ws.dim // 2]
+        monkeypatch.setattr(core, "BLOCK_MIN_DIM", ws.dim + 1)
+        full = ws.evaluate(v, want_sld=True)
+        assert sizes[2:] == [ws.dim]
+        assert blocks.correction == pytest.approx(full.correction, rel=1e-13)
+        assert not np.any(blocks.sld.real)
+        assert np.array_equal(blocks.sld, -blocks.sld.T)
+        assert np.linalg.norm(blocks.sld - full.sld) <= 1e-12 * np.linalg.norm(full.sld)
+        rb = rho_bar(sc)
+        rp = rho_prime(sc, rb)
+        P = support_projector(rb)
+        L = blocks.sld
+        resid = P @ (rp - 0.5 * (rb @ L + L @ rb)) @ P
+        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rp)
+
+    def test_sld_is_f_odd(self):
+        # K is F-odd, FKF = -K, bit for bit, at an even D with no fixed point
+        ws = BoundWorkspace(PAR, 1, 4, 0.5)
+        L = ws.evaluate(product_pure(plus_step_state(1), ws.n_steps), want_sld=True).sld
+        flip = ws._gens["F"]
+        assert np.array_equal(L[np.ix_(flip, flip)], -L)
 
 
 def _spy_lapack_eigh(monkeypatch, record):
@@ -715,17 +794,19 @@ class TestKernelOfRhoBar:
     @pytest.mark.parametrize("k, rank", [(2, 8), (3, 32)])
     def test_ghz_kernel_is_finite_and_real(self, monkeypatch, k, rank):
         # GHZ at N=2 leaves most of rho_bar's spectrum at roundoff level,
-        # of either sign; the bound and the SLD must stay finite there
+        # of either sign; the bound and the SLD must stay finite there.  At
+        # k = 3 (D = 243) the SLD comes from the two {1, F} blocks
         seen = []
-        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.extend((a.dtype, out[0])))
+        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.append((a.dtype, out[0])))
         ws = BoundWorkspace(PAR, 2, k, 0.6)
         v = product_pure(ghz_step_state(2), ws.n_steps)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = ws.evaluate(v, want_sld=True)
-        dtype, lam = seen
-        assert dtype == np.float64
-        assert np.count_nonzero(lam > 1e-12 * lam[-1]) == rank
+        assert len(seen) == (1 if ws.dim < core.BLOCK_MIN_DIM else 2)
+        assert all(dtype == np.float64 for dtype, _ in seen)
+        lam = np.concatenate([lam for _, lam in seen])
+        assert np.count_nonzero(lam > 1e-12 * lam.max()) == rank
         assert np.isfinite(res.correction) and 0.0 < res.correction <= res.sigma2_lo
         assert np.all(np.isfinite(res.sld))
 

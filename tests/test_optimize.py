@@ -102,6 +102,85 @@ class TestCostOperator:
         assert np.abs(A - full).max() <= 1e-14 * np.abs(full).max()
 
 
+def flip_isometries(ws):
+    """Q_+ (D, (D+1)//2) and Q_- (D, D//2): the {1, F} orbit bases, |r> +- |Fr> over sqrt(2)."""
+    flip = ws._gens["F"]
+    Q = []
+    for sign, n in ((1.0, (ws.dim + 1) // 2), (-1.0, ws.dim // 2)):
+        Qi = np.zeros((ws.dim, n))
+        r = np.arange(n)
+        Qi[r, r] = np.where(flip[r] == r, 1.0, 2**-0.5)
+        Qi[flip[r[flip[r] != r]], r[flip[r] != r]] = sign * 2**-0.5
+        Q.append(Qi)
+    return Q
+
+
+class TestFlipCostBlocks:
+    @pytest.mark.parametrize("n_atoms, k, T", [(4, 2, 0.7), (2, 3, 2.15 / 3), (1, 4, 0.5)])
+    def test_blocks_are_the_cost_operator_in_the_flip_bases(self, n_atoms, k, T):
+        # D = 125, 243 (a fixed point) and 128 (none): the blocked A_L of
+        # |+>'s SLD block is Q_i^T A_L Q_i of cost_operator on the assembled L
+        ws = BoundWorkspace(PAR, n_atoms, k, T)
+        x = np.abs(product_pure(plus_step_state(n_atoms), ws.n_steps))
+        group = ws._blocks(("F",))
+        _, (K_eo,) = group.pair_sum(x, want_sld=True)
+        A = cost_operator(1j * ws._flip_sld(K_eo), ws)
+        blocks = optimize._flip_cost_blocks(K_eo, group, PAR.omega0)
+        for Ai, Qi in zip(blocks, flip_isometries(ws)):
+            assert np.array_equal(Ai, Ai.T)  # eigh takes it as it is
+            assert np.abs(Ai - Qi.T @ A @ Qi).max() <= 1e-13 * np.abs(A).max()
+
+    @pytest.mark.parametrize("n_atoms, k", [(2, 2), (1, 3)])
+    @pytest.mark.parametrize("lower", ["even", "odd"])
+    def test_ground_state_is_the_lower_block_lifted_exactly(self, n_atoms, k, lower):
+        # D = 27 (a fixed point) and 32 (none), with random symmetric blocks
+        # shifted so the named one holds the lowest eigenvalue: the lift is
+        # unit, exactly F-symmetric (even) or F-antisymmetric (odd), and the
+        # lowest eigenvector of the whole A = sum_i Q_i A_i Q_i^T
+        ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
+        group = ws._blocks(("F",))
+        flip = ws._gens["F"]
+        rng = np.random.default_rng(6)
+        blocks = []
+        for i, idx in enumerate(group.index):
+            m = rng.normal(size=(idx.size, idx.size))
+            shift = 0.0 if ("even", "odd")[i] == lower else 20.0
+            blocks.append(m + m.T + shift * np.eye(idx.size))
+        psi = optimize._flip_ground_state(blocks, group, flip)
+        sign = 1.0 if lower == "even" else -1.0
+        assert np.array_equal(psi[flip], sign * psi)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
+        A = sum(Q @ Ai @ Q.T for Q, Ai in zip(flip_isometries(ws), blocks))
+        _, V = np.linalg.eigh(A)
+        assert abs(psi @ V[:, 0]) == pytest.approx(1.0, rel=1e-12)
+
+    def test_trivial_group_cost_operator_bits(self):
+        # cost_operator is the trivial group's case, operation for operation:
+        # K @ K / 2 + K u^T - u K, times W, over -omega0^2
+        ws = BoundWorkspace(PAR, 2, 2, 0.7)
+        L = random_sld(ws.dim, 3)
+        K = L.imag
+        want = K @ K
+        want *= 0.5
+        want += K * ws.u[None, :]
+        want -= ws.u[:, None] * K
+        want *= ws.weights
+        want /= -PAR.omega0**2
+        assert np.array_equal(cost_operator(L, ws), want)
+
+
+def spy_eigensolve_sizes(monkeypatch):
+    """Record the size of every `hilbert.eigh` call from core and optimize."""
+    sizes = []
+    for module in (core, optimize):
+        def recording_eigh(a, *args, _solve=module.eigh, **kwargs):
+            sizes.append(a.shape[0])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "eigh", recording_eigh)
+    return sizes
+
+
 class TestSeeSaw:
     def test_history_non_increasing(self):
         rep = optimize_joint_state(plus_scenario(k=2, T=0.5), seed=0)
@@ -190,6 +269,64 @@ class TestSeeSaw:
         assert np.abs(h - plain.history).max() <= 1e-12 * np.abs(h).max()
         back = rep.state * z.conj()
         assert np.abs(back.imag).max() <= 1e-14 * np.abs(back).max()
+
+    def test_cap_stops_at_the_last_evaluation(self, monkeypatch):
+        # a run the sweep cap stops reports the state it last evaluated
+        monkeypatch.setattr(optimize, "SEESAW_MAX_ITER", 3)
+        sc = plus_scenario(n_atoms=2, k=2, T=1.0)
+        rep = optimize_joint_state(sc)
+        assert not rep.converged and rep.n_evals == 3
+        re_eval = qavar(Scenario(noise=PAR, n_atoms=2, k=2, T=1.0,
+                                 probe=JointProbe(vector=rep.state)))
+        assert re_eval.sigma2_q == pytest.approx(rep.sigma2_q, rel=1e-12)
+
+    @pytest.mark.parametrize("n_atoms, k, tau, start", [
+        (2, 3, 2.15, "plus"), (2, 3, 2.15, "twisted"), (2, 3, 1.5, "plus"), (1, 4, 2.0, "plus"),
+    ])
+    def test_flip_blocks_run_the_same_see_saw(self, monkeypatch, n_atoms, k, tau, start):
+        # from an F-symmetric start (the twisted |+> to roundoff) every
+        # sweep runs in the two {1, F} blocks; the full (D, D) see-saw,
+        # forced by raising the floor, takes as many sweeps to the same history
+        state = (plus_step_state(n_atoms) if start == "plus"
+                 else coherent_step_state(n_atoms, np.pi / 2, np.pi / 3))
+        sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=tau / k, probe=ProductProbe(state))
+        sizes = spy_eigensolve_sizes(monkeypatch)
+        blocks = optimize_joint_state(sc)
+        halves = {(sc.dim + 1) // 2, sc.dim // 2}
+        assert sizes and set(sizes) == halves
+        sizes.clear()
+        monkeypatch.setattr(core, "BLOCK_MIN_DIM", sc.dim + 1)
+        full = optimize_joint_state(sc)
+        assert set(sizes) == {sc.dim}
+        assert blocks.n_evals == full.n_evals
+        s2lo = free_lo_avar(PAR, sc.tau)
+        assert np.abs(np.subtract(blocks.history, full.history)).max() <= 1e-12 * s2lo
+        flip = core.flip_index(n_atoms, sc.n_steps)
+        x = np.abs(blocks.state)
+        if start == "plus":
+            assert np.array_equal(x, x[flip])
+        else:  # |gauge| is 1 only to roundoff
+            assert np.abs(x - x[flip]).max() <= 4 * np.finfo(float).eps * x.max()
+
+    @pytest.mark.parametrize("start", ["random", "perturbed"])
+    def test_asymmetric_start_keeps_the_full_see_saw(self, monkeypatch, start):
+        # a random real joint vector at D = 243, and |+> plus an F-odd 1e-9
+        # perturbation (far above the start rule's roundoff): every sweep
+        # takes the (D, D) solves
+        monkeypatch.setattr(optimize, "SEESAW_MAX_ITER", 3)
+        sc = plus_scenario(n_atoms=2, k=3, T=0.7)
+        flip = core.flip_index(2, sc.n_steps)
+        if start == "random":
+            v = np.random.default_rng(8).standard_normal(sc.dim)
+        else:
+            e = np.zeros(sc.dim)
+            e[0], e[flip[0]] = 1e-9, -1e-9
+            v = sc.joint_input() + e
+        sc = dataclasses.replace(sc, probe=JointProbe(vector=v / np.linalg.norm(v)))
+        sizes = spy_eigensolve_sizes(monkeypatch)
+        rep = optimize_joint_state(sc)
+        assert rep.n_evals == 3
+        assert sizes == [sc.dim] * 5  # three evaluations, two cost operators
 
     @pytest.mark.parametrize("vector, message", [
         (np.full(26, 1 / np.sqrt(26)), "joint vector length 26, expected 27"),
