@@ -56,15 +56,16 @@ by that diagonal, so the blocks use u as it is.)  The same holds in the
 group {1, F} alone, whose two blocks take x[Fa] = x[a] without P symmetry
 (the see-saw's iterates): U' couples them only to each other, so the SLD,
 F-odd, is one F-even x F-odd block.  `BoundWorkspace.evaluate` takes the
-largest exact symmetry of x, tested bit for bit, when D >= BLOCK_MIN_DIM:
-{1, P, F, PF}, {1, P} or {1, F} without an SLD, {1, F} with one (its SLD
-is assembled from that block), and the trivial group {1} otherwise.
+largest exact symmetry of x, tested bit for bit, when no SLD is asked for
+and D >= BLOCK_MIN_DIM, and the trivial group {1} otherwise, whose one
+pair gives the (D, D) SLD.  `BoundWorkspace.flip_sweep` runs a whole
+see-saw sweep in {1, F} and keeps the SLD as its one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -346,6 +347,70 @@ class _OrbitBlocks:
         return total, sld if want_sld else None
 
 
+def _flip_cost_blocks(K_eo: np.ndarray, group, omega0: float) -> list[np.ndarray]:
+    """`optimize.cost_operator`'s A_L in the two {1, F} blocks, F-even then F-odd.
+
+    For L = iK.  The SLD of an F-symmetric x is F-odd and W and [., U']
+    keep F parity (module docstring), so A_L = -W o M / omega0^2,
+    M = K^2 / 2 + [K, U], commutes with F.  K_eo is K's one block, between
+    the orbit bases of the F-even and the F-odd block
+    (`_OrbitBlocks.pair_sum`).  With C = U's block
+    between them (diagonal: the pair's coefficients (u_r - u_Fr) / 2),
+
+        M_+ = -K_eo K_eo^T / 2 + K_eo C^T + C K_eo^T
+        M_- = -K_eo^T K_eo / 2 - K_eo^T C - C^T K_eo
+
+    and M couples no F-even with F-odd.  On an orbit pair a Hadamard
+    product of F-invariant matrices mixes only the two characters,
+    (X o Y)_i = (1/2) sum_j X_(i^j) o Y_j in the unscaled orbit sums, so
+    with the orbit weights W_i (`_OrbitBlocks.block`)
+
+        A_i = -(1/2) sum_j W_(i^j) o M_j / omega0^2
+
+    over the orbits both blocks hold, and A_+'s fixed-point row and column
+    (odd D; A_- has no fixed point) divided by that orbit's scale.  Every
+    term is exactly symmetric, so `eigh` takes each block as it is.
+    """
+    (_, _, rows, _, c), = group.pairs
+    n0 = K_eo.shape[0]
+    E = np.zeros((n0, n0))
+    E[:, rows] = K_eo * c
+    M_even = E + E.T
+    M_even -= 0.5 * (K_eo @ K_eo.T)
+    E = c[:, None] * K_eo[rows]
+    M_odd = K_eo.T @ K_eo
+    M_odd *= -0.5
+    M_odd -= E + E.T
+    W_even, W_odd = group.block(0), group.block(1)
+    both = np.ix_(*2 * [np.arange(n0)[rows]])
+    A_even = W_even * M_even
+    A_even /= np.outer(group.scale[0], group.scale[0])
+    A_even[both] += W_odd * M_odd
+    A_odd = W_odd * M_even[both]
+    A_odd += W_even[both] * M_odd
+    A_even *= -0.5 / omega0**2
+    A_odd *= -0.5 / omega0**2
+    return [A_even, A_odd]
+
+
+def _flip_ground_state(A_blocks: list[np.ndarray], group, flip: np.ndarray) -> np.ndarray:
+    """A_L's ground state from its two {1, F} blocks, exactly F-symmetric or F-antisymmetric.
+
+    The lower of the blocks' lowest eigenpairs (the F-even one on a tie).
+    Its vector y over the orbits O = {r, Fr} lifts as |O|^(-1/2) =
+    1 / (s_O sqrt(2)) (1 at the fixed point): psi[r] = psi[Fr] in the
+    F-even block, psi[Fr] = -psi[r] in the F-odd one.
+    """
+    (lam_e, y_e), (lam_o, y_o) = (eigh(A, lowest=1) for A in A_blocks)
+    i, y = (0, y_e) if lam_e[0] <= lam_o[0] else (1, y_o)
+    idx = group.index[i]
+    y = y[:, 0] / (np.sqrt(2.0) * group.scale[i])
+    psi = np.zeros(flip.size)
+    psi[idx] = y
+    psi[flip[idx]] = -y if i else y
+    return psi
+
+
 class BoundWorkspace:
     """Amortized bound evaluator for a fixed (noise, N, k, T) layout.
 
@@ -383,35 +448,12 @@ class BoundWorkspace:
                                               tuple(self._gens[g] for g in gens), odd)
         return self._groups[gens]
 
-    def _group(self, x: np.ndarray, want_sld: bool) -> tuple:
-        """The generators `evaluate` blocks x = |v| on: x's exact symmetries, bit for bit.
-
-        () below BLOCK_MIN_DIM; with `want_sld` F alone is tested, {1, F}
-        being the one group whose SLD is assembled (`_flip_sld`).
-        """
-        if self.dim < BLOCK_MIN_DIM:
-            return ()
-        return tuple(g for g in (("F",) if want_sld else ("P", "F"))
-                     if np.array_equal(x, x[self._gens[g]]))
-
-    def _flip_sld(self, K_eo: np.ndarray) -> np.ndarray:
-        """K (L(x) = iK) from its block between the {1, F} orbit bases, F-even x F-odd.
-
-        Block 0's representatives are r = 0..n0-1, r <= Fr = D-1-r, and
-        |O, +-> = (|r> +- |Fr>) / sqrt(2), or |r> at the fixed point (odd D).
-        So K = Q_+ K_eo Q_-^T - (.)^T with Q_+[a, O] = 1 / (s_O sqrt(2)) and
-        Q_-[b, O'] = +-1 / sqrt(2), the sign - where b is the image Fr'.
-        """
-        group = self._blocks(("F",))
-        n0 = K_eo.shape[0]
-        rows = group.pairs[0][2]  # the F-odd block's orbits among block 0's
-        Y = np.zeros((n0, n0))
-        Y[:, rows] = K_eo / (2.0 * group.scale[0])[:, None]
-        a = np.arange(self.dim)
-        orbit = np.minimum(a, self._gens["F"])
-        G = Y[np.ix_(orbit, orbit)]
-        G[:, n0:] *= -1.0
-        return G - G.T
+    def _result(self, total: float, sld: Optional[np.ndarray]) -> QavarResult:
+        """The bound from a pair sum: correction = total / omega0^2."""
+        correction = total / self.noise.omega0**2
+        s2lo = self.kernels.sigma2_lo
+        return QavarResult(sigma2_lo=s2lo, correction=correction, sigma2_q=s2lo - correction,
+                           sld=sld)
 
     @property
     def weights(self) -> np.ndarray:
@@ -443,32 +485,57 @@ class BoundWorkspace:
         (nine random real step states at N = 3, k = 3, T = 3; 1-2 BLAS threads).
 
         One `_OrbitBlocks.pair_sum` call computes the sum, in the blocks of
-        x's exact symmetries (module docstring, tested bit for bit) when
-        D >= BLOCK_MIN_DIM: {1, P, F, PF} where x[Pa] == x[a] and x[Fa] ==
-        x[a], {1, P} where only x[Pa] == x[a] (every product probe), {1, F}
-        where only x[Fa] == x[a]; with `want_sld`, {1, F} wherever x[Fa] ==
-        x[a], and its one pair's SLD block K_eo is assembled into K
-        (`_flip_sld`).  Else it runs in the trivial group, whose one block is
-        rho_bar and whose one pair gives K itself.  The sum runs over the
-        block pairs i <= i' as (1 + [i != i']) S(i, i'), S the pair sum
-        above: S(ee) + S(oo) + 2 S(eo) under {1, P}, 2 S(eo) under {1, F},
-        the four F-even x F-odd pairs under {1, P, F, PF} (the U' shift).
-        Clamp and roundoff hold per block.
+        x's largest exact symmetry (module docstring, tested bit for bit) when
+        D >= BLOCK_MIN_DIM and no SLD is asked for: {1, P, F, PF} where
+        x[Pa] == x[a] and x[Fa] == x[a], {1, P} where only x[Pa] == x[a]
+        (every product probe); else in the trivial group, whose one block is
+        rho_bar and whose one pair gives the SLD (the see-saw's blocked
+        sweep is `flip_sweep`).  The sum runs over the block pairs i <= i' as
+        (1 + [i != i']) S(i, i'), S the pair sum above: S(ee) + S(oo) +
+        2 S(eo) under {1, P}, the four F-even x F-odd pairs under
+        {1, P, F, PF} (the U' shift).  Clamp and roundoff hold per block.
         """
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ValueError(f"input shape {v.shape}, expected {(self.dim,)}")
         x = np.abs(v)
-        gens = self._group(x, want_sld)
+        gens = ()  # the trivial group, {1, P} or {1, P, F, PF}
+        if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._gens["P"]]):
+            gens = ("P", "F") if np.array_equal(x, x[self._gens["F"]]) else ("P",)
         total, sld = self._blocks(gens).pair_sum(x, want_sld)
         if want_sld:
-            K = self._flip_sld(sld[0]) if gens else sld[0]
             z = _phase_gauge(v)
-            sld = 1j * K * np.outer(z, z.conj())
-        correction = total / self.noise.omega0**2
-        s2lo = self.kernels.sigma2_lo
-        return QavarResult(sigma2_lo=s2lo, correction=correction, sigma2_q=s2lo - correction,
-                           sld=sld)
+            sld = 1j * sld[0] * np.outer(z, z.conj())
+        return self._result(total, sld)
+
+    def flip_sweep(self, v: np.ndarray
+                   ) -> Optional[tuple[QavarResult, Callable[[], np.ndarray]]]:
+        """One see-saw sweep at v in the two {1, F} blocks, or None where it cannot run.
+
+        None below BLOCK_MIN_DIM or where x = |v| is not exactly F-symmetric
+        (tested bit for bit).  Else (result, step): result is `evaluate(v)`
+        without the SLD, and step() is the ground state of v's cost operator
+        A_L, the vector `optimize.cost_operator` and `eigh(A, lowest=1)` give
+        in exact arithmetic.  No (D, D) matrix is formed: `pair_sum` solves
+        rho_bar's two blocks and keeps the SLD as its one F-even x F-odd
+        block, `_flip_cost_blocks` forms A_L's two blocks from it, and
+        `_flip_ground_state` lifts the lower block's ground state back
+        exactly F-symmetric or F-antisymmetric; v's phases z follow, since
+        A_L(z x) = Z A_L(x) Z^dag.  So |step()| is exactly F-symmetric
+        again, and a see-saw from an F-exact start stays in the blocks.
+        """
+        x = np.abs(v)
+        flip = self._gens["F"]
+        if self.dim < BLOCK_MIN_DIM or not np.array_equal(x, x[flip]):
+            return None
+        group = self._blocks(("F",))
+        total, (K_eo,) = group.pair_sum(x, want_sld=True)
+
+        def step() -> np.ndarray:
+            A = _flip_cost_blocks(K_eo, group, self.noise.omega0)
+            return _phase_gauge(v) * _flip_ground_state(A, group, flip)
+
+        return self._result(total, None), step
 
 
 def qavar(scenario: Scenario, want_sld: bool = False) -> QavarResult:

@@ -9,8 +9,8 @@ Two state optimizers:
   functional is affine in rho_in and convex in L but not jointly convex,
   so a converged see-saw is a local optimum.  The see-saw keeps spin-flip
   symmetry: from a start whose magnitude is F-symmetric (to roundoff, then
-  averaged exactly) every sweep runs in the two {1, F} blocks at half the
-  dimension, the same step in exact arithmetic.
+  averaged exactly) every sweep at D >= BLOCK_MIN_DIM runs in the two
+  {1, F} blocks at half the dimension, the same step in exact arithmetic.
 * `optimize_product_state`: identical per-step pure states (input
   rho0^(x)K), searched only among the flip-symmetric ones, a_n = a_(N-n),
   over the N//2 angles of a mirrored chart: one bounded Brent run when
@@ -50,6 +50,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import core
 from .core import (
     BoundWorkspace,
     ProductProbe,
@@ -60,6 +61,7 @@ from .core import (
 from .hilbert import (
     SymmetricState,
     eigh,
+    flip_index,
     plus_step_state,
     product_pure,
 )
@@ -137,8 +139,8 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     i [L, U] = -[K, U], so A_L = -W o (K^2 / 2 + [K, U]) / omega0^2 is real
     symmetric and is formed in real arithmetic (a quarter of the complex
     product's flops).  An L with a nonzero real part raises ValueError.
-    This is the trivial group's A_L; the see-saw forms the {1, F} group's
-    two blocks with `_flip_cost_blocks`.
+    This is the trivial group's A_L; in the {1, F} blocks the see-saw
+    forms its two blocks instead (`BoundWorkspace.flip_sweep`).
     """
     if np.any(L.real):
         raise ValueError("cost_operator needs a purely imaginary L = iK, the SLD of a real input")
@@ -152,67 +154,19 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     return A
 
 
-def _flip_cost_blocks(K_eo: np.ndarray, group, omega0: float) -> list[np.ndarray]:
-    """cost_operator's A_L in the two {1, F} blocks, F-even then F-odd, for L = iK.
+def _full_sweep(ws: BoundWorkspace, psi: np.ndarray) -> tuple:
+    """One see-saw sweep in the trivial group: (evaluate(psi) with the SLD, step).
 
-    The SLD of an F-symmetric x is F-odd and W and [., U'] keep F parity
-    (see `core`), so A_L = -W o M / omega0^2, M = K^2 / 2 + [K, U], commutes
-    with F.  K_eo is K's one block, between the orbit bases of the F-even
-    and the F-odd block (`_OrbitBlocks.pair_sum`).  With C = U's block
-    between them (diagonal: the pair's coefficients (u_r - u_Fr) / 2),
-
-        M_+ = -K_eo K_eo^T / 2 + K_eo C^T + C K_eo^T
-        M_- = -K_eo^T K_eo / 2 - K_eo^T C - C^T K_eo
-
-    and M couples no F-even with F-odd.  On an orbit pair a Hadamard
-    product of F-invariant matrices mixes only the two characters,
-    (X o Y)_i = (1/2) sum_j X_(i^j) o Y_j in the unscaled orbit sums, so
-    with the orbit weights W_i (`_OrbitBlocks.block`)
-
-        A_i = -(1/2) sum_j W_(i^j) o M_j / omega0^2
-
-    over the orbits both blocks hold, and A_+'s fixed-point row and column
-    (odd D; A_- has no fixed point) divided by that orbit's scale.  Every
-    term is exactly symmetric, so `eigh` takes each block as it is.
+    step() is the ground state of `cost_operator` at that SLD, one subset
+    eigensolve of the (D, D) A_L.
     """
-    (_, _, rows, _, c), = group.pairs
-    n0 = K_eo.shape[0]
-    E = np.zeros((n0, n0))
-    E[:, rows] = K_eo * c
-    M_even = E + E.T
-    M_even -= 0.5 * (K_eo @ K_eo.T)
-    E = c[:, None] * K_eo[rows]
-    M_odd = K_eo.T @ K_eo
-    M_odd *= -0.5
-    M_odd -= E + E.T
-    W_even, W_odd = group.block(0), group.block(1)
-    both = np.ix_(*2 * [np.arange(n0)[rows]])
-    A_even = W_even * M_even
-    A_even /= np.outer(group.scale[0], group.scale[0])
-    A_even[both] += W_odd * M_odd
-    A_odd = W_odd * M_even[both]
-    A_odd += W_even[both] * M_odd
-    A_even *= -0.5 / omega0**2
-    A_odd *= -0.5 / omega0**2
-    return [A_even, A_odd]
+    res = ws.evaluate(psi, want_sld=True)
 
+    def step() -> np.ndarray:
+        _, V = eigh(cost_operator(res.sld, ws), lowest=1)
+        return np.ascontiguousarray(V[:, 0])
 
-def _flip_ground_state(A_blocks: list[np.ndarray], group, flip: np.ndarray) -> np.ndarray:
-    """A_L's ground state from its two {1, F} blocks, exactly F-symmetric or F-antisymmetric.
-
-    The lower of the blocks' lowest eigenpairs (the F-even one on a tie).
-    Its vector y over the orbits O = {r, Fr} lifts as |O|^(-1/2) =
-    1 / (s_O sqrt(2)) (1 at the fixed point): psi[r] = psi[Fr] in the
-    F-even block, psi[Fr] = -psi[r] in the F-odd one.
-    """
-    (lam_e, y_e), (lam_o, y_o) = (eigh(A, lowest=1) for A in A_blocks)
-    i, y = (0, y_e) if lam_e[0] <= lam_o[0] else (1, y_o)
-    idx = group.index[i]
-    y = y[:, 0] / (np.sqrt(2.0) * group.scale[i])
-    psi = np.zeros(flip.size)
-    psi[idx] = y
-    psi[flip[idx]] = -y if i else y
-    return psi
+    return res, step
 
 
 def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
@@ -234,55 +188,41 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     optimum in the start's gauge.  Each sweep computes only the lowest
     eigenpair of A_L.
 
-    Each sweep runs in the group `BoundWorkspace.evaluate` takes for an
-    SLD: {1, F} where the iterate's magnitude x is exactly F-symmetric and
-    D >= BLOCK_MIN_DIM, else the trivial group, with `cost_operator`'s
-    (D, D) A_L.  In {1, F} no (D, D) matrix is formed: rho_bar's two blocks
-    are solved, the SLD is kept as its one F-even x F-odd block, A_L is
-    formed as its two blocks (`_flip_cost_blocks`) and the ground state is
-    the lower of their lowest eigenpairs, lifted back exactly F-symmetric
-    or F-antisymmetric (`_flip_ground_state`), then given the iterate's
-    signs z (A_L(z x) = Z A_L(x) Z).  A_L commutes with F, so this is the
-    same see-saw step in exact arithmetic, and the next x is exactly
-    F-symmetric again: one F-symmetric start keeps every sweep in blocks.
+    Each sweep is `BoundWorkspace.flip_sweep` where it runs (the iterate's
+    magnitude x exactly F-symmetric and D >= BLOCK_MIN_DIM), else
+    `_full_sweep`: `evaluate` with the SLD, `cost_operator`'s (D, D) A_L
+    and its ground state.  flip_sweep takes the same step in the two
+    {1, F} blocks, the same in exact arithmetic since A_L commutes with F,
+    and its next x is exactly F-symmetric again: one F-exact start keeps
+    every sweep in the blocks.
 
-    The start rule: where x = |psi0| is F-symmetric to roundoff, max |x -
-    Fx| <= K eps max x (each of the K step factors of a product probe
-    rounds about once), the run starts from (x + Fx) / 2, which is exactly
-    F-symmetric (IEEE addition commutes).  sigma2_q(Fx) = sigma2_q(x), so
-    sigma2_q's gradient at the midpoint is orthogonal to x - Fx, and the
-    move changes sigma2_q(start) only at second order in |x - Fx| (and the
-    norm by as little).  So a per-step coherent |+> with a phase twist,
-    whose |a_n| and |a_(N-n)| differ by an ulp or two, takes the blocks.
+    The start rule: where D >= BLOCK_MIN_DIM and x = |psi0| is F-symmetric
+    to roundoff, max |x - Fx| <= K eps max x (each of the K step factors of
+    a product probe rounds about once), the run starts from (x + Fx) / 2,
+    which is exactly F-symmetric (IEEE addition commutes).
+    sigma2_q(Fx) = sigma2_q(x), so sigma2_q's gradient at the midpoint is
+    orthogonal to x - Fx, and the move changes sigma2_q(start) only at
+    second order in |x - Fx| (and the norm by as little).  So a per-step
+    coherent |+> with a phase twist, whose |a_n| and |a_(N-n)| differ by an
+    ulp or two, takes the blocks; below BLOCK_MIN_DIM the start is kept.
     """
     start = scenario.joint_input()
     gauge = _phase_gauge(start)
     psi = np.abs(start)
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    flip = ws._gens["F"]
-    if np.abs(psi - psi[flip]).max() <= ws.n_steps * np.finfo(float).eps * psi.max():
+    flip = flip_index(scenario.n_atoms, ws.n_steps)
+    roundoff = ws.n_steps * np.finfo(float).eps * psi.max()
+    if ws.dim >= core.BLOCK_MIN_DIM and np.abs(psi - psi[flip]).max() <= roundoff:
         psi = 0.5 * (psi + psi[flip])
     history: list[float] = []
     stop = SEESAW_TOL * max(ws.kernels.sigma2_lo, 1e-300)
     while True:
-        x = np.abs(psi)
-        gens = ws._group(x, want_sld=True)
-        if gens:  # {1, F}: the SLD stays in its one block
-            group = ws._blocks(gens)
-            total, (K,) = group.pair_sum(x, want_sld=True)
-            history.append(ws.kernels.sigma2_lo - total / ws.noise.omega0**2)
-        else:
-            res = ws.evaluate(psi, want_sld=True)
-            history.append(res.sigma2_q)
+        res, step = ws.flip_sweep(psi) or _full_sweep(ws, psi)
+        history.append(res.sigma2_q)
         converged = len(history) >= 2 and abs(history[-2] - history[-1]) <= stop
         if converged or len(history) >= SEESAW_MAX_ITER:
             break
-        if gens:
-            A = _flip_cost_blocks(K, group, ws.noise.omega0)
-            psi = _phase_gauge(psi) * _flip_ground_state(A, group, flip)
-        else:
-            _, V = eigh(cost_operator(res.sld, ws), lowest=1)
-            psi = np.ascontiguousarray(V[:, 0])
+        psi = step()
     return OptimizeReport(
         sigma2_q=history[-1],
         state=gauge * psi,

@@ -604,11 +604,8 @@ class TestParityDispatch:
     def test_eigensolves_per_input(self, monkeypatch, n_atoms, k):
         # at or above the floor: |+> and GHZ one solve per spin-flip x
         # reversal block (4 below), a random real product one per reversal
-        # block, sizes (N+1)^k + p and p with p mirror pairs, and an F-exact
-        # vector that is not P-exact one per spin-flip block, (D+1)//2 and
-        # D//2.  An SLD request takes the spin-flip blocks where the input is
-        # F-exact.  Other vectors and every input below the floor: one (D, D)
-        # solve
+        # block, sizes (N+1)^k + p and p with p mirror pairs; SLD requests,
+        # other vectors and every input below the floor: one (D, D) solve
         sizes = []
         solve = core.eigh
 
@@ -626,20 +623,12 @@ class TestParityDispatch:
             _step_state("real", n_atoms, rng)))
         w = rng.normal(size=D) + 1j * rng.normal(size=D)
         w /= np.linalg.norm(w)
-        f = np.abs(w) + np.abs(w)[ws._gens["F"]]  # F-exact, not P-exact
-        f /= np.linalg.norm(f)
-        halves = [((D + 1) // 2,) * 2, (D // 2,) * 2]
         for floor, rho_in, want_sld, want in ((D, plus, False, 4),
                                               (D, ghz, False, 4),
                                               (D, real, False, [(n_pal + p,) * 2, (p, p)]),
-                                              (D, f, False, halves),
-                                              (D, plus, True, halves),
-                                              (D, ghz, True, halves),
-                                              (D, f, True, halves),
-                                              (D, real, True, [(D, D)]),
+                                              (D, plus, True, [(D, D)]),
                                               (D, w, False, [(D, D)]),
                                               (D + 1, plus, False, [(D, D)]),
-                                              (D + 1, plus, True, [(D, D)]),
                                               (D + 1, real, False, [(D, D)])):
             monkeypatch.setattr(core, "BLOCK_MIN_DIM", floor)
             sizes.clear()
@@ -649,49 +638,6 @@ class TestParityDispatch:
                 assert all(m == n for m, n in sizes)
             else:
                 assert sizes == want
-
-
-class TestFlipSLD:
-    @pytest.mark.parametrize("n_atoms, k, T", [(4, 2, 0.7), (2, 3, 2.15 / 3)])
-    def test_assembled_sld_matches_trivial_group(self, monkeypatch, n_atoms, k, T):
-        # D = 125 and 243: evaluate assembles |+>'s L from the two {1, F}
-        # blocks.  The two L agree within 1e-12 in the Frobenius norm: the
-        # SLD's roundoff is eps times rho_bar's condition number (1e4 here),
-        # and the largest entries differ by up to 1.4e-12 of the largest.
-        # The assembled L passes check 3's residual gate.
-        sc = plus_scenario(n_atoms=n_atoms, k=k, T=T)
-        ws = BoundWorkspace(PAR, n_atoms, k, T)
-        v = sc.joint_input()
-        sizes = []
-        solve = core.eigh
-
-        def recording_eigh(a):
-            sizes.append(a.shape[0])
-            return solve(a)
-
-        monkeypatch.setattr(core, "eigh", recording_eigh)
-        blocks = ws.evaluate(v, want_sld=True)
-        assert sizes == [(ws.dim + 1) // 2, ws.dim // 2]
-        monkeypatch.setattr(core, "BLOCK_MIN_DIM", ws.dim + 1)
-        full = ws.evaluate(v, want_sld=True)
-        assert sizes[2:] == [ws.dim]
-        assert blocks.correction == pytest.approx(full.correction, rel=1e-13)
-        assert not np.any(blocks.sld.real)
-        assert np.array_equal(blocks.sld, -blocks.sld.T)
-        assert np.linalg.norm(blocks.sld - full.sld) <= 1e-12 * np.linalg.norm(full.sld)
-        rb = rho_bar(sc)
-        rp = rho_prime(sc, rb)
-        P = support_projector(rb)
-        L = blocks.sld
-        resid = P @ (rp - 0.5 * (rb @ L + L @ rb)) @ P
-        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rp)
-
-    def test_sld_is_f_odd(self):
-        # K is F-odd, FKF = -K, bit for bit, at an even D with no fixed point
-        ws = BoundWorkspace(PAR, 1, 4, 0.5)
-        L = ws.evaluate(product_pure(plus_step_state(1), ws.n_steps), want_sld=True).sld
-        flip = ws._gens["F"]
-        assert np.array_equal(L[np.ix_(flip, flip)], -L)
 
 
 def _spy_lapack_eigh(monkeypatch, record):
@@ -794,19 +740,17 @@ class TestKernelOfRhoBar:
     @pytest.mark.parametrize("k, rank", [(2, 8), (3, 32)])
     def test_ghz_kernel_is_finite_and_real(self, monkeypatch, k, rank):
         # GHZ at N=2 leaves most of rho_bar's spectrum at roundoff level,
-        # of either sign; the bound and the SLD must stay finite there.  At
-        # k = 3 (D = 243) the SLD comes from the two {1, F} blocks
+        # of either sign; the bound and the SLD must stay finite there
         seen = []
-        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.append((a.dtype, out[0])))
+        _spy_lapack_eigh(monkeypatch, lambda a, out: seen.extend((a.dtype, out[0])))
         ws = BoundWorkspace(PAR, 2, k, 0.6)
         v = product_pure(ghz_step_state(2), ws.n_steps)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = ws.evaluate(v, want_sld=True)
-        assert len(seen) == (1 if ws.dim < core.BLOCK_MIN_DIM else 2)
-        assert all(dtype == np.float64 for dtype, _ in seen)
-        lam = np.concatenate([lam for _, lam in seen])
-        assert np.count_nonzero(lam > 1e-12 * lam.max()) == rank
+        dtype, lam = seen
+        assert dtype == np.float64
+        assert np.count_nonzero(lam > 1e-12 * lam[-1]) == rank
         assert np.isfinite(res.correction) and 0.0 < res.correction <= res.sigma2_lo
         assert np.all(np.isfinite(res.sld))
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize import minimize, minimize_scalar
 
-from bound_reference import cost_functional
+from bound_reference import cost_functional, rho_bar, rho_prime, support_projector
 from qavar import core, optimize
 from qavar.core import (
     BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar,
@@ -115,17 +115,45 @@ def flip_isometries(ws):
     return Q
 
 
-class TestFlipCostBlocks:
+def flip_sld(ws, K_eo):
+    """K (L = iK) from its one block between the {1, F} orbit bases: Q_+ K_eo Q_-^T - (.)^T."""
+    Q_even, Q_odd = flip_isometries(ws)
+    part = Q_even @ K_eo @ Q_odd.T
+    return part - part.T
+
+
+class TestFlipSweep:
+    @pytest.mark.parametrize("n_atoms, k, T", [(4, 2, 0.7), (2, 3, 2.15 / 3)])
+    def test_sld_block_is_the_sld_in_the_flip_bases(self, n_atoms, k, T):
+        # D = 125 and 243: |+>'s SLD block from the two {1, F} blocks, lifted
+        # through Q_+-, is the trivial group's L within 1e-12 in the Frobenius
+        # norm (the SLD's roundoff is eps times rho_bar's condition number,
+        # 1e4 here) and passes check 3's residual gate
+        sc = plus_scenario(n_atoms=n_atoms, k=k, T=T)
+        ws = BoundWorkspace(PAR, n_atoms, k, T)
+        x = np.abs(sc.joint_input())
+        total, (K_eo,) = ws._blocks(("F",)).pair_sum(x, want_sld=True)
+        full_total, (K_full,) = ws._blocks(()).pair_sum(x, want_sld=True)
+        assert total == pytest.approx(full_total, rel=1e-13)
+        K = flip_sld(ws, K_eo)
+        assert np.linalg.norm(K - K_full) <= 1e-12 * np.linalg.norm(K_full)
+        rb = rho_bar(sc)
+        rp = rho_prime(sc, rb)
+        P = support_projector(rb)
+        L = 1j * K
+        resid = P @ (rp - 0.5 * (rb @ L + L @ rb)) @ P
+        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(rp)
+
     @pytest.mark.parametrize("n_atoms, k, T", [(4, 2, 0.7), (2, 3, 2.15 / 3), (1, 4, 0.5)])
     def test_blocks_are_the_cost_operator_in_the_flip_bases(self, n_atoms, k, T):
         # D = 125, 243 (a fixed point) and 128 (none): the blocked A_L of
-        # |+>'s SLD block is Q_i^T A_L Q_i of cost_operator on the assembled L
+        # |+>'s SLD block is Q_i^T A_L Q_i of cost_operator on the lifted L
         ws = BoundWorkspace(PAR, n_atoms, k, T)
         x = np.abs(product_pure(plus_step_state(n_atoms), ws.n_steps))
         group = ws._blocks(("F",))
         _, (K_eo,) = group.pair_sum(x, want_sld=True)
-        A = cost_operator(1j * ws._flip_sld(K_eo), ws)
-        blocks = optimize._flip_cost_blocks(K_eo, group, PAR.omega0)
+        A = cost_operator(1j * flip_sld(ws, K_eo), ws)
+        blocks = core._flip_cost_blocks(K_eo, group, PAR.omega0)
         for Ai, Qi in zip(blocks, flip_isometries(ws)):
             assert np.array_equal(Ai, Ai.T)  # eigh takes it as it is
             assert np.abs(Ai - Qi.T @ A @ Qi).max() <= 1e-13 * np.abs(A).max()
@@ -146,7 +174,7 @@ class TestFlipCostBlocks:
             m = rng.normal(size=(idx.size, idx.size))
             shift = 0.0 if ("even", "odd")[i] == lower else 20.0
             blocks.append(m + m.T + shift * np.eye(idx.size))
-        psi = optimize._flip_ground_state(blocks, group, flip)
+        psi = core._flip_ground_state(blocks, group, flip)
         sign = 1.0 if lower == "even" else -1.0
         assert np.array_equal(psi[flip], sign * psi)
         assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
@@ -167,6 +195,30 @@ class TestFlipCostBlocks:
         want *= ws.weights
         want /= -PAR.omega0**2
         assert np.array_equal(cost_operator(L, ws), want)
+
+    def test_sweep_runs_only_on_f_exact_inputs_at_the_floor(self, monkeypatch):
+        # D = 243, |+> with random signs (F-exact in magnitude only):
+        # flip_sweep gives evaluate's bound without the SLD, and its step is
+        # the full sweep's ground state up to a global sign, with v's signs
+        # (A_L(z x) = Z A_L(x) Z).  An input off F symmetry by one ulp, or the
+        # same v below the floor, gets None
+        sc = plus_scenario(n_atoms=2, k=3, T=0.7)
+        ws = BoundWorkspace(PAR, 2, 3, 0.7)
+        signs = np.random.default_rng(4).choice([-1.0, 1.0], size=ws.dim)
+        v = signs * np.abs(sc.joint_input())
+        res, step = ws.flip_sweep(v)
+        full, full_step = optimize._full_sweep(ws, v)
+        assert res.sld is None
+        assert res.sigma2_q == pytest.approx(full.sigma2_q, rel=1e-13)
+        psi, psi_full = step(), full_step()
+        x = np.abs(psi)
+        assert np.array_equal(x[ws._gens["F"]], x)
+        assert abs(psi @ psi_full) == pytest.approx(1.0, rel=1e-12)
+        w = np.abs(v)
+        w[0] = np.nextafter(w[0], 1.0)
+        assert ws.flip_sweep(w) is None
+        monkeypatch.setattr(core, "BLOCK_MIN_DIM", ws.dim + 1)
+        assert ws.flip_sweep(v) is None
 
 
 def spy_eigensolve_sizes(monkeypatch):
@@ -307,6 +359,17 @@ class TestSeeSaw:
             assert np.array_equal(x, x[flip])
         else:  # |gauge| is 1 only to roundoff
             assert np.abs(x - x[flip]).max() <= 4 * np.finfo(float).eps * x.max()
+
+    @pytest.mark.parametrize("n_atoms, k", [(2, 2), (1, 3), (3, 2)])
+    def test_start_kept_below_the_floor(self, monkeypatch, n_atoms, k):
+        # D = 27, 32, 64: below BLOCK_MIN_DIM every sweep takes the trivial
+        # path, so a start F-symmetric only to roundoff (the twisted |+>,
+        # 1.4-1.8 ulp off) is not averaged: the first sweep's sigma2_q is
+        # qavar's of the start, bit for bit
+        monkeypatch.setattr(optimize, "SEESAW_MAX_ITER", 1)
+        sc = Scenario(noise=PAR, n_atoms=n_atoms, k=k, T=0.7,
+                      probe=ProductProbe(coherent_step_state(n_atoms, np.pi / 2, np.pi / 3)))
+        assert optimize_joint_state(sc).history == [qavar(sc).sigma2_q]
 
     @pytest.mark.parametrize("start", ["random", "perturbed"])
     def test_asymmetric_start_keeps_the_full_see_saw(self, monkeypatch, start):
