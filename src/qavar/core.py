@@ -38,7 +38,8 @@ Two exact symmetries split that eigensolve for the inputs that carry them.
 Step reversal P, (n_1..n_K) -> (n_K..n_1): G is a symmetric Toeplitz
 matrix (the LO noise is stationary), so (Pa - Pb)^T G (Pa - Pb) =
 (a - b)^T G (a - b) and W commutes with P.  Spin flip F, n_j -> N - n_j at
-every step, maps a - b to -(a - b), so W commutes with F as well.  With
+every step, maps a - b to -(a - b), so W commutes with F as well; on the
+linear index it is a -> D - 1 - a, so x[Fa] is x[::-1].  With
 x[Pa] = x[a] (every product probe) rho_bar commutes with P; with also
 x[Fa] = x[a] (|+>, GHZ, every step state with a_n = +-a_(N-n)) it
 commutes with the group {1, P, F, PF}.  rho_bar is then block diagonal in
@@ -59,7 +60,9 @@ F-odd, is one F-even x F-odd block.  `BoundWorkspace.evaluate` takes the
 largest exact symmetry of x, tested bit for bit, when no SLD is asked for
 and D >= BLOCK_MIN_DIM, and the trivial group {1} otherwise, whose one
 pair gives the (D, D) SLD.  `BoundWorkspace.flip_sweep` runs a whole
-see-saw sweep in {1, F} and keeps the SLD as its one block.
+see-saw sweep in {1, F} and keeps the SLD as its one block.  Both groups
+form the see-saw's cost operator A_L and its ground state by one code,
+`_cost_blocks` and `_ground_state`, the trivial group as one block.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ from .hilbert import (
     SymmetricState,
     _row_chunks,
     eigh,
-    flip_index,
     multi_index_table,
     product_pure,
     reversal_index,
@@ -347,67 +349,71 @@ class _OrbitBlocks:
         return total, sld if want_sld else None
 
 
-def _flip_cost_blocks(K_eo: np.ndarray, group, omega0: float) -> list[np.ndarray]:
-    """`optimize.cost_operator`'s A_L in the two {1, F} blocks, F-even then F-odd.
+def _cost_blocks(K: np.ndarray, group: _OrbitBlocks, omega0: float) -> list[np.ndarray]:
+    """A_L's blocks for L = iK, in the trivial group or in {1, F}.
 
-    For L = iK.  The SLD of an F-symmetric x is F-odd and W and [., U']
-    keep F parity (module docstring), so A_L = -W o M / omega0^2,
-    M = K^2 / 2 + [K, U], commutes with F.  K_eo is K's one block, between
-    the orbit bases of the F-even and the F-odd block
-    (`_OrbitBlocks.pair_sum`).  With C = U's block
-    between them (diagonal: the pair's coefficients (u_r - u_Fr) / 2),
+    A_L = -W o M / omega0^2, M = K^2 / 2 + [K, U] (`optimize.cost_operator`).
+    K is the SLD's block from `_OrbitBlocks.pair_sum`: in the trivial group
+    K itself, and C = U; in {1, F} the F-even x F-odd block (the SLD of an
+    F-symmetric x is F-odd), and C = U's block between them (diagonal: the
+    pair's coefficients (u_r - u_Fr) / 2).  With E = K C^T (K^2 = -K K^T),
 
-        M_+ = -K_eo K_eo^T / 2 + K_eo C^T + C K_eo^T
-        M_- = -K_eo^T K_eo / 2 - K_eo^T C - C^T K_eo
+        M_+ = -K K^T / 2 + E + E^T
+        M_- = -K^T K / 2 - C^T K - K^T C
 
-    and M couples no F-even with F-odd.  On an orbit pair a Hadamard
-    product of F-invariant matrices mixes only the two characters,
-    (X o Y)_i = (1/2) sum_j X_(i^j) o Y_j in the unscaled orbit sums, so
-    with the orbit weights W_i (`_OrbitBlocks.block`)
+    M_+ is the trivial group's M; in {1, F}, W and [., U'] keep F parity, so
+    M couples no F-even with F-odd and A_L commutes with F.  On an orbit
+    pair a Hadamard product of F-invariant matrices mixes only the two
+    characters, (X o Y)_i = (1/2) sum_j X_(i^j) o Y_j in the unscaled orbit
+    sums, so with the orbit weights W_i (`_OrbitBlocks.block`)
 
-        A_i = -(1/2) sum_j W_(i^j) o M_j / omega0^2
+        A_i = -(1/|G|) sum_j W_(i^j) o M_j / omega0^2
 
     over the orbits both blocks hold, and A_+'s fixed-point row and column
     (odd D; A_- has no fixed point) divided by that orbit's scale.  Every
     term is exactly symmetric, so `eigh` takes each block as it is.
     """
-    (_, _, rows, _, c), = group.pairs
-    n0 = K_eo.shape[0]
+    (_, j, rows, _, c), = group.pairs
+    n0 = K.shape[0]
     E = np.zeros((n0, n0))
-    E[:, rows] = K_eo * c
+    E[:, rows] = K * c
     M_even = E + E.T
-    M_even -= 0.5 * (K_eo @ K_eo.T)
-    E = c[:, None] * K_eo[rows]
-    M_odd = K_eo.T @ K_eo
-    M_odd *= -0.5
-    M_odd -= E + E.T
-    W_even, W_odd = group.block(0), group.block(1)
-    both = np.ix_(*2 * [np.arange(n0)[rows]])
-    A_even = W_even * M_even
-    A_even /= np.outer(group.scale[0], group.scale[0])
-    A_even[both] += W_odd * M_odd
-    A_odd = W_odd * M_even[both]
-    A_odd += W_even[both] * M_odd
-    A_even *= -0.5 / omega0**2
-    A_odd *= -0.5 / omega0**2
-    return [A_even, A_odd]
+    M_even -= 0.5 * (K @ K.T)
+    W = [group.block(i) for i in range(len(group.index))]
+    A = [W[0] * M_even]
+    if j:  # {1, F}: the F-even x F-odd pair
+        A[0] /= np.outer(group.scale[0], group.scale[0])
+        E = c[:, None] * K[rows]
+        M_odd = K.T @ K
+        M_odd *= -0.5
+        M_odd -= E + E.T
+        both = np.ix_(*2 * [np.arange(n0)[rows]])
+        A[0][both] += W[1] * M_odd
+        A.append(W[1] * M_even[both])
+        A[1] += W[0][both] * M_odd
+    for Ai in A:
+        Ai *= -1.0 / len(A) / omega0**2
+    return A
 
 
-def _flip_ground_state(A_blocks: list[np.ndarray], group, flip: np.ndarray) -> np.ndarray:
-    """A_L's ground state from its two {1, F} blocks, exactly F-symmetric or F-antisymmetric.
+def _ground_state(A_blocks: list[np.ndarray], group: _OrbitBlocks) -> np.ndarray:
+    """A_L's ground state from its blocks (`_cost_blocks`), lifted back to a (D,) vector.
 
-    The lower of the blocks' lowest eigenpairs (the F-even one on a tie).
-    Its vector y over the orbits O = {r, Fr} lifts as |O|^(-1/2) =
-    1 / (s_O sqrt(2)) (1 at the fixed point): psi[r] = psi[Fr] in the
-    F-even block, psi[Fr] = -psi[r] in the F-odd one.
+    The lowest of the blocks' lowest eigenpairs, the first block's on a
+    tie.  In the trivial group that is `eigh(A, lowest=1)`'s vector as it
+    is.  In {1, F} its vector y over the orbits O = {r, Fr} lifts as
+    |O|^(-1/2) = 1 / (s_O sqrt(2)) (1 at the fixed point): psi[r] = psi[Fr]
+    in the F-even block, psi[Fr] = -psi[r] in the F-odd one, so psi is
+    exactly F-symmetric or F-antisymmetric (F reverses the linear index).
     """
-    (lam_e, y_e), (lam_o, y_o) = (eigh(A, lowest=1) for A in A_blocks)
-    i, y = (0, y_e) if lam_e[0] <= lam_o[0] else (1, y_o)
+    pairs = [eigh(A, lowest=1) for A in A_blocks]
+    i = min(range(len(pairs)), key=lambda b: pairs[b][0][0])
     idx = group.index[i]
-    y = y[:, 0] / (np.sqrt(2.0) * group.scale[i])
-    psi = np.zeros(flip.size)
+    y = pairs[i][1][:, 0] / (np.sqrt(len(pairs)) * group.scale[i])
+    psi = np.zeros(sum(A.shape[0] for A in A_blocks))
     psi[idx] = y
-    psi[flip[idx]] = -y if i else y
+    if len(pairs) == 2:
+        psi[-1 - idx] = -y if i else y
     return psi
 
 
@@ -418,8 +424,8 @@ class BoundWorkspace:
     (u_a = a^T H) once; each `evaluate` call then builds each block of
     rho_bar off the table, solves it with one real symmetric eigensolve and
     drops it, plus a few products.  Each symmetry group's orbit bookkeeping
-    is built on first use, and no block-sized array is kept between calls;
-    `weights`, the trivial group's one block, is built on first read.
+    is built on first use, and no block-sized array, W included, is kept
+    between calls.
     """
 
     def __init__(self, noise: NoiseParams, n_atoms: int, k: int, T: float) -> None:
@@ -432,9 +438,8 @@ class BoundWorkspace:
         self.u = multi_index_table(n_atoms, self.n_steps).astype(float) @ self.kernels.H
         self._table, self._codes = _difference_table(self.kernels.G, n_atoms)
         self._gens = {"P": reversal_index(n_atoms, self.n_steps),
-                      "F": flip_index(n_atoms, self.n_steps)}
+                      "F": np.arange(self.dim)[::-1]}  # n -> N - n at every step
         self._groups: dict[tuple, _OrbitBlocks] = {}
-        self._weights: Optional[np.ndarray] = None
 
     def _blocks(self, gens: tuple) -> _OrbitBlocks:
         """The orbit blocks of the group generated by `gens`, drawn from ("P", "F") in order.
@@ -454,13 +459,6 @@ class BoundWorkspace:
         s2lo = self.kernels.sigma2_lo
         return QavarResult(sigma2_lo=s2lo, correction=correction, sigma2_q=s2lo - correction,
                            sld=sld)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The (D, D) dephasing weights W[a, b] = exp(-1/2 (a-b)^T G (a-b)), built on first read."""
-        if self._weights is None:
-            self._weights = self._blocks(()).block(0)
-        return self._weights
 
     def evaluate(self, v: np.ndarray, want_sld: bool = False) -> QavarResult:
         """Bound for a pure joint input vector v of shape (D,).
@@ -501,7 +499,7 @@ class BoundWorkspace:
         x = np.abs(v)
         gens = ()  # the trivial group, {1, P} or {1, P, F, PF}
         if not want_sld and self.dim >= BLOCK_MIN_DIM and np.array_equal(x, x[self._gens["P"]]):
-            gens = ("P", "F") if np.array_equal(x, x[self._gens["F"]]) else ("P",)
+            gens = ("P", "F") if np.array_equal(x, x[::-1]) else ("P",)
         total, sld = self._blocks(gens).pair_sum(x, want_sld)
         if want_sld:
             z = _phase_gauge(v)
@@ -515,25 +513,21 @@ class BoundWorkspace:
         None below BLOCK_MIN_DIM or where x = |v| is not exactly F-symmetric
         (tested bit for bit).  Else (result, step): result is `evaluate(v)`
         without the SLD, and step() is the ground state of v's cost operator
-        A_L, the vector `optimize.cost_operator` and `eigh(A, lowest=1)` give
-        in exact arithmetic.  No (D, D) matrix is formed: `pair_sum` solves
-        rho_bar's two blocks and keeps the SLD as its one F-even x F-odd
-        block, `_flip_cost_blocks` forms A_L's two blocks from it, and
-        `_flip_ground_state` lifts the lower block's ground state back
-        exactly F-symmetric or F-antisymmetric; v's phases z follow, since
+        A_L, the trivial group's step in exact arithmetic.  `pair_sum` keeps
+        the SLD as its one F-even x F-odd block, so no (D, D) matrix is
+        formed, and v's phases z follow the lifted ground state, since
         A_L(z x) = Z A_L(x) Z^dag.  So |step()| is exactly F-symmetric
         again, and a see-saw from an F-exact start stays in the blocks.
         """
         x = np.abs(v)
-        flip = self._gens["F"]
-        if self.dim < BLOCK_MIN_DIM or not np.array_equal(x, x[flip]):
+        if self.dim < BLOCK_MIN_DIM or not np.array_equal(x, x[::-1]):
             return None
         group = self._blocks(("F",))
         total, (K_eo,) = group.pair_sum(x, want_sld=True)
 
         def step() -> np.ndarray:
-            A = _flip_cost_blocks(K_eo, group, self.noise.omega0)
-            return _phase_gauge(v) * _flip_ground_state(A, group, flip)
+            A = _cost_blocks(K_eo, group, self.noise.omega0)
+            return _phase_gauge(v) * _ground_state(A, group)
 
         return self._result(total, None), step
 

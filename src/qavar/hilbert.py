@@ -21,7 +21,6 @@ __all__ = [
     "SymmetricState",
     "multi_index_table",
     "reversal_index",
-    "flip_index",
     "product_pure",
     "plus_step_state",
     "ghz_step_state",
@@ -91,19 +90,6 @@ def reversal_index(n_atoms: int, n_steps: int) -> np.ndarray:
     rev = table @ (n_atoms + 1) ** np.arange(n_steps)  # n_K now most significant
     rev.setflags(write=False)
     return rev
-
-
-@lru_cache(maxsize=64)
-def flip_index(n_atoms: int, n_steps: int) -> np.ndarray:
-    """Linear index of each multi-index's spin flip (N-n_1..N-n_K), shape ((N+1)^K,).
-
-    Every base-(N+1) digit n becomes N - n, so index a maps to D - 1 - a.  An
-    involution that commutes with `reversal_index`.
-    """
-    dim = (n_atoms + 1) ** n_steps
-    flip = dim - 1 - np.arange(dim)
-    flip.setflags(write=False)
-    return flip
 
 
 def product_pure(state: SymmetricState, n_steps: int) -> np.ndarray:

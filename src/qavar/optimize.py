@@ -58,13 +58,7 @@ from .core import (
     _phase_gauge,
     qavar,
 )
-from .hilbert import (
-    SymmetricState,
-    eigh,
-    flip_index,
-    plus_step_state,
-    product_pure,
-)
+from .hilbert import SymmetricState, plus_step_state, product_pure
 from .noise import NoiseParams, free_lo_avar
 
 __all__ = [
@@ -129,7 +123,8 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     cost(rho_in, L) = sigma2_lo - Tr(L rho_bar')/omega0^2
     + Tr(L^2 rho_bar)/(2 omega0^2) is affine in rho_in and convex in L (not
     jointly convex) and equals sigma2_q at the SLD.  With W the dephasing
-    weights (the trivial group's one block) and U = diag(u), u_a = a^T H:
+    weights, built off the workspace's difference table for this call,
+    and U = diag(u), u_a = a^T H:
 
         A_L = W o ( L^2 / (2 omega0^2) + i [L, U] / omega0^2 )
 
@@ -139,32 +134,26 @@ def cost_operator(L: np.ndarray, workspace: BoundWorkspace) -> np.ndarray:
     i [L, U] = -[K, U], so A_L = -W o (K^2 / 2 + [K, U]) / omega0^2 is real
     symmetric and is formed in real arithmetic (a quarter of the complex
     product's flops).  An L with a nonzero real part raises ValueError.
-    This is the trivial group's A_L; in the {1, F} blocks the see-saw
-    forms its two blocks instead (`BoundWorkspace.flip_sweep`).
+    This is `core._cost_blocks` in the trivial group, whose one block is
+    A_L; in {1, F} the see-saw forms its two blocks instead
+    (`BoundWorkspace.flip_sweep`).
     """
     if np.any(L.real):
         raise ValueError("cost_operator needs a purely imaginary L = iK, the SLD of a real input")
-    K = L.imag
-    A = K @ K
-    A *= 0.5
-    A += K * workspace.u[None, :]
-    A -= workspace.u[:, None] * K
-    A *= workspace.weights
-    A /= -workspace.noise.omega0**2
-    return A
+    return core._cost_blocks(L.imag, workspace._blocks(()), workspace.noise.omega0)[0]
 
 
 def _full_sweep(ws: BoundWorkspace, psi: np.ndarray) -> tuple:
     """One see-saw sweep in the trivial group: (evaluate(psi) with the SLD, step).
 
     step() is the ground state of `cost_operator` at that SLD, one subset
-    eigensolve of the (D, D) A_L.
+    eigensolve of the (D, D) A_L by `core._ground_state`, the code that
+    lifts flip_sweep's blocks.
     """
     res = ws.evaluate(psi, want_sld=True)
 
     def step() -> np.ndarray:
-        _, V = eigh(cost_operator(res.sld, ws), lowest=1)
-        return np.ascontiguousarray(V[:, 0])
+        return core._ground_state([cost_operator(res.sld, ws)], ws._blocks(()))
 
     return res, step
 
@@ -197,23 +186,23 @@ def optimize_joint_state(scenario: Scenario, seed: int = 0) -> OptimizeReport:
     every sweep in the blocks.
 
     The start rule: where D >= BLOCK_MIN_DIM and x = |psi0| is F-symmetric
-    to roundoff, max |x - Fx| <= K eps max x (each of the K step factors of
-    a product probe rounds about once), the run starts from (x + Fx) / 2,
-    which is exactly F-symmetric (IEEE addition commutes).
-    sigma2_q(Fx) = sigma2_q(x), so sigma2_q's gradient at the midpoint is
-    orthogonal to x - Fx, and the move changes sigma2_q(start) only at
-    second order in |x - Fx| (and the norm by as little).  So a per-step
-    coherent |+> with a phase twist, whose |a_n| and |a_(N-n)| differ by an
-    ulp or two, takes the blocks; below BLOCK_MIN_DIM the start is kept.
+    to roundoff, max |x - Fx| <= (N + 1) K eps max x (a product probe's K
+    step factors, each allowed N + 1 ulp for its step state's own
+    rounding), the run starts from (x + Fx) / 2, which is exactly
+    F-symmetric (IEEE addition commutes).  sigma2_q(Fx) = sigma2_q(x), so
+    sigma2_q's gradient at the midpoint is orthogonal to x - Fx, and the
+    move changes sigma2_q(start) only at second order in |x - Fx| (and the
+    norm by as little).  So a per-step coherent |+> with a phase twist,
+    whose x is 1-5 ulp of max x off F symmetry at N <= 12, k <= 3, takes
+    the blocks; below BLOCK_MIN_DIM the start is kept.
     """
     start = scenario.joint_input()
     gauge = _phase_gauge(start)
     psi = np.abs(start)
     ws = BoundWorkspace(scenario.noise, scenario.n_atoms, scenario.k, scenario.T)
-    flip = flip_index(scenario.n_atoms, ws.n_steps)
-    roundoff = ws.n_steps * np.finfo(float).eps * psi.max()
-    if ws.dim >= core.BLOCK_MIN_DIM and np.abs(psi - psi[flip]).max() <= roundoff:
-        psi = 0.5 * (psi + psi[flip])
+    roundoff = (scenario.n_atoms + 1) * ws.n_steps * np.finfo(float).eps * psi.max()
+    if ws.dim >= core.BLOCK_MIN_DIM and np.abs(psi - psi[::-1]).max() <= roundoff:
+        psi = 0.5 * (psi + psi[::-1])
     history: list[float] = []
     stop = SEESAW_TOL * max(ws.kernels.sigma2_lo, 1e-300)
     while True:

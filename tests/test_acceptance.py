@@ -118,7 +118,7 @@ def oracle_cases():
                 # rho_in o W and rho_bar' = i [rho_bar, diag(u)]
                 ws = BoundWorkspace(REF, N, k, 0.8)
                 v = product_pure(st, scen.n_steps)
-                rb = np.outer(v, v.conj()) * ws.weights
+                rb = np.outer(v, v.conj()) * ws._blocks(()).block(0)
                 rp = 1j * (rb * ws.u[None, :] - ws.u[:, None] * rb)
                 cases.append((f"N={N} k={k} {name}", scen, rb, rp, mc))
     return cases

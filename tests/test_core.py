@@ -133,7 +133,7 @@ class TestFactorTables:
         # reference's D^2 formula to roundoff, and exactly symmetric and
         # spin-flip invariant (F maps index a to D - 1 - a)
         ws = BoundWorkspace(PAR, n_atoms, k, tau / k)
-        W = ws.weights
+        W = ws._blocks(()).block(0)
         assert np.abs(W / dephasing_weights(ws.kernels.G, n_atoms) - 1.0).max() <= 1e-12
         assert np.array_equal(W, W.T)
         assert np.array_equal(W, W[::-1, ::-1])
@@ -291,7 +291,7 @@ def test_pure_input_phase_gauge_property(n_atoms, k, T, seed):
     twisted = ws.evaluate(v, want_sld=True)
     plain = ws.evaluate(np.abs(v), want_sld=True)
     assert twisted.sigma2_q == plain.sigma2_q
-    rb = np.outer(v, v.conj()) * ws.weights
+    rb = np.outer(v, v.conj()) * ws._blocks(()).block(0)
     moved = rb @ (np.outer(z, z.conj()) * plain.sld)
     assert np.abs(rb @ twisted.sld - moved).max() <= 1e-10 * np.abs(moved).max()
 
@@ -460,7 +460,7 @@ class TestWorkspaceReuse:
         # W_i[O, O'] = s s' sum_h chi_i(h) W[r, h r'] formed from the full W
         # with the h = 0 term first, then +- each further one, then * s s'
         ws = BoundWorkspace(PAR, n_atoms, k, 0.6)
-        W = ws.weights
+        W = ws._blocks(()).block(0)
         x = np.abs(np.random.default_rng(n_atoms + k).normal(size=ws.dim))
         elements = [np.arange(ws.dim)]  # element j applies the generators named by j's bits
         for g in gens:

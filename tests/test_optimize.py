@@ -12,7 +12,9 @@ from qavar import core, optimize
 from qavar.core import (
     BLOCK_MIN_DIM, BoundWorkspace, JointProbe, ProductProbe, Scenario, joint_dim, qavar,
 )
-from qavar.hilbert import SymmetricState, coherent_step_state, plus_step_state, product_pure
+from qavar.hilbert import (
+    SymmetricState, coherent_step_state, eigh, plus_step_state, product_pure,
+)
 from qavar.noise import NoiseParams, free_lo_avar
 from qavar.optimize import (
     CERT_STEP,
@@ -49,7 +51,7 @@ def random_sld(dim, seed):
 
 def complex_formula(L, ws):
     """A_L = W o (L^2 / (2 omega0^2) + i [L, U] / omega0^2) in complex arithmetic."""
-    w0sq, W, u = ws.noise.omega0**2, ws.weights, ws.u
+    w0sq, W, u = ws.noise.omega0**2, ws._blocks(()).block(0), ws.u
     return W * (L @ L) / (2.0 * w0sq) + W * (1j * (L * u[None, :] - u[:, None] * L)) / w0sq
 
 
@@ -89,6 +91,30 @@ class TestCostOperator:
         ws = BoundWorkspace(PAR, 2, 1, 1.0)
         with pytest.raises(ValueError, match="purely imaginary"):
             cost_operator(random_hermitian(ws.dim, 5), ws)
+
+    def test_workspace_keeps_no_d2_array(self):
+        # D = 243: after an SLD evaluation and cost_operator, no array the
+        # workspace holds (its attributes and its groups' bookkeeping) has
+        # D^2 entries; W is built per call, off the difference table
+        ws = BoundWorkspace(PAR, 2, 3, 0.7)
+        v = product_pure(plus_step_state(2), ws.n_steps)
+        cost_operator(ws.evaluate(v, want_sld=True).sld, ws)
+        held, todo, seen = [], [ws], set()
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                held.append(obj.size)
+            elif isinstance(obj, dict):
+                todo += obj.values()
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+            elif hasattr(obj, "__dict__"):
+                todo += vars(obj).values()
+        assert len(ws._groups) == 1 and len(held) > 10
+        assert max(held) < ws.dim**2
 
     def test_real_input_sld_takes_real_branch(self):
         # a real input's SLD is iK with K real antisymmetric; A_L is then real
@@ -153,7 +179,7 @@ class TestFlipSweep:
         group = ws._blocks(("F",))
         _, (K_eo,) = group.pair_sum(x, want_sld=True)
         A = cost_operator(1j * flip_sld(ws, K_eo), ws)
-        blocks = core._flip_cost_blocks(K_eo, group, PAR.omega0)
+        blocks = core._cost_blocks(K_eo, group, PAR.omega0)
         for Ai, Qi in zip(blocks, flip_isometries(ws)):
             assert np.array_equal(Ai, Ai.T)  # eigh takes it as it is
             assert np.abs(Ai - Qi.T @ A @ Qi).max() <= 1e-13 * np.abs(A).max()
@@ -167,34 +193,30 @@ class TestFlipSweep:
         # lowest eigenvector of the whole A = sum_i Q_i A_i Q_i^T
         ws = BoundWorkspace(PAR, n_atoms, k, 0.7)
         group = ws._blocks(("F",))
-        flip = ws._gens["F"]
         rng = np.random.default_rng(6)
         blocks = []
         for i, idx in enumerate(group.index):
             m = rng.normal(size=(idx.size, idx.size))
             shift = 0.0 if ("even", "odd")[i] == lower else 20.0
             blocks.append(m + m.T + shift * np.eye(idx.size))
-        psi = core._flip_ground_state(blocks, group, flip)
+        psi = core._ground_state(blocks, group)
         sign = 1.0 if lower == "even" else -1.0
-        assert np.array_equal(psi[flip], sign * psi)
+        assert np.array_equal(psi[::-1], sign * psi)
         assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-14)
         A = sum(Q @ Ai @ Q.T for Q, Ai in zip(flip_isometries(ws), blocks))
         _, V = np.linalg.eigh(A)
         assert abs(psi @ V[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
-    def test_trivial_group_cost_operator_bits(self):
-        # cost_operator is the trivial group's case, operation for operation:
-        # K @ K / 2 + K u^T - u K, times W, over -omega0^2
+    def test_trivial_group_is_the_one_block_case(self):
+        # cost_operator is _cost_blocks' trivial case, and the trivial
+        # group's _ground_state is eigh(A, lowest=1)'s vector, bit for bit
         ws = BoundWorkspace(PAR, 2, 2, 0.7)
         L = random_sld(ws.dim, 3)
-        K = L.imag
-        want = K @ K
-        want *= 0.5
-        want += K * ws.u[None, :]
-        want -= ws.u[:, None] * K
-        want *= ws.weights
-        want /= -PAR.omega0**2
-        assert np.array_equal(cost_operator(L, ws), want)
+        group = ws._blocks(())
+        A = cost_operator(L, ws)
+        assert np.array_equal(A, core._cost_blocks(L.imag, group, PAR.omega0)[0])
+        _, V = eigh(A, lowest=1)
+        assert np.array_equal(core._ground_state([A], group), V[:, 0])
 
     def test_sweep_runs_only_on_f_exact_inputs_at_the_floor(self, monkeypatch):
         # D = 243, |+> with random signs (F-exact in magnitude only):
@@ -222,14 +244,14 @@ class TestFlipSweep:
 
 
 def spy_eigensolve_sizes(monkeypatch):
-    """Record the size of every `hilbert.eigh` call from core and optimize."""
+    """Record the size of every `hilbert.eigh` call, all of which core makes."""
     sizes = []
-    for module in (core, optimize):
-        def recording_eigh(a, *args, _solve=module.eigh, **kwargs):
-            sizes.append(a.shape[0])
-            return _solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(module, "eigh", recording_eigh)
+    def recording_eigh(a, *args, _solve=core.eigh, **kwargs):
+        sizes.append(a.shape[0])
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(core, "eigh", recording_eigh)
     return sizes
 
 
@@ -353,12 +375,32 @@ class TestSeeSaw:
         assert blocks.n_evals == full.n_evals
         s2lo = free_lo_avar(PAR, sc.tau)
         assert np.abs(np.subtract(blocks.history, full.history)).max() <= 1e-12 * s2lo
-        flip = core.flip_index(n_atoms, sc.n_steps)
         x = np.abs(blocks.state)
         if start == "plus":
-            assert np.array_equal(x, x[flip])
+            assert np.array_equal(x, x[::-1])
         else:  # |gauge| is 1 only to roundoff
-            assert np.abs(x - x[flip]).max() <= 4 * np.finfo(float).eps * x.max()
+            assert np.abs(x - x[::-1]).max() <= 4 * np.finfo(float).eps * x.max()
+
+    def test_start_rule_counts_the_step_states_rounding(self, monkeypatch):
+        # N = 8, k = 2 (D = 729): the twisted |+> is F-symmetric only to a
+        # few ulp, more than K eps max x but within (N + 1) K eps max x, so
+        # every solve is half-size; the full see-saw, forced by raising the
+        # floor, gives the same history
+        monkeypatch.setattr(optimize, "SEESAW_MAX_ITER", 2)
+        sc = Scenario(noise=PAR, n_atoms=8, k=2, T=1.0,
+                      probe=ProductProbe(coherent_step_state(8, np.pi / 2, np.pi / 3)))
+        x = np.abs(sc.joint_input())
+        assert np.abs(x - x[::-1]).max() > sc.n_steps * np.finfo(float).eps * x.max()
+        sizes = spy_eigensolve_sizes(monkeypatch)
+        blocks = optimize_joint_state(sc)
+        assert sizes and set(sizes) == {(sc.dim + 1) // 2, sc.dim // 2}
+        sizes.clear()
+        monkeypatch.setattr(core, "BLOCK_MIN_DIM", sc.dim + 1)
+        full = optimize_joint_state(sc)
+        assert set(sizes) == {sc.dim}
+        assert blocks.n_evals == full.n_evals == 2
+        s2lo = free_lo_avar(PAR, sc.tau)
+        assert np.abs(np.subtract(blocks.history, full.history)).max() <= 1e-12 * s2lo
 
     @pytest.mark.parametrize("n_atoms, k", [(2, 2), (1, 3), (3, 2)])
     def test_start_kept_below_the_floor(self, monkeypatch, n_atoms, k):
@@ -378,12 +420,11 @@ class TestSeeSaw:
         # takes the (D, D) solves
         monkeypatch.setattr(optimize, "SEESAW_MAX_ITER", 3)
         sc = plus_scenario(n_atoms=2, k=3, T=0.7)
-        flip = core.flip_index(2, sc.n_steps)
         if start == "random":
             v = np.random.default_rng(8).standard_normal(sc.dim)
         else:
             e = np.zeros(sc.dim)
-            e[0], e[flip[0]] = 1e-9, -1e-9
+            e[0], e[-1] = 1e-9, -1e-9
             v = sc.joint_input() + e
         sc = dataclasses.replace(sc, probe=JointProbe(vector=v / np.linalg.norm(v)))
         sizes = spy_eigensolve_sizes(monkeypatch)
